@@ -15,7 +15,10 @@
 // wall times for *every* repetition plus min/median, trace work-counter
 // deltas, PMU samples, derived rates (model GFLOP/s, measured bandwidth
 // and arithmetic intensity), roofline ceilings/points, and
-// model-vs-measured validation verdicts.
+// model-vs-measured validation verdicts. Reps are timed with the trace
+// gate off unless --trace/--metrics turned it on; each case records which
+// (`reps_traced`) and how many reps its counter deltas cover
+// (`counter_reps`, see measure_case).
 //
 // Schema: "tempest-bench-v1". scripts/bench_check.py validates emitted
 // files in CI; bump the schema string on breaking changes.
@@ -62,7 +65,9 @@ struct CaseResult {
   std::vector<double> rep_seconds;          ///< every repetition, in order
   long long point_updates = 0;              ///< per repetition
   double precompute_seconds = 0.0;
-  tempest::trace::CounterSnapshot counters{};  ///< delta across all reps
+  tempest::trace::CounterSnapshot counters{};  ///< delta, see counter_reps
+  bool reps_traced = false;  ///< timed reps ran with the trace gate on
+  int counter_reps = 0;      ///< reps the counter deltas cover
   tempest::perf::pmu::Sample pmu{};            ///< delta across all reps
   std::map<std::string, double> derived;       ///< gflops, measured_ai, ...
 
@@ -115,11 +120,6 @@ class Session {
       }
       tempest::obs::reset_metrics();
       tempest::obs::set_enabled(true);
-    }
-    if (active()) {
-      // Work counters feed the JSON even when no --trace/--metrics sink
-      // was requested.
-      tempest::trace::set_enabled(true);
     }
     start_ = group_.read();
   }
@@ -268,6 +268,8 @@ class Session {
       w.end_array();
       w.field("min_s", c.min_s());
       w.field("median_s", c.median_s());
+      w.field("reps_traced", c.reps_traced);
+      w.field("counter_reps", static_cast<long long>(c.counter_reps));
       w.field("point_updates", c.point_updates);
       w.field("precompute_s", c.precompute_seconds);
       w.key("counters");
@@ -391,10 +393,16 @@ class Session {
 };
 
 /// Run `run_once` (returning physics::RunStats) `reps` times, recording
-/// every repetition's wall time plus the trace-counter and PMU deltas of
-/// the whole measurement window. This is the one spelling of "best-of-N"
-/// the drivers share: min is the headline (least-perturbed) number,
-/// median and the full rep list ride in the JSON for noise analysis.
+/// every repetition's wall time plus the PMU delta of the timed window.
+/// This is the one spelling of "best-of-N" the drivers share: min is the
+/// headline (least-perturbed) number, median and the full rep list ride in
+/// the JSON for noise analysis.
+///
+/// Reps are timed as the trace gate finds them: off by default, so rep
+/// times carry no span overhead. A JSON session then takes the work
+/// counters from one extra untimed rep with the gate on (counter_reps 1).
+/// When --trace/--metrics already turned the gate on, the timed reps are
+/// traced and their own counter deltas are kept (counter_reps == reps).
 template <typename RunFn>
 CaseResult measure_case(Session& session, std::string name,
                         std::map<std::string, std::string> tags, int reps,
@@ -403,15 +411,27 @@ CaseResult measure_case(Session& session, std::string name,
   CaseResult c;
   c.name = std::move(name);
   c.tags = std::move(tags);
-  const trace::CounterSnapshot before = trace::snapshot();
-  const perf::pmu::PmuRegion region(session.group());
-  for (int i = 0; i < std::max(1, reps); ++i) {
-    const physics::RunStats s = run_once();
-    c.rep_seconds.push_back(s.seconds);
-    c.point_updates = s.point_updates;
-    c.precompute_seconds = s.precompute_seconds;
+  c.reps_traced = trace::enabled();
+  trace::CounterSnapshot before = trace::snapshot();
+  {
+    const perf::pmu::PmuRegion region(session.group());
+    for (int i = 0; i < std::max(1, reps); ++i) {
+      const physics::RunStats s = run_once();
+      c.rep_seconds.push_back(s.seconds);
+      c.point_updates = s.point_updates;
+      c.precompute_seconds = s.precompute_seconds;
+    }
+    c.pmu = region.delta();
   }
-  c.pmu = region.delta();
+  if (c.reps_traced) {
+    c.counter_reps = static_cast<int>(c.rep_seconds.size());
+  } else if (session.active()) {
+    trace::set_enabled(true);
+    before = trace::snapshot();
+    (void)run_once();
+    trace::set_enabled(false);
+    c.counter_reps = 1;
+  }
   const trace::CounterSnapshot after = trace::snapshot();
   for (int i = 0; i < trace::kNumCounters; ++i) {
     c.counters[static_cast<std::size_t>(i)] =

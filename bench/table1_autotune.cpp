@@ -124,6 +124,7 @@ int main(int argc, char** argv) {
                 {"block_y", std::to_string(b.block_y)},
                 {"tile_t", std::to_string(b.tile_t)}};
       c.rep_seconds.push_back(result.best.seconds);
+      c.reps_traced = trace::enabled();
       c.pmu = result.best.pmu;
       c.derived["candidates_evaluated"] =
           static_cast<double>(result.evaluated.size());

@@ -226,12 +226,14 @@ int main(int argc, char** argv) {
         });
       }
       if (ckpt && ckpt_every > 0 && tau % ckpt_every == 0 && tau < nt) {
-        resilience::Checkpoint ck = prop.capture(tau, fp);
-        ck.aux.emplace_back(
+        // Barrier callback: save the live wavefield slices, no copy.
+        const resilience::AuxBlob image_blob{
             "image",
             resilience::aux_wrap_bytes(kImageMagic, kImageVersion,
                                        image.raw(),
-                                       image.padded_size() * sizeof(double)));
+                                       image.padded_size() * sizeof(double))};
+        resilience::CheckpointView ck = prop.state_view(tau, fp);
+        ck.aux = {&image_blob, 1};
         ckpt->save(ck);
       }
     };

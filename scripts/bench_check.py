@@ -70,11 +70,43 @@ def check_case(errors, case, i):
             and median_s + 1e-12 < min_s):
         fail(errors, f"{where}: median_s {median_s} < min_s {min_s}")
     check_number(errors, case, "point_updates", where, minimum=0)
-    if not isinstance(case.get("counters"), dict):
+    counters = case.get("counters")
+    if not isinstance(counters, dict):
         fail(errors, f"{where}.counters: expected an object")
+        counters = {}
+    check_counter_provenance(errors, case, where, reps, counters)
     check_pmu_sample(errors, case.get("pmu"), f"{where}.pmu")
     if not isinstance(case.get("derived"), dict):
         fail(errors, f"{where}.derived: expected an object")
+
+
+def check_counter_provenance(errors, case, where, reps, counters):
+    """Rep times and counter deltas must say how they were taken.
+
+    bench::measure_case times reps with the trace gate off and takes the
+    counters from one extra untimed, traced rep (counter_reps 1); when
+    --trace/--metrics turned the gate on, the timed reps are traced and
+    cover the counters themselves (counter_reps == len(reps_s)); 0 means
+    no counters were taken, so every delta must be zero.
+    """
+    traced = case.get("reps_traced")
+    if not isinstance(traced, bool):
+        fail(errors, f"{where}.reps_traced: expected a bool, got {traced!r}")
+        return
+    n = case.get("counter_reps")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        fail(errors, f"{where}.counter_reps: expected a non-negative int, "
+                     f"got {n!r}")
+        return
+    if n == 0:
+        if any(v != 0 for v in counters.values()):
+            fail(errors, f"{where}: counter deltas without a counter rep")
+    elif traced and n != len(reps):
+        fail(errors, f"{where}: traced reps cover the counters, but "
+                     f"counter_reps {n} != {len(reps)} reps")
+    elif not traced and n != 1:
+        fail(errors, f"{where}: untraced reps take the counters from one "
+                     f"extra rep, but counter_reps is {n}")
 
 
 def check_pmu_sample(errors, sample, where):

@@ -8,7 +8,10 @@
 #   --skip-asan  full default-preset suite, skip the sanitizer pass
 #   --bench      build the default preset, run the bench harnesses at
 #                smoke-test sizes with --json, and schema-check the
-#                emitted BENCH_*.json (works on PMU-less machines)
+#                emitted BENCH_*.json (works on PMU-less machines); then
+#                build the repository benchmark (perfbench/) into
+#                .bench_build and run its bench_smoke ctest, so an API
+#                change that breaks tempest_bench fails here first
 #   --chaos      build the asan preset and run the kill/corrupt/resume
 #                chaos harness (tools/chaos_runner) with a fixed seed:
 #                five SIGKILLs of a 3-shot survey, one checkpoint
@@ -80,6 +83,11 @@ run_bench_smoke() {
   else
     echo "==> python3 not found; skipping JSON schema validation"
   fi
+  echo "==> repository benchmark: build perfbench/ into .bench_build"
+  cmake -S perfbench -B .bench_build/cmake -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build/cmake --target tempest_bench -j "$(nproc)"
+  echo "==> repository benchmark smoke (every workload at toy sizes)"
+  ctest --test-dir .bench_build/cmake -R bench_smoke --output-on-failure
   echo "==> bench smoke passed"
 }
 

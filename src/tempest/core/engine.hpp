@@ -25,6 +25,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "tempest/analysis/legality.hpp"
@@ -516,53 +517,82 @@ class ScheduleExecutor {
   const ExecutionOptions& opts_;
 };
 
-/// Snapshot the propagation state after timestep `step` completed. The
-/// slice list is the kernel's state in a fixed order (the same order
-/// restore_state expects); the checkpoint carries copies of the slices, the
-/// gather recorded so far (when `rec` is non-null) and the caller's config
-/// fingerprint. `capture()`'s step is the next `run_from()`'s `t_begin`.
-[[nodiscard]] inline resilience::Checkpoint capture_state(
-    const std::vector<const grid::Grid3<real_t>*>& slices, int step,
-    int first_step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) {
-  TEMPEST_REQUIRE(step >= first_step);
-  resilience::Checkpoint ck;
-  ck.fingerprint = fingerprint;
-  ck.step = step;
-  ck.slots.reserve(slices.size());
-  for (const auto* slice : slices) ck.slots.push_back(*slice);
-  if (rec != nullptr) {
-    ck.has_rec = true;
-    ck.rec = *rec;
-  }
-  return ck;
+/// Flatten a kernel's state parts — time buffers (every slot, in slot
+/// order) and single grids — into one slice list whose constness follows
+/// the parts: the checkpoint order of that kernel's state.
+template <typename... Parts>
+[[nodiscard]] auto state_slices(Parts&... parts) {
+  using Grid = std::conditional_t<(std::is_const_v<Parts> && ...),
+                                  const grid::Grid3<real_t>,
+                                  grid::Grid3<real_t>>;
+  std::vector<Grid*> out;
+  const auto add = [&out](auto& part) {
+    if constexpr (requires { part.slots(); }) {
+      for (int s = 0; s < part.slots(); ++s) out.push_back(&part.slot(s));
+    } else {
+      out.push_back(&part);
+    }
+  };
+  (add(parts), ...);
+  return out;
 }
 
-/// Seed the kernel's state slices from a checkpoint. Throws
-/// resilience::CheckpointMismatchError when the checkpoint's slice count or
-/// grid geometry does not match.
-inline void restore_state(const std::vector<grid::Grid3<real_t>*>& slices,
-                          const resilience::Checkpoint& ck) {
-  TEMPEST_REQUIRE(!slices.empty());
-  const grid::Extents3& e = slices.front()->extents();
-  const int halo = slices.front()->halo();
-  if (ck.slots.size() != slices.size() || ck.slots.empty() ||
-      ck.slots.front().extents() != e || ck.slots.front().halo() != halo) {
-    std::ostringstream os;
-    os << "checkpoint does not fit this propagator: it holds "
-       << ck.slots.size() << " slices";
-    if (!ck.slots.empty()) {
-      const auto& ce = ck.slots.front().extents();
-      os << " of " << ce.nx << "x" << ce.ny << "x" << ce.nz << " (halo "
-         << ck.slots.front().halo() << ")";
+/// The checkpoint surface every propagator shares. `Derived` names its
+/// state once, as a private `template <typename Self> static auto
+/// state(Self& self)` returning state_slices(...) over its fields, and
+/// befriends this base; `FirstStep` is its kernel's first timestep.
+template <typename Derived, int FirstStep>
+class Checkpointable {
+ public:
+  /// Zero-copy view of the live state after timestep `step` completed: the
+  /// kernel's slices, the gather recorded so far (when `rec` is non-null)
+  /// and the caller's config fingerprint; add aux blobs, then save() it.
+  /// Call only at a global time barrier — from a StepCallback, which
+  /// wavefront and diamond reject — and save before the callback returns:
+  /// the view reads the slices the next timestep overwrites.
+  [[nodiscard]] resilience::CheckpointView state_view(
+      int step, std::uint64_t fingerprint,
+      const sparse::SparseTimeSeries* rec = nullptr) const {
+    TEMPEST_REQUIRE(step >= FirstStep);
+    resilience::CheckpointView v;
+    v.fingerprint = fingerprint;
+    v.step = step;
+    v.slots = Derived::state(static_cast<const Derived&>(*this));
+    v.rec = rec;
+    return v;
+  }
+
+  /// Owning snapshot: a copy of state_view(step, fingerprint, rec) that
+  /// outlives the barrier. `step` is the next run_from()'s `t_begin`.
+  [[nodiscard]] resilience::Checkpoint capture(
+      int step, std::uint64_t fingerprint,
+      const sparse::SparseTimeSeries* rec = nullptr) const {
+    return resilience::Checkpoint(state_view(step, fingerprint, rec));
+  }
+
+  /// Seed the state slices from a checkpoint. Throws
+  /// resilience::CheckpointMismatchError when the checkpoint's slice count
+  /// or grid geometry does not match.
+  void restore(const resilience::Checkpoint& ck) {
+    const auto slices = Derived::state(static_cast<Derived&>(*this));
+    const grid::Extents3& e = slices.front()->extents();
+    const int halo = slices.front()->halo();
+    if (ck.slots.size() != slices.size() ||
+        ck.slots.front().extents() != e || ck.slots.front().halo() != halo) {
+      std::ostringstream os;
+      os << "checkpoint does not fit this propagator: it holds "
+         << ck.slots.size() << " slices";
+      if (!ck.slots.empty()) {
+        const auto& ce = ck.slots.front().extents();
+        os << " of " << ce.nx << "x" << ce.ny << "x" << ce.nz << " (halo "
+           << ck.slots.front().halo() << ")";
+      }
+      os << ", this run needs " << slices.size() << " of " << e.nx << "x"
+         << e.ny << "x" << e.nz << " (halo " << halo << ")";
+      throw resilience::CheckpointMismatchError(os.str());
     }
-    os << ", this run needs " << slices.size() << " of " << e.nx << "x"
-       << e.ny << "x" << e.nz << " (halo " << halo << ")";
-    throw resilience::CheckpointMismatchError(os.str());
+    for (std::size_t i = 0; i < slices.size(); ++i) *slices[i] = ck.slots[i];
   }
-  for (std::size_t i = 0; i < slices.size(); ++i) {
-    *slices[i] = ck.slots[i];
-  }
-}
+};
 
 }  // namespace tempest::core::engine

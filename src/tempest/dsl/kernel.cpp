@@ -256,21 +256,4 @@ physics::RunStats DslPropagator::run_from(int t_begin, physics::Schedule sched,
   return executor.run_from(t_begin, sched, src, rec, on_step);
 }
 
-resilience::Checkpoint DslPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  return core::engine::capture_state(slices, step, DslKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void DslPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  core::engine::restore_state(slices, ck);
-}
-
 }  // namespace tempest::dsl

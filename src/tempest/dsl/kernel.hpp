@@ -103,7 +103,8 @@ static_assert(core::engine::PhysicsKernel<DslKernel>);
 /// propagator resolves it) and mirrors AcousticPropagator's run / resume /
 /// checkpoint surface, so DSL kernels slot into surveys, RTM and the bench
 /// drivers unchanged.
-class DslPropagator {
+class DslPropagator : public core::engine::Checkpointable<
+                          DslPropagator, DslKernel::kFirstStep> {
  public:
   using StepCallback = physics::StepCallback;
 
@@ -121,11 +122,7 @@ class DslPropagator {
                              sparse::SparseTimeSeries* rec = nullptr,
                              const StepCallback& on_step = {});
 
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
+  // state_view() / capture() / restore(): see core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
     return u_.at(t);
@@ -139,6 +136,13 @@ class DslPropagator {
   }
 
  private:
+  friend Checkpointable;
+  /// Checkpoint state: the three slices of u.
+  template <typename Self>
+  static auto state(Self& self) {
+    return core::engine::state_slices(self.u_);
+  }
+
   const physics::AcousticModel& model_;
   physics::PropagatorOptions opts_;
   double dt_;

@@ -65,6 +65,27 @@ std::ifstream open_in(const std::string& path) {
 
 }  // namespace
 
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  // file_size, not a seek to the end: it fails on a directory, where ext4
+  // reports an end offset of 2^63 - 1 that no buffer can hold.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) {
+    throw CorruptFileError(path, "cannot open for reading: " + ec.message());
+  }
+  std::ifstream is(path, std::ios::binary);
+  if (!is.is_open()) throw CorruptFileError(path, "cannot open for reading");
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(size));
+  is.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(buf.size()));
+  if (static_cast<std::size_t>(is.gcount()) != buf.size()) {
+    throw CorruptFileError(path, "short read: got " +
+                                     std::to_string(is.gcount()) + " of " +
+                                     std::to_string(size) + " bytes");
+  }
+  return buf;
+}
+
 void save_field(const std::string& path, const grid::Grid3<real_t>& field) {
   auto os = open_out(path);
   write_pod(os, kFieldMagic);

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "tempest/config.hpp"
 #include "tempest/grid/grid3.hpp"
@@ -25,6 +27,12 @@ class CorruptFileError : public util::PreconditionError {
  private:
   std::string path_;
 };
+
+/// The whole file at `path`, read with one sized read — the loader every
+/// CRC-framed reader (checkpoint, journal, black box) validates from.
+/// Throws CorruptFileError when the file cannot be opened or yields fewer
+/// bytes than its size.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
 
 /// Minimal persistence for fields and gathers: a tagged little-endian
 /// binary container (magic + header + raw payload) for exact round trips,

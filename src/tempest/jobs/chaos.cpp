@@ -10,6 +10,7 @@
 #include <fstream>
 #include <vector>
 
+#include "tempest/io/io.hpp"
 #include "tempest/jobs/survey.hpp"
 #include "tempest/obs/recorder.hpp"
 #include "tempest/util/error.hpp"
@@ -60,14 +61,11 @@ ChildResult run_child(const std::vector<std::string>& argv,
 }
 
 bool files_identical(const std::string& a, const std::string& b) {
-  std::ifstream fa(a, std::ios::binary);
-  std::ifstream fb(b, std::ios::binary);
-  if (!fa.good() || !fb.good()) return false;
-  const std::vector<char> da((std::istreambuf_iterator<char>(fa)),
-                             std::istreambuf_iterator<char>());
-  const std::vector<char> db((std::istreambuf_iterator<char>(fb)),
-                             std::istreambuf_iterator<char>());
-  return da == db;
+  try {
+    return io::read_file(a) == io::read_file(b);
+  } catch (const io::CorruptFileError&) {
+    return false;  // a missing or unreadable file matches nothing
+  }
 }
 
 bool flip_byte(const std::string& path, std::uint64_t offset) {

@@ -115,12 +115,7 @@ void Journal::append(const Record& r) {
 
 std::vector<Record> Journal::replay(bool* torn_tail) const {
   if (torn_tail != nullptr) *torn_tail = false;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in.good()) {
-    throw io::CorruptFileError(path_, "cannot open journal");
-  }
-  std::vector<std::uint8_t> buf((std::istreambuf_iterator<char>(in)),
-                                std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> buf = io::read_file(path_);
   if (buf.size() < 8) {
     throw io::CorruptFileError(path_, "journal shorter than its header (" +
                                           std::to_string(buf.size()) +

@@ -136,7 +136,7 @@ void retain_or_recycle_blackbox(const SurveySpec& spec, const Attempt& a,
 #endif  // !TEMPEST_TRACE_DISABLED
 
 /// One attempt of one shot, generic over the uniform propagator surface
-/// (run/run_from/capture/restore). Throws on failure; the Runner's
+/// (run/run_from/state_view/restore). Throws on failure; the Runner's
 /// classify() decides retry vs degrade vs quarantine.
 template <typename Propagator, typename Model>
 AttemptResult run_shot(const Model& model, const SurveySpec& spec,
@@ -221,18 +221,20 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   }
 
   Watchdog wd(barrier ? spec.watchdog_ms : 0.0, now_ms);
+  ShotAux aux;
+  aux.shot = a.job;
+  aux.level = a.level;
+  aux.sched = static_cast<std::int32_t>(rung.sched);
+  aux.jit = rung.jit ? 1 : 0;
+  const resilience::AuxBlob aux_blob{
+      kShotAuxName,
+      resilience::aux_pack_versioned(kShotAuxMagic, kShotAuxVersion, aux)};
   const auto on_step = [&](int t) {
     wd.beat(t);
     if (spec.ckpt_every <= 0 || t % spec.ckpt_every != 0 || t >= nt) return;
-    resilience::Checkpoint ck = prop.capture(t, fp, &gather);
-    ShotAux aux;
-    aux.shot = a.job;
-    aux.level = a.level;
-    aux.sched = static_cast<std::int32_t>(rung.sched);
-    aux.jit = rung.jit ? 1 : 0;
-    ck.aux.emplace_back(kShotAuxName,
-                        resilience::aux_pack_versioned(kShotAuxMagic,
-                                                       kShotAuxVersion, aux));
+    // Barrier callback: save the live slices and gather, no copy.
+    resilience::CheckpointView ck = prop.state_view(t, fp, &gather);
+    ck.aux = {&aux_blob, 1};
     try {
       ckpt.save(ck);
     } catch (const util::PreconditionError& e) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstring>
-#include <fstream>
 #include <iterator>
 #include <map>
 
@@ -299,10 +298,7 @@ namespace {
 /// Decode guts: header + geometry validation, slot CRC triage, seq sort,
 /// open-span replay. Throws io::CorruptFileError per the header contract.
 BlackboxContents decode(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw io::CorruptFileError(path, "cannot open black box");
-  std::vector<unsigned char> bytes((std::istreambuf_iterator<char>(is)),
-                                   std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> bytes = io::read_file(path);
   if (bytes.size() < kHeaderBytes) {
     throw io::CorruptFileError(path, "black box shorter than its header");
   }

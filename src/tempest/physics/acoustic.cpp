@@ -183,6 +183,11 @@ class AcousticKernel {
 };
 
 static_assert(core::engine::PhysicsKernel<AcousticKernel>);
+// The header's Checkpointable base must name this kernel's first step.
+static_assert(
+    std::derived_from<AcousticPropagator,
+                      core::engine::Checkpointable<
+                          AcousticPropagator, AcousticKernel::kFirstStep>>);
 
 }  // namespace
 
@@ -215,23 +220,6 @@ RunStats AcousticPropagator::run_from(int t_begin, Schedule sched,
   AcousticKernel kernel(model_, u_, dt_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint AcousticPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  return core::engine::capture_state(slices, step, AcousticKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void AcousticPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(u_.slots()));
-  for (int s = 0; s < u_.slots(); ++s) slices.push_back(&u_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

@@ -29,7 +29,8 @@ namespace tempest::physics {
 /// core/ precompute pipeline. All produce the same wavefield (bit-exact for a single
 /// source; to rounding when several sources share support points, since the
 /// decomposition pre-sums their contributions).
-class AcousticPropagator {
+class AcousticPropagator
+    : public core::engine::Checkpointable<AcousticPropagator, /*FirstStep=*/1> {
  public:
   AcousticPropagator(const AcousticModel& model, PropagatorOptions opts = {});
 
@@ -57,18 +58,7 @@ class AcousticPropagator {
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  /// Snapshot the full propagation state after timestep `step` completed
-  /// (call from a StepCallback, where a global time barrier exists). The
-  /// checkpoint carries the circular-buffer slices, the gather recorded so
-  /// far (when `rec` is non-null) and the caller's config fingerprint.
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  /// Seed the wavefield buffer from a checkpoint. Throws
-  /// resilience::CheckpointMismatchError when the checkpoint's slice count
-  /// or grid geometry does not match this propagator.
-  void restore(const resilience::Checkpoint& ck);
+  // state_view() / capture() / restore(): see core::engine::Checkpointable.
 
   /// Wavefield at logical timestep t of the last run (only the last three
   /// timesteps are live in the circular buffer).
@@ -81,6 +71,13 @@ class AcousticPropagator {
   [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
  private:
+  friend Checkpointable;
+  /// Checkpoint state: the three slices of u.
+  template <typename Self>
+  static auto state(Self& self) {
+    return core::engine::state_slices(self.u_);
+  }
+
   const AcousticModel& model_;
   PropagatorOptions opts_;
   double dt_;

@@ -324,6 +324,11 @@ class ElasticKernel {
 };
 
 static_assert(core::engine::PhysicsKernel<ElasticKernel>);
+// The header's Checkpointable base must name this kernel's first step.
+static_assert(
+    std::derived_from<ElasticPropagator,
+                      core::engine::Checkpointable<
+                          ElasticPropagator, ElasticKernel::kFirstStep>>);
 
 }  // namespace
 
@@ -364,21 +369,6 @@ RunStats ElasticPropagator::run_from(int t_begin, Schedule sched,
                        tyz_, dt_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint ElasticPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  const std::vector<const grid::Grid3<real_t>*> slices = {
-      &vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_};
-  return core::engine::capture_state(slices, step, ElasticKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void ElasticPropagator::restore(const resilience::Checkpoint& ck) {
-  const std::vector<grid::Grid3<real_t>*> slices = {
-      &vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_};
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

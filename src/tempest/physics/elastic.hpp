@@ -31,7 +31,8 @@ namespace tempest::physics {
 ///
 /// The source is an explosive (pressure) source injected into the diagonal
 /// stresses; receivers record the vertical particle velocity vz.
-class ElasticPropagator {
+class ElasticPropagator
+    : public core::engine::Checkpointable<ElasticPropagator, /*FirstStep=*/0> {
  public:
   ElasticPropagator(const ElasticModel& model, PropagatorOptions opts = {});
 
@@ -48,12 +49,7 @@ class ElasticPropagator {
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  /// Snapshot all nine fields (vx, vy, vz, txx, tyy, tzz, txy, txz, tyz).
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
+  // state_view() / capture() / restore(): see core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& vx() const { return vx_; }
   [[nodiscard]] const grid::Grid3<real_t>& vy() const { return vy_; }
@@ -69,6 +65,15 @@ class ElasticPropagator {
   [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
  private:
+  friend Checkpointable;
+  /// Checkpoint state: all nine fields.
+  template <typename Self>
+  static auto state(Self& self) {
+    return core::engine::state_slices(self.vx_, self.vy_, self.vz_, self.txx_,
+                                      self.tyy_, self.tzz_, self.txy_,
+                                      self.txz_, self.tyz_);
+  }
+
   const ElasticModel& model_;
   PropagatorOptions opts_;
   double dt_;

@@ -289,6 +289,11 @@ class TTIKernel {
 };
 
 static_assert(core::engine::PhysicsKernel<TTIKernel>);
+// The header's Checkpointable base must name this kernel's first step.
+static_assert(
+    std::derived_from<TTIPropagator,
+                      core::engine::Checkpointable<
+                          TTIPropagator, TTIKernel::kFirstStep>>);
 
 }  // namespace
 
@@ -351,25 +356,6 @@ RunStats TTIPropagator::run_from(int t_begin, Schedule sched,
   TTIKernel kernel(model_, p_, q_, f, dt_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint TTIPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  return core::engine::capture_state(slices, step, TTIKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void TTIPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

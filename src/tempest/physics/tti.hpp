@@ -33,7 +33,8 @@ namespace tempest::physics {
 /// The source is injected into both wavefields; receivers measure p. With
 /// eps = delta = theta = phi = 0 the system reduces *exactly* to two copies
 /// of the isotropic acoustic equation (tested against AcousticPropagator).
-class TTIPropagator {
+class TTIPropagator
+    : public core::engine::Checkpointable<TTIPropagator, /*FirstStep=*/1> {
  public:
   TTIPropagator(const TTIModel& model, PropagatorOptions opts = {});
 
@@ -49,12 +50,7 @@ class TTIPropagator {
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  /// Snapshot both p and q circular buffers (p slices first, then q).
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
+  // state_view() / capture() / restore(): see core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield_p(int t) const {
     return p_.at(t);
@@ -67,6 +63,13 @@ class TTIPropagator {
   [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
  private:
+  friend Checkpointable;
+  /// Checkpoint state: the p slices, then the q slices.
+  template <typename Self>
+  static auto state(Self& self) {
+    return core::engine::state_slices(self.p_, self.q_);
+  }
+
   const TTIModel& model_;
   PropagatorOptions opts_;
   double dt_;

@@ -204,6 +204,11 @@ class VTIKernel {
 };
 
 static_assert(core::engine::PhysicsKernel<VTIKernel>);
+// The header's Checkpointable base must name this kernel's first step.
+static_assert(
+    std::derived_from<VTIPropagator,
+                      core::engine::Checkpointable<
+                          VTIPropagator, VTIKernel::kFirstStep>>);
 
 }  // namespace
 
@@ -244,25 +249,6 @@ RunStats VTIPropagator::run_from(int t_begin, Schedule sched,
   VTIKernel kernel(model_, p_, q_, ah_, an_, dt_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
-}
-
-resilience::Checkpoint VTIPropagator::capture(
-    int step, std::uint64_t fingerprint,
-    const sparse::SparseTimeSeries* rec) const {
-  std::vector<const grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  return core::engine::capture_state(slices, step, VTIKernel::kFirstStep,
-                                     fingerprint, rec);
-}
-
-void VTIPropagator::restore(const resilience::Checkpoint& ck) {
-  std::vector<grid::Grid3<real_t>*> slices;
-  slices.reserve(static_cast<std::size_t>(p_.slots() + q_.slots()));
-  for (int s = 0; s < p_.slots(); ++s) slices.push_back(&p_.slot(s));
-  for (int s = 0; s < q_.slots(); ++s) slices.push_back(&q_.slot(s));
-  core::engine::restore_state(slices, ck);
 }
 
 }  // namespace tempest::physics

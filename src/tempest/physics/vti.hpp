@@ -27,7 +27,8 @@ namespace tempest::physics {
 /// with zero tilt this propagator and TTIPropagator must agree.
 ///
 /// Takes a TTIModel whose theta and phi are identically zero (enforced).
-class VTIPropagator {
+class VTIPropagator
+    : public core::engine::Checkpointable<VTIPropagator, /*FirstStep=*/1> {
  public:
   VTIPropagator(const TTIModel& model, PropagatorOptions opts = {});
 
@@ -43,12 +44,7 @@ class VTIPropagator {
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  /// Snapshot both p and q circular buffers (p slices first, then q).
-  [[nodiscard]] resilience::Checkpoint capture(
-      int step, std::uint64_t fingerprint,
-      const sparse::SparseTimeSeries* rec = nullptr) const;
-
-  void restore(const resilience::Checkpoint& ck);
+  // state_view() / capture() / restore(): see core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield_p(int t) const {
     return p_.at(t);
@@ -61,6 +57,13 @@ class VTIPropagator {
   [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
  private:
+  friend Checkpointable;
+  /// Checkpoint state: the p slices, then the q slices.
+  template <typename Self>
+  static auto state(Self& self) {
+    return core::engine::state_slices(self.p_, self.q_);
+  }
+
   const TTIModel& model_;
   PropagatorOptions opts_;
   double dt_;

@@ -96,14 +96,35 @@ bool Checkpointer::exists() const {
   return std::filesystem::exists(path_, ec);
 }
 
-void Checkpointer::save(const Checkpoint& ck) const {
+Checkpoint::Checkpoint(const CheckpointView& v)
+    : fingerprint(v.fingerprint),
+      step(v.step),
+      has_rec(v.rec != nullptr),
+      aux(v.aux.begin(), v.aux.end()) {
+  slots.reserve(v.slots.size());
+  for (const grid::Grid3<real_t>* s : v.slots) slots.push_back(*s);
+  if (v.rec != nullptr) rec = *v.rec;
+}
+
+Checkpoint::operator CheckpointView() const {
+  CheckpointView v;
+  v.fingerprint = fingerprint;
+  v.step = step;
+  v.slots.reserve(slots.size());
+  for (const grid::Grid3<real_t>& s : slots) v.slots.push_back(&s);
+  v.rec = has_rec ? &rec : nullptr;
+  v.aux = aux;
+  return v;
+}
+
+void Checkpointer::save(const CheckpointView& ck) const {
   TEMPEST_TRACE_SPAN("checkpoint.save", "resilience");
   TEMPEST_OBS_TIME(CheckpointWriteSeconds);
   TEMPEST_REQUIRE_MSG(!ck.slots.empty(), "checkpoint carries no time slices");
-  const auto& e0 = ck.slots.front().extents();
-  const int halo0 = ck.slots.front().halo();
-  for (const auto& s : ck.slots) {
-    TEMPEST_REQUIRE_MSG(s.extents() == e0 && s.halo() == halo0,
+  const auto& e0 = ck.slots.front()->extents();
+  const int halo0 = ck.slots.front()->halo();
+  for (const grid::Grid3<real_t>* s : ck.slots) {
+    TEMPEST_REQUIRE_MSG(s->extents() == e0 && s->halo() == halo0,
                         "checkpoint slices must share one geometry");
   }
 
@@ -122,8 +143,8 @@ void Checkpointer::save(const Checkpoint& ck) const {
     w.pod(static_cast<std::int32_t>(e0.ny));
     w.pod(static_cast<std::int32_t>(e0.nz));
     w.pod(static_cast<std::int32_t>(halo0));
-    for (const auto& s : ck.slots) {
-      w.bytes(s.raw(), s.padded_size() * sizeof(real_t));
+    for (const grid::Grid3<real_t>* s : ck.slots) {
+      w.bytes(s->raw(), s->padded_size() * sizeof(real_t));
     }
 
     // Torn-write window: a kill here leaves a partial temp file while the
@@ -135,17 +156,17 @@ void Checkpointer::save(const Checkpoint& ck) const {
           tmp);
     }
 
-    w.pod(static_cast<std::uint8_t>(ck.has_rec ? 1 : 0));
-    if (ck.has_rec) {
-      w.pod(static_cast<std::int32_t>(ck.rec.nt()));
-      w.pod(static_cast<std::int32_t>(ck.rec.npoints()));
-      for (const sparse::Coord3& c : ck.rec.coords()) {
+    w.pod(static_cast<std::uint8_t>(ck.rec != nullptr ? 1 : 0));
+    if (ck.rec != nullptr) {
+      w.pod(static_cast<std::int32_t>(ck.rec->nt()));
+      w.pod(static_cast<std::int32_t>(ck.rec->npoints()));
+      for (const sparse::Coord3& c : ck.rec->coords()) {
         w.pod(c.x);
         w.pod(c.y);
         w.pod(c.z);
       }
-      for (int t = 0; t < ck.rec.nt(); ++t) {
-        const auto step = ck.rec.step(t);
+      for (int t = 0; t < ck.rec->nt(); ++t) {
+        const auto step = ck.rec->step(t);
         w.bytes(step.data(), step.size() * sizeof(real_t));
       }
     }
@@ -191,12 +212,7 @@ void Checkpointer::save(const Checkpoint& ck) const {
 Checkpoint Checkpointer::load() const { return load_file(path_); }
 
 Checkpoint Checkpointer::load_file(const std::string& path) const {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.is_open()) {
-    throw io::CorruptFileError(path, "cannot open checkpoint for reading");
-  }
-  std::vector<std::uint8_t> buf(
-      (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> buf = io::read_file(path);
 
   constexpr std::size_t kMinSize =
       2 * sizeof(std::uint32_t) + sizeof(std::uint64_t) +

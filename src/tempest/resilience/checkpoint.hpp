@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -53,18 +54,44 @@ class Fingerprint {
   std::uint64_t h_ = 14695981039346656037ull;
 };
 
-/// Full simulation state at a barrier timestep: the circular-buffer time
-/// slices (in slot order — the fold is deterministic given `step`), the
-/// last fully computed timestep, the receiver gather rows recorded so far,
-/// and arbitrary named auxiliary payloads for application state (e.g. the
-/// RTM image accumulator).
+/// One named auxiliary payload of application state (e.g. the RTM image
+/// accumulator) riding in a checkpoint.
+using AuxBlob = std::pair<std::string, std::vector<std::uint8_t>>;
+
+/// Non-owning view of the state a checkpoint persists — what
+/// Checkpointer::save writes from. Propagators hand out views of their live
+/// time slices (`state_view()`), so a save at a global barrier streams the
+/// wavefield straight to disk without first copying it; an owning
+/// Checkpoint converts to a view of its own storage. Every pointer must
+/// stay valid, and the slices unmodified, until save() returns.
+struct CheckpointView {
+  std::uint64_t fingerprint = 0;
+  int step = 0;  ///< last fully computed timestep
+  std::vector<const grid::Grid3<real_t>*> slots;  ///< in slot order
+  const sparse::SparseTimeSeries* rec = nullptr;  ///< gather so far, if any
+  std::span<const AuxBlob> aux;
+};
+
+/// Full simulation state at a barrier timestep, owned: the circular-buffer
+/// time slices (in slot order — the fold is deterministic given `step`),
+/// the last fully computed timestep, the receiver gather rows recorded so
+/// far, and arbitrary named auxiliary payloads for application state.
+/// load() returns one; capture() copies a live state into one.
 struct Checkpoint {
   std::uint64_t fingerprint = 0;
   int step = 0;  ///< last fully computed timestep
   std::vector<grid::Grid3<real_t>> slots;
   bool has_rec = false;
   sparse::SparseTimeSeries rec;
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> aux;
+  std::vector<AuxBlob> aux;
+
+  Checkpoint() = default;
+  /// Deep copy of the viewed state.
+  explicit Checkpoint(const CheckpointView& v);
+
+  /// View of this checkpoint's own storage. Implicit, so save(ck) writes
+  /// an owning checkpoint through the same path as a live view.
+  operator CheckpointView() const;
 
   [[nodiscard]] const std::vector<std::uint8_t>* find_aux(
       const std::string& name) const {
@@ -168,11 +195,13 @@ class Checkpointer {
   [[nodiscard]] std::string previous_path() const { return path_ + ".1"; }
   [[nodiscard]] bool exists() const;
 
-  /// Atomically persist `ck`, rotating the previous checkpoint to
-  /// previous_path(). Throws util::PreconditionError on I/O errors (disk
+  /// Atomically persist the viewed state, rotating the previous checkpoint
+  /// to previous_path(). The one writer: a live view and an owning
+  /// Checkpoint (which converts to a view) produce identical bytes for
+  /// identical state. Throws util::PreconditionError on I/O errors (disk
   /// full, unwritable directory) — the previous checkpoint, if any, is
   /// left intact in every failure mode.
-  void save(const Checkpoint& ck) const;
+  void save(const CheckpointView& ck) const;
 
   /// Load and fully validate the newest file only. Throws
   /// io::CorruptFileError on a missing, truncated, or corrupted file.

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "tempest/io/io.hpp"
 #include "tempest/util/rng.hpp"
@@ -243,4 +245,42 @@ TEST(IoCsv, SliceCsvShapeAndBounds) {
   EXPECT_TRUE(found);
   EXPECT_THROW(io::save_slice_csv(file.path(), f, 5),
                tempest::util::PreconditionError);
+}
+
+TEST(IoReadFile, ReturnsEveryByteInOrder) {
+  TempFile f(".bin");
+  std::vector<std::uint8_t> want(70000);
+  tempest::util::SplitMix64 rng(7);
+  for (std::uint8_t& b : want) b = static_cast<std::uint8_t>(rng.next());
+  want[0] = 0;  // embedded zeros and 0x1A must not end the read
+  want[1] = 0x1A;
+  {
+    std::ofstream os(f.path(), std::ios::binary);
+    os.write(reinterpret_cast<const char*>(want.data()),
+             static_cast<std::streamsize>(want.size()));
+  }
+  EXPECT_EQ(io::read_file(f.path()), want);
+}
+
+TEST(IoReadFile, EmptyFileIsEmpty) {
+  TempFile f(".bin");
+  { std::ofstream os(f.path(), std::ios::binary); }
+  EXPECT_TRUE(io::read_file(f.path()).empty());
+}
+
+TEST(IoReadFile, MissingFileIsATypedError) {
+  TempFile f(".bin");
+  try {
+    (void)io::read_file(f.path());
+    FAIL() << "reading a missing file must throw";
+  } catch (const io::CorruptFileError& e) {
+    EXPECT_EQ(e.path(), f.path());
+    EXPECT_NE(std::string(e.what()).find("cannot open"), std::string::npos);
+  }
+}
+
+TEST(IoReadFile, DirectoryIsATypedError) {
+  TempFile dir(".d");  // std::remove deletes the empty directory too
+  ASSERT_TRUE(std::filesystem::create_directory(dir.path()));
+  EXPECT_THROW((void)io::read_file(dir.path()), io::CorruptFileError);
 }

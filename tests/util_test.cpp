@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "tempest/util/align.hpp"
 #include "tempest/util/cli.hpp"
+#include "tempest/util/crc32.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/rng.hpp"
 #include "tempest/util/stats.hpp"
@@ -287,5 +291,85 @@ TEST(TaskDag, PropagatesExceptionFromTaskBody) {
                          }),
                  std::runtime_error)
         << "threads=" << threads;
+  }
+}
+
+namespace {
+
+/// The byte-at-a-time CRC-32 the library used before slicing-by-16: the
+/// reference every accelerated value must reproduce.
+std::uint32_t crc32_bytewise(const unsigned char* p, std::size_t n) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+/// TEMPEST_PROPERTY_SEED replays a reported failure; fixed default.
+std::uint64_t crc_property_seed() {
+  const char* env = std::getenv("TEMPEST_PROPERTY_SEED");
+  if (env != nullptr && *env != '\0') return std::strtoull(env, nullptr, 0);
+  return 20261017u;
+}
+
+}  // namespace
+
+TEST(Crc32, CheckValue) {
+  EXPECT_EQ(tu::crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(Crc32, EmptyInputIsZero) {
+  EXPECT_EQ(tu::crc32(nullptr, 0), 0u);
+  tu::Crc32 c;
+  c.update(nullptr, 0);
+  EXPECT_EQ(c.value(), 0u);
+}
+
+// Every length 0..4096 at a random start offset 0..15 (all sixteen offsets
+// up to 64 bytes, where the 16-byte body and the tail meet), fed through
+// up to three random update() splits, must equal the bytewise reference.
+TEST(Crc32, MatchesBytewiseReferenceAcrossLengthsOffsetsAndSplits) {
+  const std::uint64_t seed = crc_property_seed();
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed
+                                    << " (replay: TEMPEST_PROPERTY_SEED="
+                                    << seed << ")");
+  tu::SplitMix64 rng(seed);
+  constexpr std::size_t kMaxLen = 4096;
+  std::vector<unsigned char> buf(kMaxLen + 16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+
+  const auto check = [&](std::size_t len, std::size_t offset) {
+    const unsigned char* p = buf.data() + offset;
+    const std::uint32_t want = crc32_bytewise(p, len);
+    ASSERT_EQ(tu::crc32(p, len), want) << "len=" << len << " off=" << offset;
+    std::vector<std::size_t> cuts{0, len};
+    const auto n_cuts = rng.below(4);
+    for (std::uint64_t i = 0; i < n_cuts; ++i) {
+      cuts.push_back(static_cast<std::size_t>(rng.below(len + 1)));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    tu::Crc32 c;
+    for (std::size_t i = 1; i < cuts.size(); ++i) {
+      c.update(p + cuts[i - 1], cuts[i] - cuts[i - 1]);
+    }
+    ASSERT_EQ(c.value(), want) << "len=" << len << " off=" << offset
+                               << " split into " << cuts.size() - 1;
+  };
+  for (std::size_t len = 0; len <= kMaxLen && !HasFatalFailure(); ++len) {
+    if (len <= 64) {
+      for (std::size_t off = 0; off < 16; ++off) check(len, off);
+    } else {
+      check(len, static_cast<std::size_t>(rng.below(16)));
+    }
   }
 }
