@@ -47,8 +47,8 @@
 #                the paper's legality theorem, when the statics layer
 #                reports a false positive on a known-good kernel, or when
 #                any of ir_lint's seeded-wrong fixtures (unstable dt,
-#                out-of-halo load, undershot wavefront skew) is NOT
-#                rejected
+#                out-of-halo load, undershot wavefront skew, wavefront
+#                plan with a dropped staircase edge) is NOT rejected
 set -eu
 
 cd "$(dirname "$0")/.."

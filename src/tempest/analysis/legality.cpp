@@ -218,8 +218,9 @@ LegalityReport verify_nest(const dsl::ir::Node& root,
   return verify(build_dependences(root, kernel), sched);
 }
 
-DependenceGraph canonical_dependences(const AccessSummary& kernel, int stage,
-                                      bool sources, bool receivers) {
+LegalityReport verify_canonical(const AccessSummary& kernel, int stage,
+                                bool sources, bool receivers,
+                                const ScheduleDescriptor& sched) {
   TEMPEST_REQUIRE_MSG(stage >= 0 && stage <= 2,
                       "canonical analysis runs on the untiled stages");
   const std::string stmt = "A_" + kernel.kernel + "(t, x, y, z)";
@@ -227,14 +228,7 @@ DependenceGraph canonical_dependences(const AccessSummary& kernel, int stage,
       dsl::passes::build_timestepping(stmt, sources, receivers);
   if (stage >= 1) dsl::passes::precompute_and_fuse(root);
   if (stage >= 2) dsl::passes::compress_iteration_space(root);
-  return build_dependences(root, kernel);
-}
-
-LegalityReport verify_canonical(const AccessSummary& kernel, int stage,
-                                bool sources, bool receivers,
-                                const ScheduleDescriptor& sched) {
-  return verify(canonical_dependences(kernel, stage, sources, receivers),
-                sched);
+  return verify_nest(root, kernel, sched);
 }
 
 void require_legal(const LegalityReport& report) {

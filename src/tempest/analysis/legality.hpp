@@ -113,15 +113,6 @@ class ScheduleLegalityError : public util::PreconditionError {
                                          const ScheduleDescriptor& sched);
 
 /// Build the canonical nest at a lowering stage (0 = Listing 1 naive,
-/// 1 = precomputed+fused, 2 = compressed; see dsl::passes) and return its
-/// raw dependence graph. Consumers that need the distance vectors
-/// themselves — engine::TileGraph derives inter-tile task edges from them —
-/// share the exact nest the verifier checks.
-[[nodiscard]] DependenceGraph canonical_dependences(const AccessSummary& kernel,
-                                                    int stage, bool sources,
-                                                    bool receivers);
-
-/// Build the canonical nest at a lowering stage (0 = Listing 1 naive,
 /// 1 = precomputed+fused, 2 = compressed; see dsl::passes) for a kernel
 /// summary and verify it. This is what the execution-side gates call: the
 /// fused executor implements exactly the stage-2 nest.

@@ -1,6 +1,7 @@
 #include "tempest/analysis/statics/interference.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace tempest::analysis::statics {
@@ -16,9 +17,13 @@ struct Box {
   int t = 0;        ///< substep, for diagnostics
   bool read = false;
 
+  /// Same cells in x/y, whatever the slot.
+  [[nodiscard]] bool meets(const Box& o) const {
+    return x0 < o.x1 && o.x0 < x1 && y0 < o.y1 && o.y0 < y1;
+  }
+
   [[nodiscard]] bool overlaps(const Box& o) const {
-    return slot == o.slot && x0 < o.x1 && o.x0 < x1 && y0 < o.y1 &&
-           o.y0 < y1;
+    return slot == o.slot && meets(o);
   }
 
   [[nodiscard]] std::string str() const {
@@ -29,176 +34,173 @@ struct Box {
   }
 };
 
-/// One task of the probed band with its enumerated footprints. `i`/`j`
-/// are lattice indices for the staircase order; diamond tasks use `i` as
-/// the period index and `diamond_kind` to tell peaks from valleys.
+/// The footprint boxes of one task, enumerated from its plan steps: per
+/// substep the write at slot t+write_dt over the rect, the stencil reads
+/// over the rect grown by the halo radius, and (with receivers) the fused
+/// gather's in-rect read of the freshly written slice. `hull` bounds them
+/// all: two tasks whose hulls do not meet cannot conflict.
 struct Task {
-  std::string label;
-  int i = 0, j = 0;
-  int diamond_kind = 0;  ///< 0 = lattice tile, 1 = peak, 2 = valley
   std::vector<Box> writes;
   std::vector<Box> reads;
+  Box hull{0, std::numeric_limits<int>::max(), std::numeric_limits<int>::min(),
+           std::numeric_limits<int>::max(), std::numeric_limits<int>::min()};
 };
 
-struct Geometry {
-  const TileModel& m;
-  int slots;
-
-  explicit Geometry(const TileModel& model) : m(model) {
-    const std::vector<int>& reads =
-        m.time_reads.empty() ? std::vector<int>{0} : m.time_reads;
-    int lo = m.write_dt;
-    int hi = m.write_dt;
-    for (int k : reads) {
-      lo = std::min(lo, k);
-      hi = std::max(hi, k);
+Task footprints(const std::vector<core::TileStep>& steps, const Footprint& f,
+                int slots) {
+  const auto slot = [slots](int t) { return ((t % slots) + slots) % slots; };
+  Task task;
+  const auto add = [&task](std::vector<Box>& to, const Box& b) {
+    task.hull.x0 = std::min(task.hull.x0, b.x0);
+    task.hull.x1 = std::max(task.hull.x1, b.x1);
+    task.hull.y0 = std::min(task.hull.y0, b.y0);
+    task.hull.y1 = std::max(task.hull.y1, b.y1);
+    to.push_back(b);
+  };
+  for (const core::TileStep& s : steps) {
+    const int x0 = s.rect.x.lo;
+    const int x1 = s.rect.x.hi;
+    const int y0 = s.rect.y.lo;
+    const int y1 = s.rect.y.hi;
+    add(task.writes, {slot(s.t + f.write_dt), x0, x1, y0, y1, s.t, false});
+    for (const int k : f.time_reads) {
+      add(task.reads, {slot(s.t + k), x0 - f.radius, x1 + f.radius,
+                       y0 - f.radius, y1 + f.radius, s.t, true});
     }
-    slots = hi - lo + 1;
-  }
-
-  [[nodiscard]] int slot(int t) const {
-    return ((t % slots) + slots) % slots;
-  }
-
-  /// Append the substep's boxes for a clamped compute rect: the write at
-  /// slot t+write_dt over the rect, the stencil reads over the rect grown
-  /// by the halo radius, and (with receivers) the fused gather's in-rect
-  /// read of the freshly written slice.
-  void emit(Task& task, int t, int x0, int x1, int y0, int y1) const {
-    if (x0 >= x1 || y0 >= y1) return;
-    task.writes.push_back(
-        {slot(t + m.write_dt), x0, x1, y0, y1, t, false});
-    for (int k : m.time_reads) {
-      task.reads.push_back({slot(t + k), x0 - m.radius, x1 + m.radius,
-                            y0 - m.radius, y1 + m.radius, t, true});
-    }
-    if (m.receivers) {
-      task.reads.push_back({slot(t + m.write_dt), x0, x1, y0, y1, t, true});
+    if (f.receivers) {
+      add(task.reads, {slot(s.t + f.write_dt), x0, x1, y0, y1, s.t, true});
     }
   }
-};
+  return task;
+}
 
-int clamp_lo(int v) { return std::max(v, 0); }
+/// Circular-buffer slots the footprint spans: the written and every read
+/// slice offset (the current slice when none is declared).
+int slot_count(const Footprint& f) {
+  const std::vector<int> reads =
+      f.time_reads.empty() ? std::vector<int>{0} : f.time_reads;
+  int lo = f.write_dt;
+  int hi = f.write_dt;
+  for (const int k : reads) {
+    lo = std::min(lo, k);
+    hi = std::max(hi, k);
+  }
+  return hi - lo + 1;
+}
 
-/// The lattice tasks of one wavefront/fused band (band start tt = 0: the
-/// geometry is translation-invariant in the band start modulo `slots`, so
-/// the first band is representative). Mirrors run_wavefront_tasks.
-std::vector<Task> wavefront_tasks(const Geometry& g, int tile_t) {
-  const TileModel& m = g.m;
-  const int slope = m.schedule.slope;
-  const int ni = std::min(
-      m.max_tiles,
-      (m.nx + slope * (tile_t - 1) + m.tile_x - 1) / m.tile_x);
-  const int nj = std::min(
-      m.max_tiles,
-      (m.ny + slope * (tile_t - 1) + m.tile_y - 1) / m.tile_y);
-  std::vector<Task> tasks;
-  for (int i = 0; i < ni; ++i) {
-    for (int j = 0; j < nj; ++j) {
-      Task task;
-      task.i = i;
-      task.j = j;
-      task.label =
-          "tile(" + std::to_string(i) + "," + std::to_string(j) + ")";
-      for (int t = 0; t < tile_t; ++t) {
-        const int xs = i * m.tile_x - slope * t;
-        const int ys = j * m.tile_y - slope * t;
-        g.emit(task, t, clamp_lo(xs), std::min(xs + m.tile_x, m.nx),
-               clamp_lo(ys), std::min(ys + m.tile_y, m.ny));
+/// ancestors[b][a]: the band DAG has a path a -> b. Edges point forward
+/// (pred < succ), so one ascending pass closes the relation.
+std::vector<std::vector<bool>> ancestors(const util::TaskDag& dag) {
+  const auto n = static_cast<std::size_t>(dag.size());
+  std::vector<std::vector<bool>> anc(n, std::vector<bool>(n, false));
+  for (std::size_t b = 0; b < n; ++b) {
+    for (const int p : dag.preds(static_cast<int>(b))) {
+      const auto pred = static_cast<std::size_t>(p);
+      for (std::size_t a = 0; a < pred; ++a) {
+        if (anc[pred][a]) anc[b][a] = true;
       }
-      tasks.push_back(std::move(task));
+      anc[b][pred] = true;
     }
   }
-  return tasks;
+  return anc;
 }
 
-/// The block tasks of one space-blocked substep: every block unordered,
-/// one substep per barrier.
-std::vector<Task> space_blocked_tasks(const Geometry& g) {
-  const TileModel& m = g.m;
-  const int ni = std::min(m.max_tiles, (m.nx + m.tile_x - 1) / m.tile_x);
-  const int nj = std::min(m.max_tiles, (m.ny + m.tile_y - 1) / m.tile_y);
-  std::vector<Task> tasks;
-  for (int i = 0; i < ni; ++i) {
-    for (int j = 0; j < nj; ++j) {
-      Task task;
-      task.i = i;
-      task.j = j;
-      task.label =
-          "block(" + std::to_string(i) + "," + std::to_string(j) + ")";
-      g.emit(task, 0, i * m.tile_x, std::min((i + 1) * m.tile_x, m.nx),
-             j * m.tile_y, std::min((j + 1) * m.tile_y, m.ny));
-      tasks.push_back(std::move(task));
-    }
-  }
-  return tasks;
-}
-
-/// The peak/valley tasks of one diamond band. Mirrors run_diamond_tasks:
-/// width = max(tile_x, 2*slope*height), peak bases at -W + k*W.
-std::vector<Task> diamond_tasks(const Geometry& g, int height) {
-  const TileModel& m = g.m;
-  const int slope = m.schedule.slope;
-  const int w = std::max(m.tile_x, 2 * slope * height);
-  const int total = (m.nx + 3 * w - 1) / w;  // bases -W, 0, W, ... < nx+W
-  const int periods = std::min(total, std::max(3, m.max_tiles));
-  std::vector<Task> tasks;
-  for (int k = 0; k < periods; ++k) {
-    const int base = -w + k * w;
-    Task peak;
-    peak.i = k;
-    peak.diamond_kind = 1;
-    peak.label = "peak(" + std::to_string(k) + ")";
-    for (int t = 0; t < height; ++t) {
-      const int shrink = slope * t;
-      g.emit(peak, t, clamp_lo(base + shrink),
-             std::min(base + w - shrink, m.nx), 0, m.ny);
-    }
-    tasks.push_back(std::move(peak));
-  }
-  for (int k = 0; k < periods; ++k) {
-    const int base = -w + k * w;
-    Task valley;
-    valley.i = k;
-    valley.diamond_kind = 2;
-    valley.label = "valley(" + std::to_string(k) + ")";
-    for (int t = 1; t < height; ++t) {  // zero-width at the band start
-      const int grow = slope * t;
-      g.emit(valley, t, clamp_lo(base + w - grow),
-             std::min(base + w + grow, m.nx), 0, m.ny);
-    }
-    tasks.push_back(std::move(valley));
-  }
-  return tasks;
-}
-
-/// Is there a path a -> b or b -> a in the band DAG?
-bool ordered(const SchedKind kind, const Task& a, const Task& b) {
-  if (kind == SchedKind::Wavefront || kind == SchedKind::Fused) {
-    // Staircase generating set {(i-1,j), (i,j-1)}: reachability is the
-    // componentwise partial order (see core::TileGraph::band_dag).
-    return (a.i <= b.i && a.j <= b.j) || (b.i <= a.i && b.j <= a.j);
-  }
-  if (kind == SchedKind::Diamond) {
-    // Valley k waits for peaks k and k+1; no other edges exist.
-    const Task& peak = a.diamond_kind == 1 ? a : b;
-    const Task& valley = a.diamond_kind == 2 ? a : b;
-    if (peak.diamond_kind != 1 || valley.diamond_kind != 2) return false;
-    return peak.i == valley.i || peak.i == valley.i + 1;
-  }
-  return true;  // Reference: a single serial task
-}
-
-Diagnostic conflict_diag(const ScheduleDescriptor& sched, const Task& a,
-                         const Box& wa, const Task& b, const Box& fb) {
+Diagnostic conflict_diag(const std::string& where, const std::string& a,
+                         const Box& wa, const std::string& b, const Box& fb) {
   Diagnostic d;
   d.severity = Diagnostic::Severity::Error;
   d.code = "tile-interference";
-  d.message = sched.str() + ": " + a.label + " and " + b.label +
-              " have no path in the band DAG, but " + a.label + " " +
-              wa.str() + " while " + b.label + " " + fb.str() +
+  d.message = where + ": " + a + " and " + b +
+              " have no path in the band DAG, but " + a + " " + wa.str() +
+              " while " + b + " " + fb.str() +
               " — concurrent tasks touch the same cells";
   return d;
+}
+
+/// The descriptor a plan's report is labelled with.
+ScheduleDescriptor descriptor_of(const core::TilePlan& plan) {
+  const int height =
+      plan.bands.empty() ? 1 : plan.bands.front().te - plan.bands.front().t0;
+  switch (plan.kind) {
+    case core::TilePlan::Kind::Wavefront:
+      return {SchedKind::Wavefront, plan.slope, height};
+    case core::TilePlan::Kind::Diamond:
+      return {SchedKind::Diamond, plan.slope, height};
+    case core::TilePlan::Kind::SpaceBlocked: break;
+  }
+  return ScheduleDescriptor::space_blocked();
+}
+
+InterferenceReport prove(const core::TilePlan& plan, const Footprint& f,
+                         const ScheduleDescriptor& sched) {
+  InterferenceReport report;
+  report.schedule = sched;
+  const int slots = slot_count(f);
+
+  constexpr int kMaxDiagnostics = 6;
+  for (const core::TileBand& band : plan.bands) {
+    std::vector<Task> tasks;
+    tasks.reserve(band.tasks.size());
+    for (const auto& steps : band.tasks) {
+      tasks.push_back(footprints(steps, f, slots));
+    }
+    report.tasks += static_cast<int>(tasks.size());
+    const std::vector<std::vector<bool>> anc = ancestors(band.dag);
+    const std::string where = sched.str() + " band [" +
+                              std::to_string(band.t0) + "," +
+                              std::to_string(band.te) + ")";
+
+    for (std::size_t ai = 0; ai < tasks.size(); ++ai) {
+      for (std::size_t bi = ai + 1; bi < tasks.size(); ++bi) {
+        if (anc[bi][ai]) continue;
+        ++report.unordered_pairs;
+        if (!tasks[ai].hull.meets(tasks[bi].hull)) continue;
+        const auto label = [&](std::size_t node) {
+          return plan.task_label(band, static_cast<int>(node));
+        };
+        // The proof obligation: writes of either task disjoint from both
+        // the writes and the reads of the other. One diagnostic per
+        // pair/obligation is enough — the first overlap names the pair.
+        const auto scan = [&](std::size_t w, std::size_t o,
+                              const std::vector<Box>& other) {
+          for (const Box& wb : tasks[w].writes) {
+            for (const Box& ob : other) {
+              if (!wb.overlaps(ob)) continue;
+              ++report.conflicts;
+              if (report.conflicts <= kMaxDiagnostics) {
+                report.diagnostics.push_back(
+                    conflict_diag(where, label(w), wb, label(o), ob));
+              }
+              return;
+            }
+          }
+        };
+        scan(ai, bi, tasks[bi].writes);  // write/write (symmetric, once)
+        scan(ai, bi, tasks[bi].reads);   // a writes what b reads
+        scan(bi, ai, tasks[ai].reads);   // b writes what a reads
+      }
+    }
+  }
+  if (report.conflicts > kMaxDiagnostics) {
+    Diagnostic d;
+    d.severity = Diagnostic::Severity::Note;
+    d.code = "tile-interference";
+    d.message = "... and " +
+                std::to_string(report.conflicts - kMaxDiagnostics) +
+                " further conflicting pair(s) suppressed";
+    report.diagnostics.push_back(std::move(d));
+  }
+  if (report.race_free()) {
+    Diagnostic d;
+    d.severity = Diagnostic::Severity::Note;
+    d.code = "race-free";
+    d.message = std::to_string(report.tasks) + " task(s), " +
+                std::to_string(report.unordered_pairs) +
+                " unordered pair(s): all write/write and write/read "
+                "footprints disjoint";
+    report.diagnostics.push_back(std::move(d));
+  }
+  return report;
 }
 
 }  // namespace
@@ -230,83 +232,38 @@ std::string InterferenceReport::str() const {
   return os.str();
 }
 
-InterferenceReport prove_race_free(const TileModel& model) {
-  InterferenceReport report;
-  report.schedule = model.schedule;
-  const Geometry g(model);
+InterferenceReport prove_race_free(const core::TilePlan& plan,
+                                   const Footprint& footprint) {
+  return prove(plan, footprint, descriptor_of(plan));
+}
 
-  std::vector<Task> tasks;
-  switch (model.schedule.kind) {
+InterferenceReport prove_race_free(const TileModel& m) {
+  const grid::Extents3 e{m.nx, m.ny, 1};
+  const int slope = m.schedule.slope;
+  const int height = std::max(1, m.schedule.tile_t);
+  const core::TileSpec tiles{height, m.tile_x, m.tile_y, m.tile_x, m.tile_y};
+  core::TilePlan plan;
+  switch (m.schedule.kind) {
     case SchedKind::Reference:
-      // One serial sweep: nothing runs concurrently.
-      tasks.emplace_back();
-      tasks.back().label = "sweep";
+      // One serial sweep: a single whole-domain task.
+      plan = core::TilePlan::space_blocked(e, 0, 1,
+                                           {1, m.nx, m.ny, m.nx, m.ny});
       break;
-    case SchedKind::SpaceBlocked: tasks = space_blocked_tasks(g); break;
+    case SchedKind::SpaceBlocked:
+      plan = core::TilePlan::space_blocked(e, 0, 1, tiles);
+      break;
     case SchedKind::Wavefront:
-      tasks = wavefront_tasks(g, std::max(1, model.schedule.tile_t));
+    case SchedKind::Fused:  // Fused is wavefront with tile_t = 1
+      plan = core::TilePlan::wavefront(e, 0, height, slope, tiles);
       break;
-    case SchedKind::Fused: tasks = wavefront_tasks(g, 1); break;
     case SchedKind::Diamond:
-      tasks = diamond_tasks(g, std::max(1, model.schedule.tile_t));
+      plan = core::TilePlan::diamond(
+          e, 0, height, slope,
+          {height, std::max(m.tile_x, 2 * slope * height), m.tile_x,
+           m.tile_y});
       break;
   }
-  report.tasks = static_cast<int>(tasks.size());
-
-  constexpr int kMaxDiagnostics = 6;
-  for (std::size_t ai = 0; ai < tasks.size(); ++ai) {
-    for (std::size_t bi = ai + 1; bi < tasks.size(); ++bi) {
-      const Task& a = tasks[ai];
-      const Task& b = tasks[bi];
-      if (ordered(model.schedule.kind, a, b)) continue;
-      ++report.unordered_pairs;
-      const auto found = [&](const Task& w, const Box& wb, const Task& o,
-                             const Box& ob) {
-        ++report.conflicts;
-        if (report.conflicts <= kMaxDiagnostics) {
-          report.diagnostics.push_back(
-              conflict_diag(model.schedule, w, wb, o, ob));
-        }
-      };
-      // The proof obligation: writes of either task disjoint from both
-      // the writes and the reads of the other. One diagnostic per
-      // pair/obligation is enough — the first overlap names the pair.
-      const auto scan = [&](const Task& w, const Task& o,
-                            const std::vector<Box>& other) {
-        for (const Box& wb : w.writes) {
-          for (const Box& ob : other) {
-            if (wb.overlaps(ob)) {
-              found(w, wb, o, ob);
-              return;
-            }
-          }
-        }
-      };
-      scan(a, b, b.writes);  // write/write (symmetric, check once)
-      scan(a, b, b.reads);   // a writes what b reads
-      scan(b, a, a.reads);   // b writes what a reads
-    }
-  }
-  if (report.conflicts > kMaxDiagnostics) {
-    Diagnostic d;
-    d.severity = Diagnostic::Severity::Note;
-    d.code = "tile-interference";
-    d.message = "... and " +
-                std::to_string(report.conflicts - kMaxDiagnostics) +
-                " further conflicting pair(s) suppressed";
-    report.diagnostics.push_back(std::move(d));
-  }
-  if (report.race_free()) {
-    Diagnostic d;
-    d.severity = Diagnostic::Severity::Note;
-    d.code = "race-free";
-    d.message = std::to_string(report.tasks) + " task(s), " +
-                std::to_string(report.unordered_pairs) +
-                " unordered pair(s): all write/write and write/read "
-                "footprints disjoint";
-    report.diagnostics.push_back(std::move(d));
-  }
-  return report;
+  return prove(plan, m, m.schedule);
 }
 
 namespace {

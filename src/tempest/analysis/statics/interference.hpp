@@ -1,69 +1,67 @@
 #pragma once
 
-// Tile-interference race prover — the third statics pass: PR 7's
-// race-freedom, restated as a static theorem instead of a TSan observation.
+// Tile-interference race prover — the third statics pass: the task
+// executor's race-freedom, restated as a static theorem instead of a TSan
+// observation.
 //
-// The task-parallel engine executes each temporal band as a DAG of
-// space-time tiles (core::TileGraph): wavefront/fused bands order tiles by
-// the staircase generating set {(i-1,j), (i,j-1)} whose transitive closure
-// is the componentwise partial order, diamond bands order each valley
-// after its two adjacent peaks, and barrier schedules run every block of a
-// substep unordered. Two tiles with *no path* in that DAG may execute
-// concurrently — so the proof obligation is:
+// The engine builds one core::TilePlan per temporally blocked run, proves
+// it here and then executes that same object (core/tile_plan.hpp). Each
+// band of a plan runs as a DAG of tasks, and two tasks with *no path* in
+// the band's DAG may execute concurrently — so the proof obligation,
+// checked for every band, is:
 //
-//   for every unordered tile pair (a, b): the write footprint of `a` is
+//   for every unordered task pair (a, b): the write footprint of `a` is
 //   disjoint from both the write and the read footprint of `b` (and
 //   symmetrically), where footprints are concrete (time-slot, x-range,
-//   y-range) boxes enumerated from the kernel's access descriptors over
-//   the band geometry the executors implement.
+//   y-range) boxes derived from the plan's clipped rects and the kernel's
+//   access shape.
 //
-// The model mirrors run_wavefront_tasks / run_diamond_tasks exactly: tile
-// (i, j) of a band computes substeps t in [0, tile_t) over the skewed
-// rect [i*tile_x - slope*t, (i+1)*tile_x - slope*t) x [j*tile_y -
-// slope*t, ...) clamped to the domain; a substep writes its field's
-// circular buffer slot (t+1) mod slots over the rect, reads slots (t+k)
-// mod slots (k in time_reads) over the rect grown by the stencil radius,
-// and — when receivers are gathered — reads the freshly written slot over
-// the rect (the fused_sample staging). The slot arithmetic is what makes
-// the circular TimeBuffer aliasing (slice t and slice t + slots share
-// storage) part of the theorem rather than an unmodelled hazard.
+// Task order is the transitive closure of the band's own TaskDag. At
+// substep t a task writes its field's circular buffer slot (t+write_dt)
+// mod slots over the rect, reads slots (t+k) mod slots (k in time_reads)
+// over the rect grown by the stencil radius, and — when receivers are
+// gathered — reads the freshly written slot over the rect (the
+// fused_sample staging). The slot arithmetic is what makes the circular
+// TimeBuffer aliasing (slice t and slice t + slots share storage) part of
+// the theorem rather than an unmodelled hazard.
 //
-// The probe lattice is truncated to max_tiles tiles per axis of the first
-// band: the geometry is translation-invariant in both the tile indices
-// and (modulo `slots`) the band start, so a conflict in any band shows up
-// in the probed one. The cross-check against the dynamic evidence (the
-// TSan lane, parallel_determinism_test) is an acceptance criterion of the
-// statics layer: the prover must return race-free exactly where TSan
-// observes no race.
+// The cross-check against the dynamic evidence (the TSan lane,
+// parallel_determinism_test) is an acceptance criterion of the statics
+// layer: the prover must return race-free exactly where TSan observes no
+// race.
 
 #include <string>
 #include <vector>
 
 #include "tempest/analysis/access.hpp"
 #include "tempest/analysis/legality.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::analysis::statics {
 
-/// Geometry of one task-parallel band, in the units the executors use
-/// (substeps along the time axis; for single-substep kernels a substep is
-/// a timestep). Plain ints so the prover stays below core/ in the layer
-/// graph — the engine fills it from its own TileSpec, the sweep tools
-/// from an AccessSummary.
-struct TileModel {
+/// What one substep of a task touches, in the units of the plan it is
+/// checked against (substeps; for single-substep kernels a substep is a
+/// timestep).
+struct Footprint {
+  int radius = 2;          ///< stencil halo reach (read grow)
+  int write_dt = 1;        ///< written slice offset from the substep index
+  std::vector<int> time_reads{0, -1};  ///< read slice offsets
+  bool receivers = false;  ///< model the fused gather's in-rect read
+};
+
+/// One band described by a schedule descriptor, tile sizes and a domain,
+/// for the sweep tools: prove_race_free(TileModel) builds the one-band plan
+/// that starts at substep 0 over the full nx x ny lattice and proves it.
+struct TileModel : Footprint {
   /// Family + skew slope (grid points per substep) + band height
-  /// (substeps). Reference/SpaceBlocked model the barrier schedules: one
-  /// serial sweep / one band of unordered single-substep blocks.
+  /// (substeps). Reference is one serial sweep; SpaceBlocked one substep of
+  /// unordered tile_x x tile_y blocks.
   ScheduleDescriptor schedule;
   int tile_x = 64;
   int tile_y = 64;
   int nx = 192;  ///< domain extent in x (y mirrors via ny)
   int ny = 192;
-  int radius = 2;          ///< stencil halo reach (read grow)
-  int write_dt = 1;        ///< written slice offset from the substep index
-  std::vector<int> time_reads{0, -1};  ///< read slice offsets
-  bool receivers = false;  ///< model the fused gather's in-rect read
-  int max_tiles = 3;       ///< probe lattice cap per tiled axis
 
   /// Build the model for a kernel summary under a schedule descriptor
   /// (descriptor units: the summary's per-timestep reach).
@@ -74,10 +72,10 @@ struct TileModel {
                                               bool receivers = false);
 };
 
-/// Verdict of the interference proof for one tile model.
+/// Verdict of the interference proof for one plan.
 struct InterferenceReport {
   ScheduleDescriptor schedule;
-  int tasks = 0;                 ///< tasks enumerated in the probed band
+  int tasks = 0;                 ///< tasks summed over every band proven
   long long unordered_pairs = 0; ///< pairs with no DAG path (checked)
   int conflicts = 0;             ///< overlapping footprint pairs found
   std::vector<Diagnostic> diagnostics;
@@ -86,8 +84,12 @@ struct InterferenceReport {
   [[nodiscard]] std::string str() const;
 };
 
-/// Enumerate every unordered tile pair of the probed band and check the
-/// write/write and write/read footprint disjointness obligation.
+/// Check the write/write and write/read footprint disjointness obligation
+/// for every unordered task pair of every band of `plan`.
+[[nodiscard]] InterferenceReport prove_race_free(const core::TilePlan& plan,
+                                                 const Footprint& footprint);
+
+/// The same proof on the one-band plan `model` describes.
 [[nodiscard]] InterferenceReport prove_race_free(const TileModel& model);
 
 /// Thrown by the engine's pre-run gate when the proof fails; carries the

@@ -1,5 +1,6 @@
 #include "tempest/cachesim/instrumented_acoustic.hpp"
 
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/stencil/coefficients.hpp"
 #include "tempest/util/error.hpp"
 
@@ -78,15 +79,15 @@ long long replay_acoustic_trace(const TraceConfig& cfg,
     }
   };
 
-  // Serial replay: the simulated hierarchy models one core's caches, so the
-  // trace must arrive in the deterministic single-thread order.
-  if (cfg.wavefront) {
-    core::run_wavefront(e, cfg.t_begin, cfg.t_end, r, cfg.tiles, block_trace,
-                        /*parallel=*/false);
-  } else {
-    core::run_spaceblocked(e, cfg.t_begin, cfg.t_end, cfg.tiles, block_trace,
-                           /*parallel=*/false);
-  }
+  // Serial replay of the schedule's tile plan: the simulated hierarchy
+  // models one core's caches, so the trace must arrive in the deterministic
+  // single-thread order.
+  core::execute(cfg.wavefront
+                    ? core::TilePlan::wavefront(e, cfg.t_begin, cfg.t_end, r,
+                                                cfg.tiles)
+                    : core::TilePlan::space_blocked(e, cfg.t_begin, cfg.t_end,
+                                                    cfg.tiles),
+                1, block_trace);
   return updates;
 }
 

@@ -25,8 +25,9 @@ struct TraceConfig {
 };
 
 /// Replay the trace into `hierarchy` (counters are NOT reset first, so a
-/// caller can aggregate several phases). Returns the number of grid-point
-/// updates replayed.
+/// caller can aggregate several phases): the core::TilePlan of the
+/// configured schedule, executed at one thread. Returns the number of
+/// grid-point updates replayed.
 long long replay_acoustic_trace(const TraceConfig& cfg,
                                 CacheHierarchy& hierarchy);
 

@@ -32,10 +32,10 @@
 #include "tempest/analysis/statics/interference.hpp"
 #include "tempest/config.hpp"
 #include "tempest/core/compress.hpp"
-#include "tempest/core/diamond.hpp"
 #include "tempest/core/fused.hpp"
 #include "tempest/core/precompute.hpp"
 #include "tempest/core/tile_graph.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/core/wavefront.hpp"
 #include "tempest/grid/blocks.hpp"
 #include "tempest/grid/grid3.hpp"
@@ -135,9 +135,9 @@ struct ExecutionOptions {
   /// whose declared dependency radius outruns the wave-front skew before a
   /// single wrong cell is computed. Costs microseconds per run. Also gates
   /// the statics tile-interference prover: before a temporally blocked run
-  /// starts, every unordered tile pair of the band DAG is proven to have
-  /// disjoint write/write and write/read footprints (the race-freedom the
-  /// TSan lane observes dynamically, as a pre-run theorem).
+  /// starts, every unordered task pair of every band of the run's tile plan
+  /// is proven to have disjoint write/write and write/read footprints (the
+  /// race-freedom the TSan lane observes dynamically, as a pre-run theorem).
   bool verify_schedule = true;
 
   /// Let a spec whose dt exceeds the static von Neumann bound through the
@@ -290,48 +290,48 @@ class ScheduleExecutor {
       //
       // The executor implements the stage-2 (fused + compressed) nest and
       // skews by `radius` per substep — slope = S * radius per timestep.
-      // TileGraph re-derives the nest's dependence distance vectors,
+      // TileGraph re-derives the nest's dependence distance vectors and
       // verifies them against the kernel's *declared* access shape (a
-      // kernel whose real dependency reach exceeded the skew would
-      // silently read stale halo cells; here it throws instead — unless
-      // verify_schedule was explicitly disabled), and maps them onto the
-      // task-dependence edges the band executors honor.
-      const analysis::ScheduleDescriptor descr =
-          sched == Schedule::Wavefront
-              ? analysis::ScheduleDescriptor::wavefront(
-                    S * radius, std::max(1, opts_.tiles.tile_t))
-              : analysis::ScheduleDescriptor::diamond(
-                    S * radius, std::max(1, opts_.tiles.tile_t));
+      // kernel whose real dependency reach exceeded the skew would silently
+      // read stale halo cells; here it throws instead — unless
+      // verify_schedule was explicitly disabled).
+      const int tile_t = std::max(1, opts_.tiles.tile_t);
+      const analysis::AccessSummary summary = k_.access_summary();
       const bool has_rec = rec != nullptr && rec->npoints() > 0;
-      const TileGraph graph =
-          TileGraph::derive(k_.access_summary(), descr, /*sources=*/true,
-                            /*receivers=*/has_rec, opts_.tiles,
-                            /*verify=*/opts_.verify_schedule);
+      TileGraph::derive(summary,
+                        sched == Schedule::Wavefront
+                            ? analysis::ScheduleDescriptor::wavefront(
+                                  S * radius, tile_t)
+                            : analysis::ScheduleDescriptor::diamond(
+                                  S * radius, tile_t),
+                        /*sources=*/true, /*receivers=*/has_rec, opts_.tiles,
+                        /*verify=*/opts_.verify_schedule);
+
+      // The one tile plan of this run, in substep units: tile_t full steps
+      // == S*tile_t substeps, skewed by `radius` grid points per substep.
+      const core::TilePlan plan = [&] {
+        if (sched == Schedule::Wavefront) {
+          core::TileSpec spec = opts_.tiles;
+          spec.tile_t = S * opts_.tiles.tile_t;
+          return core::TilePlan::wavefront(e, S * t_begin, S * nt, radius,
+                                           spec);
+        }
+        core::DiamondSpec dspec;
+        dspec.height = S * opts_.tiles.tile_t;
+        // The x period must accommodate the band's dependency cone.
+        dspec.width = std::max(opts_.tiles.tile_x, 2 * radius * dspec.height);
+        dspec.block_x = opts_.tiles.block_x;
+        dspec.block_y = opts_.tiles.block_y;
+        return core::TilePlan::diamond(e, S * t_begin, S * nt, radius, dspec);
+      }();
       if (opts_.verify_schedule) {
-        // Statics race prover over the same band geometry the task
-        // executors below receive (substep units: slope = radius per
-        // substep, band height = S * tile_t substeps). TileGraph::derive
-        // verified the skew legality; this proves the *task DAG* leaves no
-        // unordered tile pair with overlapping write/write or write/read
-        // footprints — including the circular-buffer slot aliasing and the
-        // fused receiver gather's in-rect read.
-        const analysis::AccessSummary summary = k_.access_summary();
-        analysis::statics::TileModel tm;
-        tm.schedule =
-            sched == Schedule::Wavefront
-                ? analysis::ScheduleDescriptor::wavefront(
-                      radius, S * std::max(1, opts_.tiles.tile_t))
-                : analysis::ScheduleDescriptor::diamond(
-                      radius, S * std::max(1, opts_.tiles.tile_t));
-        tm.tile_x = opts_.tiles.tile_x;
-        tm.tile_y = opts_.tiles.tile_y;
-        tm.nx = e.nx;
-        tm.ny = e.ny;
-        tm.radius = radius;
-        tm.time_reads = summary.time_reads;
-        tm.receivers = has_rec;
-        analysis::statics::require_race_free(
-            analysis::statics::prove_race_free(tm));
+        // Statics race prover over every band of the plan executed below:
+        // no two tasks without a path in their band's DAG have overlapping
+        // write/write or write/read footprints — including the
+        // circular-buffer slot aliasing and the fused receiver gather's
+        // in-rect read.
+        analysis::statics::require_race_free(analysis::statics::prove_race_free(
+            plan, {radius, 1, summary.time_reads, has_rec}));
       }
       util::Timer pre;
       const core::SourceMasks masks =
@@ -417,23 +417,7 @@ class ScheduleExecutor {
       };
 
       util::Timer timer;
-      if (sched == Schedule::Wavefront) {
-        // Tile the substep axis: tile_t full steps == S*tile_t substeps,
-        // skewed by `radius` grid points per substep.
-        core::TileSpec spec = opts_.tiles;
-        spec.tile_t = S * opts_.tiles.tile_t;
-        engine::run_wavefront_tasks(e, S * t_begin, S * nt, radius, spec,
-                                    graph, threads, fused_block, on_band);
-      } else {
-        core::DiamondSpec dspec;
-        dspec.height = S * opts_.tiles.tile_t;
-        // The x period must accommodate the band's dependency cone.
-        dspec.width = std::max(opts_.tiles.tile_x, 2 * radius * dspec.height);
-        dspec.block_x = opts_.tiles.block_x;
-        dspec.block_y = opts_.tiles.block_y;
-        engine::run_diamond_tasks(e, S * t_begin, S * nt, radius, dspec,
-                                  threads, fused_block, on_band);
-      }
+      core::execute(plan, threads, fused_block, on_band);
       stats.seconds = timer.seconds();
       return stats;
     }

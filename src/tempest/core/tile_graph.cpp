@@ -1,7 +1,6 @@
 #include "tempest/core/tile_graph.hpp"
 
-#include <algorithm>
-#include <sstream>
+#include <string>
 
 #include "tempest/util/error.hpp"
 
@@ -25,88 +24,11 @@ TileGraph TileGraph::derive(const analysis::AccessSummary& kernel,
   // The exact nest the executor implements (stage 2: precomputed, fused,
   // compressed), analyzed by the same machinery that proves the schedule
   // legal. An illegal schedule throws here, before any task exists.
-  const analysis::DependenceGraph g =
-      analysis::canonical_dependences(kernel, /*stage=*/2, sources, receivers);
-  if (verify) analysis::require_legal(analysis::verify(g, sched));
-
-  TileGraph out;
-  out.sched_ = sched;
-
-  // Cross-column accumulations into non-grid tables (the receiver gather)
-  // carry an output dependence the distance model cannot bound — the engine
-  // must stage per-point samples and reduce at the band barrier.
-  for (const analysis::Statement& s : g.stmts) {
-    if (!s.under_time_loop) continue;
-    for (const analysis::Access& a : s.accesses) {
-      if (a.is_write && !a.grid) out.staged_gather_ = true;
-    }
+  if (verify) {
+    analysis::require_legal(analysis::verify_canonical(
+        kernel, /*stage=*/2, sources, receivers, sched));
   }
-
-  // Quantize every in-band dependence distance into tile-lattice units.
-  // After require_legal: every 0 < dt < tile_t dependence has bounded
-  // spatial distance <= slope*dt per tiled dim, so the skewed offset
-  // d + slope*dt lies in [0, 2*slope*dt] — the source tile is behind the
-  // sink tile componentwise (the skew theorem; see the header).
-  auto tiles_behind = [](int behind, int tile) {
-    return behind <= 0 ? 0 : (behind + tile - 1) / tile;
-  };
-  for (const analysis::Dependence& dep : g.deps) {
-    if (dep.dt <= 0 || dep.dt >= sched.tile_t) continue;  // in-slice (reach
-    // 0, program order) or across the serial band barrier.
-    const int behind_x = sched.slope * dep.dt + dep.dist("x").max_abs();
-    const int behind_y = sched.slope * dep.dt + dep.dist("y").max_abs();
-    TileEdge edge{tiles_behind(behind_x, tiles.tile_x),
-                  tiles_behind(behind_y, tiles.tile_y)};
-    if (edge.dx == 0 && edge.dy == 0) continue;
-    out.reach_x_ = std::max(out.reach_x_, edge.dx);
-    out.reach_y_ = std::max(out.reach_y_, edge.dy);
-    if (std::find(out.edges_.begin(), out.edges_.end(), edge) ==
-        out.edges_.end()) {
-      out.edges_.push_back(edge);
-    }
-  }
-  return out;
-}
-
-util::TaskDag TileGraph::band_dag(int ni, int nj) const {
-  TEMPEST_REQUIRE(ni >= 0 && nj >= 0);
-  util::TaskDag dag(ni * nj);
-  // The staircase generating set: (ix-1, iy) and (ix, iy-1). Transitive
-  // closure orders every componentwise-smaller tile first, which dominates
-  // every derived edge (all componentwise >= 0) at any reach.
-  for (int ix = 0; ix < ni; ++ix) {
-    for (int iy = 0; iy < nj; ++iy) {
-      const int node = ix * nj + iy;
-      if (ix > 0) dag.add_edge(node - nj, node);
-      if (iy > 0) dag.add_edge(node - 1, node);
-    }
-  }
-  return dag;
-}
-
-util::TaskDag TileGraph::diamond_band_dag(int periods) {
-  TEMPEST_REQUIRE(periods >= 0);
-  util::TaskDag dag(2 * periods);
-  // Peaks [0, periods) have no predecessors (mutually independent
-  // contracting triangles). Valley k expands from the right edge of peak k:
-  // its reads stay inside peaks k and k+1 because width >= 2*slope*height.
-  for (int k = 0; k < periods; ++k) {
-    dag.add_edge(k, periods + k);
-    if (k + 1 < periods) dag.add_edge(k + 1, periods + k);
-  }
-  return dag;
-}
-
-std::string TileGraph::str() const {
-  std::ostringstream os;
-  os << "tile-graph[" << sched_.str() << "]: edges={";
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "(" << edges_[i].dx << "," << edges_[i].dy << ")";
-  }
-  os << "} reach=(" << reach_x_ << "," << reach_y_ << ")"
-     << (staged_gather_ ? " staged-gather" : "");
-  return os.str();
+  return {};
 }
 
 }  // namespace tempest::core::engine

@@ -1,21 +1,21 @@
 #pragma once
 
-// engine::TileGraph — the bridge from the analysis:: dependence machinery to
-// task-parallel schedule execution. PR 5 made the paper's legality argument a
-// machine-checked theorem (every dependence distance of the canonical fused
-// nest is bounded by slope*dt); this layer consumes those same distance
-// vectors and maps them onto *task dependence edges* between space-time
-// tiles, so the wavefront/diamond bands can run as a DAG of OpenMP tasks (or
-// the portable pool — see util/threads.hpp) instead of a serial tile loop.
+// engine::TileGraph — the legality and write-radius gate in front of the
+// task-parallel temporally blocked schedules. analysis:: makes the paper's
+// legality argument a machine-checked theorem (every dependence distance of
+// the canonical fused nest is bounded by slope*dt); derive() runs that
+// verifier on the exact nest the executor implements, so an illegal
+// schedule throws before any task exists. The band task graphs themselves
+// come from core::TilePlan (tile_plan.hpp), and this is why they suffice:
 //
-// The theorem that makes the mapping small: skew by `slope` grid points per
-// substep and consider any dependence (src substep s, dst substep s+dt,
-// spatial distance d with |d| <= reach <= slope*dt). The skewed offset of
-// the dst point relative to the src point is d + slope*dt, which lies in
-// [slope*dt - reach, slope*dt + reach] — componentwise NON-NEGATIVE. Every
-// dependence the legality verifier accepts therefore points from a tile to
-// itself or to a tile with componentwise greater-or-equal (x', y') indices.
-// Tiles execute their substep range atomically with t ascending, so:
+// Skew by `slope` grid points per substep and consider any dependence (src
+// substep s, dst substep s+dt, spatial distance d with |d| <= reach <=
+// slope*dt). The skewed offset of the dst point relative to the src point
+// is d + slope*dt, which lies in [slope*dt - reach, slope*dt + reach] —
+// componentwise NON-NEGATIVE. Every dependence the legality verifier
+// accepts therefore points from a tile to itself or to a tile with
+// componentwise greater-or-equal (x', y') indices. Tiles execute their
+// substep range atomically with t ascending, so:
 //   * same-tile dependences are respected by the in-tile t order;
 //   * cross-tile dependences are respected by ANY execution order that runs
 //     tile (i', j') after every tile (i, j) with i <= i', j <= j' — and the
@@ -28,203 +28,59 @@
 // independent, each valley waits for its two adjacent peaks (legal because
 // width >= 2*slope*height keeps every valley read inside those peaks).
 //
-// Two residual conflicts survive the skew argument and are handled by the
-// engine rather than by edges:
+// Two residual conflicts survive the skew argument and are handled outside
+// the task graph:
 //   * receiver gathers accumulate into rec[t][r] from many columns — an
 //     output dependence the access model cannot bound (r is indirected).
-//     TileGraph reports needs_staged_gather(); the engine then *stages*
-//     per-point samples (each (t, id) written by exactly one tile) and
-//     reduces them in ascending id order at the band barrier, making the
-//     gather bitwise identical at every thread count;
+//     The engine *stages* per-point samples (each (t, id) written by exactly
+//     one tile) and reduces them in ascending id order at the band barrier,
+//     making the gather bitwise identical at every thread count;
 //   * a kernel whose write footprint leaves the iteration point would make
 //     adjacent tiles race regardless of the read-side skew; derive()
 //     rejects write_radius > 0.
 
-#include <string>
-#include <vector>
-
 #include "tempest/analysis/legality.hpp"
-#include "tempest/core/diamond.hpp"
-#include "tempest/core/wavefront.hpp"
-#include "tempest/grid/blocks.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/grid/extents.hpp"
-#include "tempest/trace/trace.hpp"
-#include "tempest/util/threads.hpp"
 
 namespace tempest::core::engine {
 
-/// One inter-tile dependence edge in tile-lattice units: the executing tile
-/// must wait for the tile `dx` behind in x' and `dy` behind in y' (both
-/// >= 0; (0,0) edges are in-tile and carry no task ordering).
-struct TileEdge {
-  int dx = 0;
-  int dy = 0;
-
-  friend bool operator==(const TileEdge&, const TileEdge&) = default;
-};
-
 class TileGraph {
  public:
-  /// Derive the inter-tile task-dependence structure for a temporally
-  /// blocked tiling of `kernel`'s canonical stage-2 (fused + compressed)
-  /// nest. Runs the schedule-legality verifier on the nest's dependence
-  /// graph first — an illegal schedule throws ScheduleLegalityError before
-  /// any task is created — then quantizes every accepted distance vector
-  /// into tile-lattice edges. `sched.kind` selects the band family
+  /// Gate a temporally blocked tiling of `kernel`'s canonical stage-2
+  /// (fused + compressed) nest: throws util::PreconditionError when the
+  /// kernel declares write_radius > 0, and runs the schedule-legality
+  /// verifier on the nest's dependence graph — an illegal schedule throws
+  /// ScheduleLegalityError. `sched.kind` selects the band family
   /// (Wavefront/Fused or Diamond). `verify = false` skips the legality
-  /// gate (the executor's escape hatch for runs that disabled
-  /// verify_schedule) but still derives the edges.
-  [[nodiscard]] static TileGraph derive(const analysis::AccessSummary& kernel,
-                                        const analysis::ScheduleDescriptor& sched,
-                                        bool sources, bool receivers,
-                                        const TileSpec& tiles,
-                                        bool verify = true);
-
-  /// The distinct cross-tile edges derived from the dependence graph
-  /// (componentwise >= 0 by the skew theorem, deduplicated, (0,0) dropped).
-  [[nodiscard]] const std::vector<TileEdge>& edges() const { return edges_; }
-
-  /// Maximum tiles-behind reach along x'/y' within one band — every derived
-  /// edge satisfies dx <= reach_x(), dy <= reach_y(). The staircase covers
-  /// any reach transitively; these exist for introspection and tests.
-  [[nodiscard]] int reach_x() const { return reach_x_; }
-  [[nodiscard]] int reach_y() const { return reach_y_; }
-
-  /// True when the nest contains a cross-column accumulation into a
-  /// non-grid table (the receiver gather): the engine must stage samples
-  /// and reduce at the band barrier instead of accumulating from tiles.
-  [[nodiscard]] bool needs_staged_gather() const { return staged_gather_; }
-
-  /// The wavefront band task graph for an ni x nj tile lattice: node
-  /// ix*nj + iy is tile (ix, iy); staircase predecessor edges; ascending
-  /// node order equals the serial reference tile order (x' outer, y'
-  /// inner).
-  [[nodiscard]] util::TaskDag band_dag(int ni, int nj) const;
-
-  /// The diamond band task graph for `periods` x-periods: nodes
-  /// [0, periods) are peaks (no predecessors), node periods + k is the
-  /// valley between peak k and peak k+1 (its two predecessors; the last
-  /// valley wraps to the final peak only).
-  [[nodiscard]] static util::TaskDag diamond_band_dag(int periods);
-
-  /// Human-readable one-liner for logs/tests.
-  [[nodiscard]] std::string str() const;
-
- private:
-  std::vector<TileEdge> edges_;
-  int reach_x_ = 0;
-  int reach_y_ = 0;
-  bool staged_gather_ = false;
-  analysis::ScheduleDescriptor sched_{};
+  /// verifier (the executor's escape hatch for runs that disabled
+  /// verify_schedule) but keeps the write-radius check.
+  static TileGraph derive(const analysis::AccessSummary& kernel,
+                          const analysis::ScheduleDescriptor& sched,
+                          bool sources, bool receivers, const TileSpec& tiles,
+                          bool verify = true);
 };
 
-/// Task-parallel wave-front temporal blocking: the same band geometry as
-/// core::run_wavefront, but the (x', y') tile lattice of each band executes
-/// as a TaskDag under `threads` workers honoring `graph`'s staircase edges.
-/// With threads == 1 this degenerates to the exact serial reference order.
-/// Within a tile, timesteps run innermost and the tile's space blocks run
-/// serially — parallelism lives at tile granularity, where the dependence
-/// edges are.
+/// Build the wave-front TilePlan and execute it: the tiles of each band run
+/// as a TaskDag under `threads` workers. `graph` is the gate derive()
+/// passed. With threads == 1 this is the exact serial reference order.
 template <typename BlockFn, typename BandFn = NoBandCallback>
 void run_wavefront_tasks(const grid::Extents3& e, int t_begin, int t_end,
                          int slope, const TileSpec& spec,
-                         const TileGraph& graph, int threads, BlockFn&& fn,
+                         const TileGraph& /*graph*/, int threads, BlockFn&& fn,
                          BandFn&& on_band = BandFn{}) {
-  TEMPEST_REQUIRE(spec.valid());
-  TEMPEST_REQUIRE_MSG(slope >= 0, "skew slope must be non-negative");
-  for (int tt = t_begin; tt < t_end; tt += spec.tile_t) {
-    const int te = std::min(tt + spec.tile_t, t_end);
-    TEMPEST_TRACE_SPAN_ARG("wavefront.band", "schedule", te);
-    const int xs_begin = (slope * tt) / spec.tile_x * spec.tile_x;
-    const int xs_end = e.nx + slope * (te - 1);
-    const int ys_begin = (slope * tt) / spec.tile_y * spec.tile_y;
-    const int ys_end = e.ny + slope * (te - 1);
-    const int ni = (xs_end - xs_begin + spec.tile_x - 1) / spec.tile_x;
-    const int nj = (ys_end - ys_begin + spec.tile_y - 1) / spec.tile_y;
-
-    const util::TaskDag dag = graph.band_dag(ni, nj);
-    dag.run(threads, [&](int node) {
-      const int ix = node / nj;
-      const int iy = node % nj;
-      const int xs = xs_begin + ix * spec.tile_x;
-      const int ys = ys_begin + iy * spec.tile_y;
-      bool tile_did_work = false;
-      for (int t = tt; t < te; ++t) {
-        const grid::Range xr = grid::intersect(
-            grid::Range{xs - slope * t, xs + spec.tile_x - slope * t},
-            grid::Range{0, e.nx});
-        const grid::Range yr = grid::intersect(
-            grid::Range{ys - slope * t, ys + spec.tile_y - slope * t},
-            grid::Range{0, e.ny});
-        if (xr.empty() || yr.empty()) continue;
-        tile_did_work = true;
-
-        const grid::Box3 rect{xr, yr, {0, e.nz}};
-        const auto blocks =
-            grid::decompose_xy(rect, spec.block_x, spec.block_y);
-        TEMPEST_TRACE_COUNT(BlocksExecuted, blocks.size());
-        for (const grid::Box3& block : blocks) fn(t, block);
-      }
-      if (tile_did_work) TEMPEST_TRACE_COUNT(TilesExecuted, 1);
-    });
-    TEMPEST_TRACE_COUNT(BandsExecuted, 1);
-    on_band(te);
-  }
+  execute(TilePlan::wavefront(e, t_begin, t_end, slope, spec), threads, fn,
+          on_band);
 }
 
-/// Task-parallel diamond temporal blocking: same band geometry as
-/// core::run_diamond, but each band's peak/valley triangles execute as a
-/// TaskDag (peaks independent, valleys gated on their two adjacent peaks)
-/// instead of two barrier phases — valleys start as soon as their own
-/// neighbourhood is ready.
+/// Build the diamond TilePlan and execute it: each band's peak/valley
+/// triangles run as a TaskDag, valleys as soon as their two peaks are done.
 template <typename BlockFn, typename BandFn = NoBandCallback>
 void run_diamond_tasks(const grid::Extents3& e, int t_begin, int t_end,
                        int slope, const DiamondSpec& spec, int threads,
                        BlockFn&& fn, BandFn&& on_band = BandFn{}) {
-  TEMPEST_REQUIRE(slope >= 0);
-  TEMPEST_REQUIRE_MSG(spec.valid_for(slope),
-                      "diamond width must be >= 2*slope*height");
-  const int W = spec.width;
-  const int first_base = -W;
-  // Peak bases: first_base, first_base + W, ..., < e.nx + W.
-  const int periods = (e.nx + W - first_base + W - 1) / W;
-
-  auto emit_range = [&](int t, int xlo, int xhi) {
-    const grid::Range xr =
-        grid::intersect(grid::Range{xlo, xhi}, grid::Range{0, e.nx});
-    if (xr.empty()) return;
-    const grid::Box3 rect{xr, {0, e.ny}, {0, e.nz}};
-    const auto blocks = grid::decompose_xy(rect, spec.block_x, spec.block_y);
-    TEMPEST_TRACE_COUNT(TilesExecuted, 1);
-    TEMPEST_TRACE_COUNT(BlocksExecuted, blocks.size());
-    for (const grid::Box3& block : blocks) fn(t, block);
-  };
-
-  for (int t0 = t_begin; t0 < t_end; t0 += spec.height) {
-    const int te = std::min(t0 + spec.height, t_end);
-    TEMPEST_TRACE_SPAN_ARG("diamond.band", "schedule", te);
-    const util::TaskDag dag = TileGraph::diamond_band_dag(periods);
-    dag.run(threads, [&](int node) {
-      if (node < periods) {
-        // Peak k: the contracting triangle at base = first_base + k*W.
-        const int base = first_base + node * W;
-        for (int t = t0; t < te; ++t) {
-          const int shrink = slope * (t - t0);
-          emit_range(t, base + shrink, base + W - shrink);
-        }
-      } else {
-        // Valley k: the expanding triangle at the right edge of peak k.
-        const int base = first_base + (node - periods) * W;
-        for (int t = t0; t < te; ++t) {
-          const int grow = slope * (t - t0);
-          if (grow == 0) continue;  // zero-width at the band start
-          emit_range(t, base + W - grow, base + W + grow);
-        }
-      }
-    });
-    TEMPEST_TRACE_COUNT(BandsExecuted, 1);
-    on_band(te);
-  }
+  execute(TilePlan::diamond(e, t_begin, t_end, slope, spec), threads, fn,
+          on_band);
 }
 
 }  // namespace tempest::core::engine

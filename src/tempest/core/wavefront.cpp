@@ -6,38 +6,6 @@
 
 namespace tempest::core {
 
-std::vector<ScheduleOp> wavefront_schedule(const grid::Extents3& e,
-                                           int t_begin, int t_end, int slope,
-                                           const TileSpec& spec) {
-  std::vector<ScheduleOp> ops;
-  run_wavefront(
-      e, t_begin, t_end, slope, spec,
-      [&](int t, const grid::Box3& box) { ops.push_back({t, box}); },
-      /*parallel=*/false);
-  return ops;
-}
-
-std::vector<std::pair<int, int>> wavefront_bands(int t_begin, int t_end,
-                                                 int tile_t) {
-  TEMPEST_REQUIRE(tile_t > 0);
-  std::vector<std::pair<int, int>> bands;
-  for (int tt = t_begin; tt < t_end; tt += tile_t) {
-    bands.emplace_back(tt, std::min(tt + tile_t, t_end));
-  }
-  return bands;
-}
-
-std::vector<ScheduleOp> spaceblocked_schedule(const grid::Extents3& e,
-                                              int t_begin, int t_end,
-                                              const TileSpec& spec) {
-  std::vector<ScheduleOp> ops;
-  run_spaceblocked(
-      e, t_begin, t_end, spec,
-      [&](int t, const grid::Box3& box) { ops.push_back({t, box}); },
-      /*parallel=*/false);
-  return ops;
-}
-
 std::string validate_schedule(const grid::Extents3& e, int t_begin, int t_end,
                               int radius,
                               const std::vector<ScheduleOp>& ops) {

@@ -1,12 +1,9 @@
 #pragma once
 
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "tempest/grid/blocks.hpp"
 #include "tempest/grid/extents.hpp"
-#include "tempest/trace/trace.hpp"
-#include "tempest/util/error.hpp"
 
 namespace tempest::core {
 
@@ -39,111 +36,13 @@ struct ScheduleOp {
   friend bool operator==(const ScheduleOp&, const ScheduleOp&) = default;
 };
 
-/// Default no-op for the band-completion hook of the temporally blocked
-/// runners. After a time band [tt, te) finishes, *every* timestep < te is
-/// fully computed — the only global barrier temporal blocking offers, and
-/// therefore the place the resilience layer runs wavefield health scans.
+/// Default no-op for the band-completion hook of core::execute. After a time
+/// band [tt, te) finishes, *every* timestep < te is fully computed — the
+/// only global barrier temporal blocking offers, and therefore the place the
+/// resilience layer runs wavefield health scans.
 struct NoBandCallback {
   void operator()(int /*band_end*/) const {}
 };
-
-/// The classic (legal-by-construction) schedule: every timestep sweeps the
-/// whole domain in space blocks before the next begins (paper Fig. 4a).
-/// fn(t, Box3) is invoked for each block; blocks of one timestep are
-/// independent and run under OpenMP.
-template <typename BlockFn>
-void run_spaceblocked(const grid::Extents3& e, int t_begin, int t_end,
-                      const TileSpec& spec, BlockFn&& fn,
-                      bool parallel = true) {
-  TEMPEST_REQUIRE(spec.valid());
-  const auto blocks =
-      grid::decompose_xy(grid::Box3::whole(e), spec.block_x, spec.block_y);
-  for (int t = t_begin; t < t_end; ++t) {
-    TEMPEST_TRACE_SPAN_ARG("step", "schedule", t);
-    TEMPEST_TRACE_COUNT(BlocksExecuted, blocks.size());
-#pragma omp parallel for schedule(dynamic) if (parallel)
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      fn(t, blocks[b]);
-    }
-  }
-}
-
-/// Wave-front temporal blocking (paper Listing 6): iteration space skewed by
-/// `slope` grid points per timestep (slope >= the per-timestep dependency
-/// radius), then tiled rectangularly in (t, x', y') and executed tile by
-/// tile, timesteps innermost. Within one timestep slice of a tile the
-/// clipped rectangle is cut into space blocks executed under OpenMP.
-///
-/// Legality: skewing turns the stencil's flow/anti dependencies into
-/// lexicographically non-negative vectors in (t, x', y'), so the sequential
-/// x'-tile → y'-tile → t traversal respects them (see tests/wavefront_test
-/// for the executable proof).
-template <typename BlockFn, typename BandFn = NoBandCallback>
-void run_wavefront(const grid::Extents3& e, int t_begin, int t_end, int slope,
-                   const TileSpec& spec, BlockFn&& fn, bool parallel = true,
-                   BandFn&& on_band = BandFn{}) {
-  TEMPEST_REQUIRE(spec.valid());
-  TEMPEST_REQUIRE_MSG(slope >= 0, "skew slope must be non-negative");
-  for (int tt = t_begin; tt < t_end; tt += spec.tile_t) {
-    const int te = std::min(tt + spec.tile_t, t_end);
-    TEMPEST_TRACE_SPAN_ARG("wavefront.band", "schedule", te);
-    // Skewed coordinates of points alive in this time band span
-    // [slope*tt, extent + slope*(te-1)). Tile origins snap to multiples of
-    // the tile size so tile boundaries are stable across bands.
-    const int xs_begin = (slope * tt) / spec.tile_x * spec.tile_x;
-    const int xs_end = e.nx + slope * (te - 1);
-    const int ys_begin = (slope * tt) / spec.tile_y * spec.tile_y;
-    const int ys_end = e.ny + slope * (te - 1);
-
-    for (int xs = xs_begin; xs < xs_end; xs += spec.tile_x) {
-      for (int ys = ys_begin; ys < ys_end; ys += spec.tile_y) {
-        bool tile_did_work = false;
-        for (int t = tt; t < te; ++t) {
-          const grid::Range xr = grid::intersect(
-              grid::Range{xs - slope * t, xs + spec.tile_x - slope * t},
-              grid::Range{0, e.nx});
-          const grid::Range yr = grid::intersect(
-              grid::Range{ys - slope * t, ys + spec.tile_y - slope * t},
-              grid::Range{0, e.ny});
-          if (xr.empty() || yr.empty()) continue;
-          tile_did_work = true;
-
-          const grid::Box3 rect{xr, yr, {0, e.nz}};
-          const auto blocks =
-              grid::decompose_xy(rect, spec.block_x, spec.block_y);
-          TEMPEST_TRACE_COUNT(BlocksExecuted, blocks.size());
-#pragma omp parallel for schedule(dynamic) if (parallel)
-          for (std::size_t b = 0; b < blocks.size(); ++b) {
-            fn(t, blocks[b]);
-          }
-        }
-        if (tile_did_work) TEMPEST_TRACE_COUNT(TilesExecuted, 1);
-      }
-    }
-    TEMPEST_TRACE_COUNT(BandsExecuted, 1);
-    on_band(te);
-  }
-}
-
-/// The [begin, end) time bands run_wavefront executes for this range and
-/// tile height — i.e. the instants its band-completion hook fires. Exposed
-/// so consumers (health monitoring, tests) can reason about scan cadence
-/// without re-deriving the banding arithmetic.
-[[nodiscard]] std::vector<std::pair<int, int>> wavefront_bands(int t_begin,
-                                                               int t_end,
-                                                               int tile_t);
-
-/// Materialize the exact op sequence run_wavefront would execute (blocks in
-/// OpenMP groups appear in deterministic order). Used by tests to verify
-/// coverage, non-duplication and dependency ordering, and by the DSL layer
-/// to display schedules.
-[[nodiscard]] std::vector<ScheduleOp> wavefront_schedule(
-    const grid::Extents3& e, int t_begin, int t_end, int slope,
-    const TileSpec& spec);
-
-/// Same for the space-blocked baseline.
-[[nodiscard]] std::vector<ScheduleOp> spaceblocked_schedule(
-    const grid::Extents3& e, int t_begin, int t_end, const TileSpec& spec);
 
 /// Check that `ops` is a legal execution order for a stencil with
 /// per-timestep dependency radius `radius` on extents `e`: every point of

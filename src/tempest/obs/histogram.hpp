@@ -59,11 +59,12 @@ class Histogram {
     return static_cast<std::int64_t>(kSubCount + sub) << scale;
   }
 
-  /// Largest value mapping to bucket `index` (inclusive).
+  /// Largest value mapping to bucket `index` (inclusive); INT64_MAX for
+  /// the top bucket.
   [[nodiscard]] static constexpr std::int64_t bucket_upper(int index) noexcept {
     if (index < 2 * kSubCount) return index;
     const int scale = (index >> kSubBits) - 1;
-    return bucket_lower(index) + (std::int64_t{1} << scale) - 1;
+    return bucket_lower(index) + ((std::int64_t{1} << scale) - 1);
   }
 
   constexpr void record(std::int64_t v) noexcept { record_n(v, 1); }
@@ -73,7 +74,11 @@ class Histogram {
     if (v < 0) v = 0;
     buckets_[static_cast<std::size_t>(bucket_index(v))] += n;
     count_ += n;
-    sum_ += v * static_cast<std::int64_t>(n);
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    sum_ = saturating_add(
+        sum_, v == 0 || n <= static_cast<std::uint64_t>(kMax / v)
+                  ? v * static_cast<std::int64_t>(n)
+                  : kMax);
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
@@ -86,7 +91,7 @@ class Histogram {
           other.buckets_[static_cast<std::size_t>(i)];
     }
     count_ += other.count_;
-    sum_ += other.sum_;
+    sum_ = saturating_add(sum_, other.sum_);
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
@@ -96,6 +101,7 @@ class Histogram {
   [[nodiscard]] constexpr std::uint64_t count() const noexcept {
     return count_;
   }
+  /// Sum of the recorded values, saturating at INT64_MAX.
   [[nodiscard]] constexpr std::int64_t sum() const noexcept { return sum_; }
   [[nodiscard]] constexpr std::int64_t min() const noexcept {
     return count_ == 0 ? 0 : min_;
@@ -123,6 +129,14 @@ class Histogram {
   [[nodiscard]] bool operator==(const Histogram&) const = default;
 
  private:
+  /// a + b for non-negative a and b, clamped to INT64_MAX. Still
+  /// associative and commutative, so merges stay partition-invariant.
+  static constexpr std::int64_t saturating_add(std::int64_t a,
+                                               std::int64_t b) noexcept {
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    return a > kMax - b ? kMax : a + b;
+  }
+
   std::array<std::uint64_t, kNumBuckets> buckets_{};
   std::uint64_t count_ = 0;
   std::int64_t sum_ = 0;

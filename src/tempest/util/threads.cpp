@@ -141,6 +141,12 @@ void TaskDag::add_edge(int pred, int succ) {
   succs_[static_cast<std::size_t>(pred)].push_back(succ);
 }
 
+void TaskDag::remove_edge(int pred, int succ) {
+  TEMPEST_REQUIRE(pred >= 0 && pred < n_ && succ >= 0 && succ < n_);
+  std::erase(preds_[static_cast<std::size_t>(succ)], pred);
+  std::erase(succs_[static_cast<std::size_t>(pred)], succ);
+}
+
 const std::vector<int>& TaskDag::preds(int node) const {
   return preds_[static_cast<std::size_t>(node)];
 }

@@ -73,6 +73,10 @@ class TaskDag {
   /// Requires pred < succ: the graph stays acyclic by construction.
   void add_edge(int pred, int succ);
 
+  /// Drop edge pred -> succ if present (seeded wrong-by-construction
+  /// fixtures for the race prover).
+  void remove_edge(int pred, int succ);
+
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] const std::vector<int>& preds(int node) const;
 

@@ -2,6 +2,7 @@
 
 #include "tempest/cachesim/cache.hpp"
 #include "tempest/cachesim/instrumented_acoustic.hpp"
+#include "tempest/util/error.hpp"
 
 namespace cs = tempest::cachesim;
 namespace tc = tempest::core;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "tempest/core/diamond.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/sparse/survey.hpp"
@@ -37,7 +37,8 @@ class DiamondSchedule : public ::testing::TestWithParam<Case> {};
 TEST_P(DiamondSchedule, IsLegalCoversEverythingOnce) {
   const Case& c = GetParam();
   const auto ops =
-      tc::diamond_schedule(c.extents, c.t_begin, c.t_end, c.radius, c.spec);
+      tc::TilePlan::diamond(c.extents, c.t_begin, c.t_end, c.radius, c.spec)
+          .ops();
   EXPECT_EQ(tc::validate_schedule(c.extents, c.t_begin, c.t_end, c.radius,
                                   ops),
             "")
@@ -59,15 +60,16 @@ TEST(DiamondSchedule, RejectsTooNarrowWidth) {
   const tg::Extents3 e{16, 8, 4};
   // width < 2*slope*height
   EXPECT_THROW(
-      (void)tc::diamond_schedule(e, 1, 9, 2, tc::DiamondSpec{4, 8, 4, 4}),
+      (void)tc::TilePlan::diamond(e, 1, 9, 2, tc::DiamondSpec{4, 8, 4, 4}),
       tempest::util::PreconditionError);
 }
 
 TEST(DiamondSchedule, UnderSlopedScheduleIsIllegal) {
   // Built with slope 1 but validated against radius 2: must violate.
   const tg::Extents3 e{24, 8, 4};
-  const auto ops =
-      tc::diamond_schedule(e, 1, 9, /*slope=*/1, tc::DiamondSpec{4, 16, 4, 4});
+  const auto ops = tc::TilePlan::diamond(e, 1, 9, /*slope=*/1,
+                                         tc::DiamondSpec{4, 16, 4, 4})
+                       .ops();
   EXPECT_NE(tc::validate_schedule(e, 1, 9, /*radius=*/2, ops), "");
 }
 
@@ -109,12 +111,13 @@ TEST(DiamondNumerics, MatchesSpaceBlockedBitExact) {
   const tc::TileSpec blocks{1, 64, 64, 4, 4};
 
   ToyStencil base(e);
-  tc::run_spaceblocked(e, 1, nt, blocks,
-                       [&](int t, const tg::Box3& b) { base.block(t, b); });
+  tc::execute(tc::TilePlan::space_blocked(e, 1, nt, blocks), 2,
+              [&](int t, const tg::Box3& b) { base.block(t, b); });
 
   ToyStencil diam(e);
-  tc::run_diamond(e, 1, nt, /*slope=*/1, tc::DiamondSpec{4, 10, 4, 4},
-                  [&](int t, const tg::Box3& b) { diam.block(t, b); });
+  tc::execute(
+      tc::TilePlan::diamond(e, 1, nt, /*slope=*/1, tc::DiamondSpec{4, 10, 4, 4}),
+      2, [&](int t, const tg::Box3& b) { diam.block(t, b); });
 
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(tg::max_abs_diff(base.buf.slot(s), diam.buf.slot(s)), 0.0);

@@ -1,0 +1,140 @@
+// The engine executes the tile plan it proves: a recording PhysicsKernel
+// sees exactly TilePlan::ops() of the plan the run's geometry defines, and
+// the pre-run gates (schedule legality, write radius) throw before the
+// first block is computed.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
+
+#include "tempest/core/engine.hpp"
+#include "tempest/core/tile_plan.hpp"
+#include "tempest/sparse/survey.hpp"
+
+namespace an = tempest::analysis;
+namespace tc = tempest::core;
+namespace eng = tempest::core::engine;
+namespace tg = tempest::grid;
+namespace sp = tempest::sparse;
+using tempest::real_t;
+
+namespace {
+
+/// A kernel that computes nothing and records every (substep, box) the
+/// executor hands it. S substeps per timestep; the first computable step
+/// follows the physics convention (1 for S = 1, 0 for S = 2).
+template <int S>
+struct RecordingKernel {
+  static constexpr int kSubstepsPerStep = S;
+  static constexpr int kFirstStep = S == 1 ? 1 : 0;
+
+  tg::Extents3 e;
+  int r = 1;
+  an::AccessSummary summary;
+  tg::Grid3<real_t> field;
+  std::vector<tc::ScheduleOp> applied;
+
+  RecordingKernel(tg::Extents3 extents, int radius)
+      : e(extents), r(radius), field(extents, radius) {
+    summary.kernel = "recording";
+    summary.radius = S * radius;  // per-timestep reach, as elastic declares
+    summary.substeps = S;
+  }
+
+  [[nodiscard]] const tg::Extents3& extents() const { return e; }
+  [[nodiscard]] int radius() const { return r; }
+  void apply(int s, const tg::Box3& box) { applied.push_back({s, box}); }
+  eng::FieldRefs inject_fields(int) { return {{&field}, 1}; }
+  [[nodiscard]] const tg::Grid3<real_t>& gather_field(int) const {
+    return field;
+  }
+  [[nodiscard]] real_t inject_scale(int, int, int) const { return 1; }
+  eng::HealthFields health_fields(int) { return {}; }
+  [[nodiscard]] an::AccessSummary access_summary() const { return summary; }
+};
+
+constexpr tg::Extents3 kE{20, 18, 6};
+constexpr int kRadius = 1;
+constexpr int kNt = 11;
+constexpr tc::TileSpec kTiles{4, 8, 8, 4, 4};
+
+eng::ExecutionOptions serial_options() {
+  eng::ExecutionOptions opts;
+  opts.tiles = kTiles;
+  opts.threads = 1;
+  return opts;
+}
+
+template <int S>
+std::vector<tc::ScheduleOp> run(RecordingKernel<S>& kernel,
+                                eng::Schedule sched) {
+  const eng::ExecutionOptions opts = serial_options();
+  const sp::SparseTimeSeries src(sp::single_center_source(kE), kNt);
+  eng::ScheduleExecutor<RecordingKernel<S>> exec(kernel, opts);
+  (void)exec.run_from(RecordingKernel<S>::kFirstStep, sched, src, nullptr,
+                      {});
+  return kernel.applied;
+}
+
+/// The plan the engine's geometry defines, built independently of it:
+/// substep units, S * tile_t substeps per band, slope = radius per substep.
+template <int S>
+tc::TilePlan expected_plan(eng::Schedule sched) {
+  const int first = S * RecordingKernel<S>::kFirstStep;
+  const int height = S * kTiles.tile_t;
+  if (sched == eng::Schedule::Wavefront) {
+    tc::TileSpec spec = kTiles;
+    spec.tile_t = height;
+    return tc::TilePlan::wavefront(kE, first, S * kNt, kRadius, spec);
+  }
+  return tc::TilePlan::diamond(
+      kE, first, S * kNt, kRadius,
+      {height, std::max(kTiles.tile_x, 2 * kRadius * height), kTiles.block_x,
+       kTiles.block_y});
+}
+
+template <int S>
+void expect_runs_plan(eng::Schedule sched) {
+  RecordingKernel<S> kernel(kE, kRadius);
+  const std::vector<tc::ScheduleOp> applied = run(kernel, sched);
+  const std::vector<tc::ScheduleOp> expected = expected_plan<S>(sched).ops();
+  ASSERT_FALSE(expected.empty());
+  EXPECT_TRUE(applied == expected)
+      << eng::to_string(sched) << " S=" << S << ": applied " << applied.size()
+      << " blocks, the plan has " << expected.size();
+}
+
+}  // namespace
+
+TEST(EnginePlan, WavefrontRunsExactlyThePlanOps) {
+  expect_runs_plan<1>(eng::Schedule::Wavefront);
+  expect_runs_plan<2>(eng::Schedule::Wavefront);
+}
+
+TEST(EnginePlan, DiamondRunsExactlyThePlanOps) {
+  expect_runs_plan<1>(eng::Schedule::Diamond);
+  expect_runs_plan<2>(eng::Schedule::Diamond);
+}
+
+TEST(EnginePlan, DeclaredRadiusBeyondTheSkewThrowsBeforeAnyBlock) {
+  for (const eng::Schedule sched :
+       {eng::Schedule::Wavefront, eng::Schedule::Diamond}) {
+    RecordingKernel<1> kernel(kE, kRadius);
+    kernel.summary.radius = kRadius + 1;  // reach outruns slope = radius()
+    EXPECT_THROW((void)run(kernel, sched), an::ScheduleLegalityError)
+        << eng::to_string(sched);
+    EXPECT_TRUE(kernel.applied.empty()) << eng::to_string(sched);
+  }
+}
+
+TEST(EnginePlan, ScatteredWritesThrowBeforeAnyBlock) {
+  for (const eng::Schedule sched :
+       {eng::Schedule::Wavefront, eng::Schedule::Diamond}) {
+    RecordingKernel<1> kernel(kE, kRadius);
+    kernel.summary.write_radius = 1;
+    EXPECT_THROW((void)run(kernel, sched), tempest::util::PreconditionError)
+        << eng::to_string(sched);
+    EXPECT_TRUE(kernel.applied.empty()) << eng::to_string(sched);
+  }
+}

@@ -12,6 +12,7 @@
 #include "tempest/autotune/autotune.hpp"
 #include "tempest/codegen/jit.hpp"
 #include "tempest/core/moving.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/vti.hpp"
@@ -274,22 +275,26 @@ TEST_F(FaultInjection, AbsoluteAmplitudeLimitTriggersBlowupDiagnosis) {
 
 TEST_F(FaultInjection, WavefrontScansAtBandBoundaries) {
   const int nt = 22;
-  const int tile_t = 4;
-  const auto bands = tc::wavefront_bands(1, nt, tile_t);
+  const tg::Extents3 e{16, 14, 12};
+  const tc::TileSpec tiles{4, 8, 8, 4, 4};
+  // The bands of the plan the engine runs for this SO 4 propagator (slope =
+  // radius 2); its band hook fires at each band end.
+  const auto bands =
+      tc::TilePlan::wavefront(e, 1, nt, /*slope=*/2, tiles).bands;
   ASSERT_FALSE(bands.empty());
-  EXPECT_EQ(bands.front().first, 1);
-  EXPECT_EQ(bands.back().second, nt);
+  EXPECT_EQ(bands.front().t0, 1);
+  EXPECT_EQ(bands.back().te, nt);
   for (std::size_t i = 1; i < bands.size(); ++i) {
-    EXPECT_EQ(bands[i].first, bands[i - 1].second);  // contiguous bands
+    EXPECT_EQ(bands[i].t0, bands[i - 1].te);  // contiguous bands
   }
 
-  auto s = make_setup({16, 14, 12}, nt, 0);
+  auto s = make_setup(e, nt, 0);
   ph::PropagatorOptions opts;
-  opts.tiles = tc::TileSpec{tile_t, 8, 8, 4, 4};
+  opts.tiles = tiles;
   opts.health.check_every = 1;
   // Poison exactly at a band boundary: the band hook both injects and scans
   // there, so detection is deterministic at that step.
-  const int boundary = bands[1].second;
+  const int boundary = bands[1].te;
   rs::fault::plan().poison_wavefield_at_step = boundary;
 
   ph::AcousticPropagator prop(s.model, opts);

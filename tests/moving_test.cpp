@@ -12,7 +12,7 @@
 #include "tempest/core/compress.hpp"
 #include "tempest/core/fused.hpp"
 #include "tempest/core/moving.hpp"
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/sparse/wavelet.hpp"
 
@@ -161,10 +161,8 @@ TEST(MovingSources, WavefrontWithFusedMovingInjectionMatchesBaseline) {
   // Baseline: sweep then naive moving scatter, per timestep.
   ToyWave base;
   for (int t = 1; t < nt; ++t) {
-    tc::run_spaceblocked(kE, t, t + 1, tiles,
-                         [&](int tt, const tg::Box3& b) {
-                           base.stencil_block(tt, b);
-                         });
+    tc::execute(tc::TilePlan::space_blocked(kE, t, t + 1, tiles), 1,
+                [&](int tt, const tg::Box3& b) { base.stencil_block(tt, b); });
     tc::inject_moving(base.u.at(t + 1), src, t, sp::InterpKind::Trilinear,
                       unit);
   }
@@ -172,12 +170,12 @@ TEST(MovingSources, WavefrontWithFusedMovingInjectionMatchesBaseline) {
   // The paper's schedule: wave-front tiles with fused, compressed moving
   // injection per column.
   ToyWave wave;
-  tc::run_wavefront(kE, 1, nt, /*slope=*/1, tiles,
-                    [&](int t, const tg::Box3& b) {
-                      wave.stencil_block(t, b);
-                      tc::fused_inject(wave.u.at(t + 1), cs, dcmp, t, b.x,
-                                       b.y, unit);
-                    });
+  tc::execute(tc::TilePlan::wavefront(kE, 1, nt, /*slope=*/1, tiles), 1,
+              [&](int t, const tg::Box3& b) {
+                wave.stencil_block(t, b);
+                tc::fused_inject(wave.u.at(t + 1), cs, dcmp, t, b.x, b.y,
+                                 unit);
+              });
 
   for (int s = 0; s < 3; ++s) {
     EXPECT_LT(tg::max_abs_diff(base.u.slot(s), wave.u.slot(s)), 1e-5)

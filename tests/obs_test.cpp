@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +97,24 @@ TEST_F(ObsTest, BucketIndexIsMonotoneAndInvertsBounds) {
     const double hi = static_cast<double>(Histogram::bucket_upper(i));
     EXPECT_LE((hi - lo + 1) / lo, 0.125 + 1e-12);
   }
+}
+
+TEST_F(ObsTest, TopBucketAndSumSaturateAtInt64Max) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Histogram::bucket_upper(Histogram::kNumBuckets - 1), kMax);
+  EXPECT_EQ(Histogram::bucket_index(kMax), Histogram::kNumBuckets - 1);
+
+  Histogram h;
+  h.record(kMax);
+  h.record(kMax);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.sum(), kMax);
+  EXPECT_EQ(h.quantile(1.0), kMax);
+
+  Histogram merged = h;
+  merged.merge(h);
+  EXPECT_EQ(merged.count(), 4u);
+  EXPECT_EQ(merged.sum(), kMax);
 }
 
 TEST_F(ObsTest, NegativeRecordsClampToZeroAndEmptyIsInert) {

@@ -18,7 +18,7 @@
 
 #include "tempest/core/compress.hpp"
 #include "tempest/core/precompute.hpp"
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/sparse/interp.hpp"
 #include "tempest/sparse/series.hpp"
 #include "tempest/stencil/coefficients.hpp"
@@ -97,7 +97,8 @@ TEST_P(SeededProperty, RandomWavefrontSchedulesAreLegal) {
         static_cast<int>(1 + rng.below(12)),
     };
     const int slope = radius + static_cast<int>(rng.below(2));  // >= radius
-    const auto ops = tc::wavefront_schedule(e, t_begin, t_end, slope, spec);
+    const auto ops =
+        tc::TilePlan::wavefront(e, t_begin, t_end, slope, spec).ops();
     const std::string verdict =
         tc::validate_schedule(e, t_begin, t_end, radius, ops);
     ASSERT_EQ(verdict, "")

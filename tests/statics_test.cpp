@@ -16,6 +16,7 @@
 #include "tempest/analysis/statics/stability.hpp"
 #include "tempest/analysis/statics/verify.hpp"
 #include "tempest/codegen/jit.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/dsl/kernel.hpp"
 #include "tempest/dsl/operator.hpp"
 #include "tempest/grid/time_buffer.hpp"
@@ -363,6 +364,63 @@ TEST(Interference, UndershotSkewSlopeNamesTheInterferingTilePair) {
       << report.str();
   EXPECT_THROW(statics::require_race_free(report),
                statics::TileInterferenceError);
+}
+
+namespace {
+
+/// acoustic-wtb-large's band phases: bands start at substep 1 every 8
+/// substeps, slope 2 (SO 4), 32x32 tiles — on a 96x96 domain.
+tempest::core::TilePlan wtb_phase_plan() {
+  return tempest::core::TilePlan::wavefront({96, 96, 1}, 1, 64, /*slope=*/2,
+                                            {8, 32, 32, 8, 8});
+}
+
+statics::Footprint acoustic_footprint() {
+  const an::AccessSummary summary = ph::acoustic_access_summary(4);
+  return {summary.radius, 1, summary.time_reads, /*receivers=*/true};
+}
+
+}  // namespace
+
+TEST(Interference, ProvesEveryBandOfTheExecutedWavefrontPlan) {
+  const tempest::core::TilePlan plan = wtb_phase_plan();
+  ASSERT_EQ(plan.bands.size(), 8u);
+  int tasks = 0;
+  for (const tempest::core::TileBand& band : plan.bands) {
+    tasks += static_cast<int>(band.tasks.size());
+  }
+  const statics::InterferenceReport report =
+      statics::prove_race_free(plan, acoustic_footprint());
+  EXPECT_TRUE(report.race_free()) << report.str();
+  // Every task of every band was enumerated: a lattice cap fails here.
+  EXPECT_EQ(report.tasks, tasks);
+  EXPECT_GT(report.unordered_pairs, 0);
+}
+
+TEST(Interference, DroppedStaircaseEdgeNamesTheTilePair) {
+  tempest::core::TilePlan plan = wtb_phase_plan();
+  tempest::core::TileBand& band = plan.bands.at(1);
+  band.dag.remove_edge(/*tile(0,1)=*/1, /*tile(1,1)=*/band.nj + 1);
+  const statics::InterferenceReport report =
+      statics::prove_race_free(plan, acoustic_footprint());
+  EXPECT_FALSE(report.race_free());
+  EXPECT_TRUE(message_of(report.diagnostics, "tile-interference",
+                         "tile(0,1) and tile(1,1)"))
+      << report.str();
+}
+
+TEST(Interference, DiamondValleyMissingAPeakEdgeIsRejected) {
+  tempest::core::TilePlan plan = tempest::core::TilePlan::diamond(
+      {96, 96, 1}, 1, 64, /*slope=*/2, {8, 32, 8, 8});
+  ASSERT_TRUE(statics::prove_race_free(plan, acoustic_footprint()).race_free());
+  tempest::core::TileBand& band = plan.bands.at(2);
+  band.dag.remove_edge(/*peak(2)=*/2, /*valley(1)=*/band.nj + 1);
+  const statics::InterferenceReport report =
+      statics::prove_race_free(plan, acoustic_footprint());
+  EXPECT_FALSE(report.race_free());
+  EXPECT_TRUE(message_of(report.diagnostics, "tile-interference",
+                         "peak(2) and valley(1)"))
+      << report.str();
 }
 
 // ------------------------------------------------------------------- facade

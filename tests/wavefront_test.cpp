@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "tempest/core/wavefront.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/grid/grid3.hpp"
 #include "tempest/grid/time_buffer.hpp"
 
@@ -32,8 +32,9 @@ class WavefrontSchedule : public ::testing::TestWithParam<Case> {};
 
 TEST_P(WavefrontSchedule, IsLegalCoversEverythingOnce) {
   const Case& c = GetParam();
-  const auto ops = tc::wavefront_schedule(c.extents, c.t_begin, c.t_end,
-                                          /*slope=*/c.radius, c.spec);
+  const auto ops = tc::TilePlan::wavefront(c.extents, c.t_begin, c.t_end,
+                                           /*slope=*/c.radius, c.spec)
+                       .ops();
   const std::string verdict =
       tc::validate_schedule(c.extents, c.t_begin, c.t_end, c.radius, ops);
   EXPECT_EQ(verdict, "") << GetParam();
@@ -42,8 +43,9 @@ TEST_P(WavefrontSchedule, IsLegalCoversEverythingOnce) {
 TEST_P(WavefrontSchedule, LargerSlopeStillLegal) {
   // Over-skewing (slope > radius) is always safe.
   const Case& c = GetParam();
-  const auto ops = tc::wavefront_schedule(c.extents, c.t_begin, c.t_end,
-                                          c.radius + 2, c.spec);
+  const auto ops = tc::TilePlan::wavefront(c.extents, c.t_begin, c.t_end,
+                                           c.radius + 2, c.spec)
+                       .ops();
   EXPECT_EQ(
       tc::validate_schedule(c.extents, c.t_begin, c.t_end, c.radius, ops),
       "");
@@ -68,28 +70,28 @@ TEST(WavefrontSchedule, UnderSkewedScheduleIsIllegal) {
   // the validator has teeth and that the slope choice is load-bearing.
   const tg::Extents3 e{16, 16, 4};
   const tc::TileSpec spec{4, 8, 8, 4, 4};
-  const auto ops = tc::wavefront_schedule(e, 1, 10, /*slope=*/1, spec);
+  const auto ops = tc::TilePlan::wavefront(e, 1, 10, /*slope=*/1, spec).ops();
   EXPECT_NE(tc::validate_schedule(e, 1, 10, /*radius=*/2, ops), "");
 }
 
 TEST(WavefrontSchedule, ZeroSlopeEqualsUnsafeTimeTiling) {
   const tg::Extents3 e{16, 16, 4};
   const tc::TileSpec spec{4, 8, 8, 4, 4};
-  const auto ops = tc::wavefront_schedule(e, 1, 10, /*slope=*/0, spec);
+  const auto ops = tc::TilePlan::wavefront(e, 1, 10, /*slope=*/0, spec).ops();
   EXPECT_NE(tc::validate_schedule(e, 1, 10, 1, ops), "");
 }
 
 TEST(SpaceBlockedSchedule, AlwaysLegal) {
   const tg::Extents3 e{16, 12, 4};
   const tc::TileSpec spec{4, 8, 8, 4, 4};
-  const auto ops = tc::spaceblocked_schedule(e, 1, 8, spec);
+  const auto ops = tc::TilePlan::space_blocked(e, 1, 8, spec).ops();
   EXPECT_EQ(tc::validate_schedule(e, 1, 8, /*radius=*/4, ops), "");
 }
 
 TEST(Validator, DetectsDoubleCompute) {
   const tg::Extents3 e{4, 4, 2};
   const tc::TileSpec spec{1, 64, 64, 64, 64};
-  auto ops = tc::spaceblocked_schedule(e, 1, 3, spec);
+  auto ops = tc::TilePlan::space_blocked(e, 1, 3, spec).ops();
   ops.push_back(ops.front());  // recompute a block
   EXPECT_NE(tc::validate_schedule(e, 1, 3, 1, ops), "");
 }
@@ -97,7 +99,7 @@ TEST(Validator, DetectsDoubleCompute) {
 TEST(Validator, DetectsMissingPoint) {
   const tg::Extents3 e{4, 4, 2};
   const tc::TileSpec spec{1, 64, 64, 64, 64};
-  auto ops = tc::spaceblocked_schedule(e, 1, 3, spec);
+  auto ops = tc::TilePlan::space_blocked(e, 1, 3, spec).ops();
   ops.pop_back();
   EXPECT_NE(tc::validate_schedule(e, 1, 3, 1, ops), "");
 }
@@ -105,7 +107,7 @@ TEST(Validator, DetectsMissingPoint) {
 TEST(Validator, DetectsReorderedTimesteps) {
   const tg::Extents3 e{4, 4, 2};
   const tc::TileSpec spec{1, 64, 64, 64, 64};
-  auto ops = tc::spaceblocked_schedule(e, 1, 3, spec);
+  auto ops = tc::TilePlan::space_blocked(e, 1, 3, spec).ops();
   ASSERT_EQ(ops.size(), 2u);
   std::swap(ops[0], ops[1]);
   EXPECT_NE(tc::validate_schedule(e, 1, 3, 1, ops), "");
@@ -169,12 +171,12 @@ TEST_P(WavefrontNumerics, MatchesSpaceBlockedBitExact) {
   const int nt = 13;
 
   ToyStencil base(e);
-  tc::run_spaceblocked(e, 1, nt, GetParam(),
-                       [&](int t, const tg::Box3& b) { base.block(t, b); });
+  tc::execute(tc::TilePlan::space_blocked(e, 1, nt, GetParam()), 2,
+              [&](int t, const tg::Box3& b) { base.block(t, b); });
 
   ToyStencil wave(e);
-  tc::run_wavefront(e, 1, nt, /*slope=*/1, GetParam(),
-                    [&](int t, const tg::Box3& b) { wave.block(t, b); });
+  tc::execute(tc::TilePlan::wavefront(e, 1, nt, /*slope=*/1, GetParam()), 2,
+              [&](int t, const tg::Box3& b) { wave.block(t, b); });
 
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(tg::max_abs_diff(base.buf.slot(s), wave.buf.slot(s)), 0.0)

@@ -13,8 +13,9 @@
 //     positive of the verification layer on known-good kernels.
 //   * --seeded mode: runs fixtures that are wrong *by construction*
 //     (a dt beyond the stability bound, a load beyond the declared halo,
-//     a wavefront band whose skew undershoots the stencil radius) and
-//     returns nonzero iff any of them is NOT rejected — proving the gates
+//     a wavefront band whose skew undershoots the stencil radius, a
+//     wavefront plan with one staircase edge dropped) and returns nonzero
+//     iff any of them is NOT rejected — proving the gates
 //     actually reject, with structured diagnostics naming the offending
 //     bound / offset / tile pair.
 //
@@ -222,6 +223,21 @@ int run_seeded() {
     tm.radius = 2;
     const statics::InterferenceReport iref = statics::prove_race_free(tm);
     expect("tile-interference", iref.diagnostics, "tile-interference");
+  }
+
+  // 4. The engine's wavefront band phases on acoustic-wtb-large's tiles
+  //    (bands start at substep 1, slope 2, 8 substeps, 32x32 tiles; here a
+  //    96x96 domain) with the staircase edge tile(0,1) -> tile(1,1) dropped
+  //    from the second band: the prover must name that tile pair.
+  {
+    tempest::core::TilePlan plan = tempest::core::TilePlan::wavefront(
+        {96, 96, 1}, 1, 64, /*slope=*/2, {8, 32, 32, 32, 32});
+    tempest::core::TileBand& band = plan.bands.at(1);
+    band.dag.remove_edge(/*tile(0,1)=*/1, /*tile(1,1)=*/band.nj + 1);
+    const AccessSummary summary = tempest::physics::acoustic_access_summary(4);
+    const statics::InterferenceReport iref = statics::prove_race_free(
+        plan, {summary.radius, 1, summary.time_reads, /*receivers=*/true});
+    expect("dropped-staircase-edge", iref.diagnostics, "tile-interference");
   }
 
   if (missed > 0) {
