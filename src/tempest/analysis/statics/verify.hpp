@@ -75,7 +75,8 @@ void require_static_ok(const StaticsReport& report);
 
 /// Throw StaticVerificationError (with a stability-only report) unless the
 /// verdict is stable. The gates that have a dt but no lowered kernel tree
-/// — JitAcoustic, the TTI/elastic Operator::apply overloads — use this.
+/// — JitAcoustic before it compiles its block, the TTI/elastic
+/// Operator::apply overloads — use this.
 void require_stable(const StabilityVerdict& verdict,
                     const std::string& kernel);
 

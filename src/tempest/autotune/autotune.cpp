@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
-#include <thread>
 
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/log.hpp"
-#include "tempest/util/threads.hpp"
 
 namespace tempest::autotune {
 
@@ -99,117 +96,6 @@ SweepResult sweep(const std::vector<core::TileSpec>& specs,
                       "every autotune candidate failed; first failure: " +
                           first_error);
   return result;
-}
-
-std::string RunConfig::str() const {
-  std::ostringstream os;
-  os << "tile " << spec.tile_x << "x" << spec.tile_y << " block "
-     << spec.block_x << "x" << spec.block_y << " tile_t " << spec.tile_t
-     << " threads " << threads;
-  return os.str();
-}
-
-std::vector<RunConfig> run_candidates(const grid::Extents3& extents,
-                                      const CandidateSpace& space) {
-  TEMPEST_REQUIRE_MSG(!space.threads.empty(),
-                      "thread dimension of the candidate space is empty");
-  const std::vector<core::TileSpec> tiles = candidates(extents, space);
-  std::vector<RunConfig> out;
-  std::vector<int> seen;
-  for (int t : space.threads) {
-    const int resolved = util::resolve_threads(t);
-    if (std::find(seen.begin(), seen.end(), resolved) != seen.end()) continue;
-    seen.push_back(resolved);
-    for (const core::TileSpec& spec : tiles) {
-      out.push_back(RunConfig{spec, resolved});
-    }
-  }
-  return out;
-}
-
-RunSweepResult sweep_runs(
-    const std::vector<RunConfig>& configs,
-    const std::function<double(const RunConfig&)>& measure, int repeats) {
-  TEMPEST_REQUIRE(!configs.empty() && repeats >= 1);
-  RunSweepResult result;
-  result.best.seconds = std::numeric_limits<double>::infinity();
-  bool found_healthy = false;
-  std::string first_error;
-  for (const RunConfig& config : configs) {
-    RunCandidate cand;
-    cand.config = config;
-    cand.seconds = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < repeats && !cand.failed; ++rep) {
-      TEMPEST_TRACE_SPAN_ARG("autotune.trial", "autotune", config.threads);
-      TEMPEST_TRACE_COUNT(AutotuneTrials, 1);
-      const perf::pmu::PmuRegion pmu_region;
-      double t = 0.0;
-      try {
-        t = measure(config);
-      } catch (const std::exception& e) {
-        cand.failed = true;
-        cand.error = e.what();
-        break;
-      }
-      const perf::pmu::Sample d = pmu_region.delta();
-      cand.pmu.valid_mask = d.valid_mask;
-      for (int i = 0; i < perf::pmu::kNumEvents; ++i) {
-        cand.pmu.value[static_cast<std::size_t>(i)] +=
-            d.value[static_cast<std::size_t>(i)];
-      }
-      if (!std::isfinite(t) || t < 0.0) {
-        cand.failed = true;
-        cand.error = "trial reported a non-finite or negative time: " +
-                     std::to_string(t);
-        break;
-      }
-      cand.seconds = std::min(cand.seconds, t);
-    }
-    if (cand.failed && first_error.empty()) first_error = cand.error;
-    if (cand.failed) {
-      util::warn("autotune: skipping failed candidate (" + config.str() +
-                 "): " + cand.error);
-    }
-    result.evaluated.push_back(cand);
-    if (!cand.failed && cand.seconds < result.best.seconds) {
-      result.best = cand;
-      found_healthy = true;
-    }
-  }
-  TEMPEST_REQUIRE_MSG(found_healthy,
-                      "every autotune candidate failed; first failure: " +
-                          first_error);
-  return result;
-}
-
-std::vector<perf::TrafficValidation> validate_scaling(
-    const RunSweepResult& result, int hw_threads) {
-  if (hw_threads <= 0) {
-    hw_threads =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  }
-  // Single-thread baseline per tile shape: best healthy 1-thread time.
-  auto baseline_for = [&](const core::TileSpec& spec) {
-    double best = std::numeric_limits<double>::infinity();
-    for (const RunCandidate& c : result.evaluated) {
-      if (c.failed || c.config.threads != 1 || !(c.config.spec == spec))
-        continue;
-      best = std::min(best, c.seconds);
-    }
-    return best;
-  };
-
-  std::vector<perf::TrafficValidation> out;
-  for (const RunCandidate& c : result.evaluated) {
-    if (c.failed || c.config.threads <= 1) continue;
-    const double t1 = baseline_for(c.config.spec);
-    const bool have_baseline = std::isfinite(t1);
-    const double modelled =
-        have_baseline ? t1 / std::min(c.config.threads, hw_threads) : 0.0;
-    out.push_back(perf::validate_traffic("autotune/" + c.config.str(),
-                                         modelled, c.seconds, have_baseline));
-  }
-  return out;
 }
 
 }  // namespace tempest::autotune

@@ -1,5 +1,6 @@
 #include "tempest/codegen/emit.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -16,26 +17,55 @@ std::string flit(double v) {
   return os.str();
 }
 
-/// The per-block stencil body with the FD weights baked in as literals
+/// The kernel name is spliced into the C source and the exported symbol:
+/// anything but a C identifier would fail to compile (or worse, compile
+/// into something else), so it is a caller error at emit time.
+void require_c_identifier(const std::string& name) {
+  const auto alpha = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+  };
+  const bool ok = !name.empty() && alpha(name.front()) &&
+                  std::all_of(name.begin(), name.end(), [&](char c) {
+                    return alpha(c) || (c >= '0' && c <= '9');
+                  });
+  TEMPEST_REQUIRE_MSG(ok, "kernel name '" + name + "' is not a C identifier");
+}
+
+/// `#pragma omp simd` with the spec's preferred lane count.
+void emit_simd_pragma(std::ostringstream& os, int simd_width) {
+  if (simd_width > 0) {
+    os << "#pragma omp simd simdlen(" << simd_width << ")\n";
+  } else {
+    os << "#pragma omp simd\n";
+  }
+}
+
+}  // namespace
+
+/// The per-box stencil body with the FD weights baked in as literals
 /// (what Devito's generated C looks like). The z loop is the SIMD axis:
 /// per-row pointers are hoisted out of it as `restrict` locals so the
 /// vectorizer sees five loop-invariant non-aliasing bases (the row
 /// arithmetic in the induction would otherwise defeat its dependence
 /// tests), and the `omp simd` pragma carries the spec's preferred lane
 /// count. The arrays come from util::AlignedAllocator storage (64-byte
-/// allocation bases — asserted by JitAcoustic before the call); rows sit
+/// allocation bases — asserted when the engine adapter is built); rows sit
 /// at an arbitrary halo offset inside that allocation, so no `aligned`
 /// clause is claimed and GCC's peeling aligns each row itself.
-void emit_update_block(std::ostringstream& os, int space_order,
-                       int simd_width) {
-  const stencil::Coeffs c = stencil::central(2, space_order);
-  const int r = stencil::radius_for_order(space_order);
-  os << R"(
-static void update_block(float* restrict un, const float* restrict uc,
-                         const float* restrict up, const float* restrict m,
-                         const float* restrict damp, long sx, long sy,
-                         int x0, int x1, int y0, int y1, int z0, int z1,
-                         float inv_h2, float idt2, float i2dt) {
+std::string emit_acoustic_c(const KernelSpec& spec) {
+  TEMPEST_REQUIRE(spec.space_order >= 2 && spec.space_order % 2 == 0);
+  require_c_identifier(spec.kernel);
+  const stencil::Coeffs c = stencil::central(2, spec.space_order);
+  const int r = stencil::radius_for_order(spec.space_order);
+  std::ostringstream os;
+  os << "/* Generated by tempest::codegen — isotropic acoustic O(2,"
+     << spec.space_order
+     << ") update of one box at one timestep; the engine's tile plan "
+        "schedules it. */\n"
+     << "void " << spec.symbol() << R"((float* restrict un, const float* restrict uc,
+    const float* restrict up, const float* restrict m,
+    const float* restrict damp, long sx, long sy, int x0, int x1, int y0,
+    int y1, int z0, int z1, float inv_h2, float idt2, float i2dt) {
   for (int x = x0; x < x1; ++x) {
     for (int y = y0; y < y1; ++y) {
       const long row = (long)x * sx + (long)y * sy;
@@ -45,13 +75,8 @@ static void update_block(float* restrict un, const float* restrict uc,
       const float* restrict mr = m + row;
       const float* restrict dr = damp + row;
 )";
-  if (simd_width > 0) {
-    os << "#pragma omp simd simdlen(" << simd_width << ")\n";
-  } else {
-    os << "#pragma omp simd\n";
-  }
-  os << R"(      for (int z = z0; z < z1; ++z) {
-)";
+  emit_simd_pragma(os, spec.simd_width);
+  os << "      for (int z = z0; z < z1; ++z) {\n";
   const double w0 = c.weights[static_cast<std::size_t>(r)];
   os << "        float acc = " << flit(3.0 * w0) << " * ucr[z];\n";
   for (int k = 1; k <= r; ++k) {
@@ -69,140 +94,6 @@ static void update_block(float* restrict un, const float* restrict uc,
   }
 }
 )";
-}
-
-/// The fused, compressed source injection of Listing 5: CSR walk over the
-/// columns of an (x,y) rectangle; cs_zid interleaves (z, id) pairs.
-void emit_inject_block(std::ostringstream& os) {
-  os << R"(
-static void inject_block(float* restrict un, const float* restrict m,
-                         long sx, long sy, int ny, int x0, int x1, int y0,
-                         int y1, int t, const int* restrict cs_offsets,
-                         const int* restrict cs_zid,
-                         const float* restrict dcmp, int npts, float dt2) {
-  for (int x = x0; x < x1; ++x) {
-    for (int y = y0; y < y1; ++y) {
-      const long col = (long)x * ny + y;
-      for (int k = cs_offsets[col]; k < cs_offsets[col + 1]; ++k) {
-        const long i = (long)x * sx + (long)y * sy + cs_zid[2 * k];
-        un[i] += dcmp[(long)t * npts + cs_zid[2 * k + 1]] * (dt2 / m[i]);
-      }
-    }
-  }
-}
-)";
-}
-
-void emit_spaceblocked_schedule(std::ostringstream& os, const core::TileSpec& t,
-                                const std::string& update_call) {
-  os << R"(
-  for (int tstep = t_begin; tstep < t_end; ++tstep) {
-    float* un = slots[(tstep + 1) % 3];
-    const float* uc = slots[tstep % 3];
-    const float* up = slots[(tstep + 2) % 3];
-)"
-     << "    for (int xb = 0; xb < nx; xb += " << t.block_x
-     << ") {\n"
-        "      const int xe = MIN(xb + "
-     << t.block_x
-     << ", nx);\n"
-        "      for (int yb = 0; yb < ny; yb += "
-     << t.block_y
-     << ") {\n"
-        "        const int ye = MIN(yb + "
-     << t.block_y << ", ny);\n"
-     << update_call << R"(      }
-    }
-    if (npts > 0) {
-      inject_block(un, m, sx, sy, ny, 0, nx, 0, ny, tstep, cs_offsets,
-                   cs_zid, dcmp, npts, dt2);
-    }
-  }
-)";
-}
-
-void emit_wavefront_schedule(std::ostringstream& os, const core::TileSpec& t,
-                             int slope, const std::string& update_call) {
-  os << "  const int slope = " << slope << ";\n"
-     << "  const int tile_t = " << t.tile_t << ", tile_x = " << t.tile_x
-     << ", tile_y = " << t.tile_y << ";\n"
-     << "  const int block_x = " << t.block_x << ", block_y = " << t.block_y
-     << ";\n"
-     << R"(
-  for (int tt = t_begin; tt < t_end; tt += tile_t) {
-    const int te = MIN(tt + tile_t, t_end);
-    const int xs_begin = (slope * tt) / tile_x * tile_x;
-    const int xs_end = nx + slope * (te - 1);
-    const int ys_begin = (slope * tt) / tile_y * tile_y;
-    const int ys_end = ny + slope * (te - 1);
-    for (int xs = xs_begin; xs < xs_end; xs += tile_x) {
-      for (int ys = ys_begin; ys < ys_end; ys += tile_y) {
-        for (int tstep = tt; tstep < te; ++tstep) {
-          const int xlo = MAX(xs - slope * tstep, 0);
-          const int xhi = MIN(xs + tile_x - slope * tstep, nx);
-          const int ylo = MAX(ys - slope * tstep, 0);
-          const int yhi = MIN(ys + tile_y - slope * tstep, ny);
-          if (xlo >= xhi || ylo >= yhi) continue;
-          float* un = slots[(tstep + 1) % 3];
-          const float* uc = slots[tstep % 3];
-          const float* up = slots[(tstep + 2) % 3];
-          for (int xb = xlo; xb < xhi; xb += block_x) {
-            const int xe = MIN(xb + block_x, xhi);
-            for (int yb = ylo; yb < yhi; yb += block_y) {
-              const int ye = MIN(yb + block_y, yhi);
-)" << update_call
-     << R"(            }
-          }
-          if (npts > 0) {
-            inject_block(un, m, sx, sy, ny, xlo, xhi, ylo, yhi, tstep,
-                         cs_offsets, cs_zid, dcmp, npts, dt2);
-          }
-        }
-      }
-    }
-  }
-)";
-}
-
-}  // namespace
-
-std::string emit_acoustic_c(const KernelSpec& spec) {
-  TEMPEST_REQUIRE(spec.space_order >= 2 && spec.space_order % 2 == 0);
-  TEMPEST_REQUIRE(spec.tiles.valid());
-  std::ostringstream os;
-  os << "/* Generated by tempest::codegen — isotropic acoustic O(2,"
-     << spec.space_order << "), "
-     << (spec.wavefront ? "wave-front temporally blocked (Listing 6)"
-                        : "space-blocked baseline")
-     << " schedule, fused compressed source injection (Listing 5). */\n"
-     << "#define MIN(a, b) ((a) < (b) ? (a) : (b))\n"
-     << "#define MAX(a, b) ((a) > (b) ? (a) : (b))\n";
-
-  emit_update_block(os, spec.space_order, spec.simd_width);
-  emit_inject_block(os);
-
-  os << "\nvoid " << spec.symbol()
-     << R"((float* u0, float* u1, float* u2, const float* m,
-            const float* damp, int nx, int ny, int nz, long sx, long sy,
-            int t_begin, int t_end, float inv_h2, float idt2, float i2dt,
-            float dt2, const int* cs_offsets, const int* cs_zid,
-            const float* dcmp, int npts) {
-  float* slots[3] = {u0, u1, u2};
-)";
-  if (spec.wavefront) {
-    emit_wavefront_schedule(
-        os, spec.tiles, stencil::radius_for_order(spec.space_order),
-        "              update_block(un, uc, up, m, damp, sx, sy, xb, xe, yb, "
-        "ye, 0,\n"
-        "                           nz, inv_h2, idt2, i2dt);\n");
-  } else {
-    emit_spaceblocked_schedule(
-        os, spec.tiles,
-        "        update_block(un, uc, up, m, damp, sx, sy, xb, xe, yb, ye, 0, "
-        "nz,\n"
-        "                     inv_h2, idt2, i2dt);\n");
-  }
-  os << "}\n";
   return os.str();
 }
 
@@ -244,16 +135,26 @@ std::string render_expr(const dsl::ir::Expr& e,
   return {};
 }
 
-/// The generic per-block stencil body: same loop skeleton and SIMD contract
+}  // namespace
+
+/// The generic per-box stencil body: same loop skeleton and SIMD contract
 /// as the acoustic template, update expression generated from the tree.
-void emit_dsl_update_block(std::ostringstream& os,
-                           const dsl::LoweredKernel& lowered,
-                           int simd_width) {
-  os << R"(
-static void update_block(float* restrict un, const float* restrict uc,
-                         const float* restrict up,
-                         const float* const* restrict prm, long sx, long sy,
-                         int x0, int x1, int y0, int y1, int z0, int z1) {
+std::string emit_dsl_c(const dsl::LoweredKernel& lowered,
+                       const KernelSpec& spec) {
+  TEMPEST_REQUIRE(spec.space_order >= 2 && spec.space_order % 2 == 0);
+  TEMPEST_REQUIRE_MSG(spec.space_order == lowered.space_order,
+                      "spec space order must match the lowering");
+  TEMPEST_REQUIRE_MSG(lowered.update != nullptr,
+                      "lowered kernel has no update tree");
+  require_c_identifier(spec.kernel);
+  std::ostringstream os;
+  os << "/* Generated by tempest::codegen — DSL kernel \"" << spec.kernel
+     << "\" O(2," << lowered.space_order
+     << ") update of one box at one timestep; the engine's tile plan "
+        "schedules it. */\n"
+     << "void " << spec.symbol() << R"((float* restrict un, const float* restrict uc,
+    const float* restrict up, const float* const* restrict prm, long sx,
+    long sy, int x0, int x1, int y0, int y1, int z0, int z1) {
   for (int x = x0; x < x1; ++x) {
     for (int y = y0; y < y1; ++y) {
       const long row = (long)x * sx + (long)y * sy;
@@ -265,11 +166,7 @@ static void update_block(float* restrict un, const float* restrict uc,
     os << "      const float* restrict p" << i << "r = prm[" << i
        << "] + row;  /* " << lowered.params[i] << " */\n";
   }
-  if (simd_width > 0) {
-    os << "#pragma omp simd simdlen(" << simd_width << ")\n";
-  } else {
-    os << "#pragma omp simd\n";
-  }
+  emit_simd_pragma(os, spec.simd_width);
   os << "      for (int z = z0; z < z1; ++z) {\n"
      << "        unr[z] = " << render_expr(*lowered.update, lowered.params)
      << ";\n"
@@ -278,50 +175,6 @@ static void update_block(float* restrict un, const float* restrict uc,
   }
 }
 )";
-}
-
-}  // namespace
-
-std::string emit_dsl_c(const dsl::LoweredKernel& lowered,
-                       const KernelSpec& spec) {
-  TEMPEST_REQUIRE(spec.space_order >= 2 && spec.space_order % 2 == 0);
-  TEMPEST_REQUIRE(spec.tiles.valid());
-  TEMPEST_REQUIRE_MSG(spec.space_order == lowered.space_order,
-                      "spec space order must match the lowering");
-  TEMPEST_REQUIRE_MSG(lowered.update != nullptr,
-                      "lowered kernel has no update tree");
-  std::ostringstream os;
-  os << "/* Generated by tempest::codegen — DSL kernel \"" << lowered.name
-     << "\" O(2," << lowered.space_order << "), "
-     << (spec.wavefront ? "wave-front temporally blocked (Listing 6)"
-                        : "space-blocked baseline")
-     << " schedule, fused compressed source injection (Listing 5). */\n"
-     << "#define MIN(a, b) ((a) < (b) ? (a) : (b))\n"
-     << "#define MAX(a, b) ((a) > (b) ? (a) : (b))\n";
-
-  emit_dsl_update_block(os, lowered, spec.simd_width);
-  emit_inject_block(os);
-
-  os << "\nvoid " << spec.symbol()
-     << R"((float* u0, float* u1, float* u2, const float* m,
-            const float* const* prm, int nx, int ny, int nz, long sx,
-            long sy, int t_begin, int t_end, float dt2,
-            const int* cs_offsets, const int* cs_zid, const float* dcmp,
-            int npts) {
-  float* slots[3] = {u0, u1, u2};
-)";
-  const std::string call =
-      "              update_block(un, uc, up, prm, sx, sy, xb, xe, yb, ye, "
-      "0, nz);\n";
-  if (spec.wavefront) {
-    emit_wavefront_schedule(os, spec.tiles, lowered.radius(), call);
-  } else {
-    emit_spaceblocked_schedule(
-        os, spec.tiles,
-        "        update_block(un, uc, up, prm, sx, sy, xb, xe, yb, ye, 0, "
-        "nz);\n");
-  }
-  os << "}\n";
   return os.str();
 }
 

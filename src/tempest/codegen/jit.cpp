@@ -10,42 +10,40 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "tempest/analysis/statics/stability.hpp"
 #include "tempest/analysis/statics/verify.hpp"
-#include "tempest/dsl/interpreter.hpp"
-#include "tempest/dsl/kernel.hpp"
-#include "tempest/util/align.hpp"
-#include "tempest/physics/acoustic.hpp"
-#include "tempest/resilience/fault.hpp"
 #include "tempest/obs/metrics.hpp"
+#include "tempest/resilience/fault.hpp"
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/backoff.hpp"
-#include "tempest/util/error.hpp"
 #include "tempest/util/log.hpp"
 
 namespace tempest::codegen {
 
 namespace {
 
-static_assert(sizeof(core::CompressedSparse::Entry) == 2 * sizeof(int),
-              "Entry must be two interleaved ints for the generated C ABI");
+/// Removes a module's private directory with everything in it, ignoring
+/// errors: it runs from destructors and on failure exits.
+void remove_dir(const std::string& dir) {
+  if (dir.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
 
-/// Unlinks a temp artifact unless released — the compile/dlopen/dlsym
-/// pipeline has four distinct failure exits and every one of them must
-/// clean up both the .c and the .so (they used to leak on failure).
-class TempFileGuard {
+/// Removes the directory unless released — the write/compile/dlopen/dlsym
+/// pipeline has several failure exits and every one of them must clean up
+/// both the .c and the .so.
+class TempDirGuard {
  public:
-  explicit TempFileGuard(std::string path) : path_(std::move(path)) {}
-  ~TempFileGuard() {
-    if (!path_.empty()) ::unlink(path_.c_str());
-  }
-  TempFileGuard(const TempFileGuard&) = delete;
-  TempFileGuard& operator=(const TempFileGuard&) = delete;
+  explicit TempDirGuard(std::string path) : path_(std::move(path)) {}
+  ~TempDirGuard() { remove_dir(path_); }
+  TempDirGuard(const TempDirGuard&) = delete;
+  TempDirGuard& operator=(const TempDirGuard&) = delete;
 
   void release() { path_.clear(); }
 
@@ -160,20 +158,30 @@ JitModule::JitModule(const std::string& c_source,
   TEMPEST_TRACE_SPAN("jit.compile", "codegen");
   TEMPEST_OBS_TIME(JitCompileSeconds);
   TEMPEST_TRACE_COUNT(JitCompiles, 1);
-  char c_path[] = "/tmp/tempest_jit_XXXXXX.c";
-  const int fd = ::mkstemps(c_path, 2);
-  TEMPEST_REQUIRE_MSG(fd >= 0, "cannot create temporary source file");
-  TempFileGuard c_guard(c_path);
-  {
-    std::ofstream out(c_path);
-    out << c_source;
+  // Both artifacts live in a fresh mode-0700 directory: a predictable name
+  // in world-writable /tmp could be claimed by another local user between
+  // the compile writing the .so and dlopen loading it.
+  char dir_template[] = "/tmp/tempest_jit_XXXXXX";
+  if (::mkdtemp(dir_template) == nullptr) {
+    throw JitCompileError(std::string("cannot create a private JIT "
+                                      "directory: ") +
+                          std::strerror(errno));
   }
-  ::close(fd);
+  const std::string dir = dir_template;
+  TempDirGuard dir_guard(dir);
+  const std::string c_path = dir + "/kernel.c";
+  const std::string so_path = dir + "/kernel.so";
+  {
+    std::ofstream out(c_path, std::ios::binary);
+    out << c_source;
+    out.close();
+    if (out.fail()) {
+      throw JitCompileError("cannot write the generated source to " + c_path);
+    }
+  }
 
-  so_path_ = std::string(c_path, std::strlen(c_path) - 2) + ".so";
-  TempFileGuard so_guard(so_path_);
   const std::string cmd = compiler_command() + " " + extra_flags +
-                          " -fPIC -shared -o " + so_path_ + " " + c_path;
+                          " -fPIC -shared -o " + so_path + " " + c_path;
   const int timeout_ms = jit_timeout_ms();
 
   // Retries absorb transient failures (OOM kill, tmpfs hiccup, a ccache
@@ -206,7 +214,7 @@ JitModule::JitModule(const std::string& c_source,
 
   {
     TEMPEST_TRACE_SPAN("jit.load", "codegen");
-    handle_ = ::dlopen(so_path_.c_str(), RTLD_NOW | RTLD_LOCAL);
+    handle_ = ::dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
     TEMPEST_REQUIRE_MSG(handle_ != nullptr,
                         std::string("dlopen failed: ") + ::dlerror());
     sym_ = ::dlsym(handle_, symbol_name.c_str());
@@ -218,17 +226,17 @@ JitModule::JitModule(const std::string& c_source,
                               symbol_name);
     }
   }
-  // Success: the .so must outlive us while mapped; the destructor unlinks.
-  so_guard.release();
+  // Success: the directory lives as long as the module; the destructor
+  // removes it.
+  dir_guard.release();
+  dir_ = dir;
 }
 
 JitModule::JitModule(JitModule&& other) noexcept
-    : handle_(other.handle_),
-      sym_(other.sym_),
-      so_path_(std::move(other.so_path_)) {
+    : handle_(other.handle_), sym_(other.sym_), dir_(std::move(other.dir_)) {
   other.handle_ = nullptr;
   other.sym_ = nullptr;
-  other.so_path_.clear();
+  other.dir_.clear();
 }
 
 JitModule& JitModule::operator=(JitModule&& other) noexcept {
@@ -241,223 +249,105 @@ JitModule& JitModule::operator=(JitModule&& other) noexcept {
 
 JitModule::~JitModule() {
   if (handle_ != nullptr) ::dlclose(handle_);
-  if (!so_path_.empty()) ::unlink(so_path_.c_str());
+  remove_dir(dir_);
 }
 
-analysis::LegalityReport verify_kernel_spec(const KernelSpec& spec) {
-  const analysis::AccessSummary kernel =
-      physics::acoustic_access_summary(spec.space_order);
-  const analysis::ScheduleDescriptor sched =
-      spec.wavefront ? analysis::ScheduleDescriptor::wavefront(
-                           kernel.radius, std::max(1, spec.tiles.tile_t))
-                     : analysis::ScheduleDescriptor::space_blocked();
-  return analysis::verify_canonical(kernel, /*stage=*/2, /*sources=*/true,
-                                    /*receivers=*/false, sched);
+namespace {
+
+/// Emit-and-compile tail shared by both JIT propagators. Resilience over
+/// speed: a broken toolchain leaves the block empty, and the propagator
+/// runs `fallback` in the same engine instead of aborting.
+CompiledBlock compile_block(std::string source, const std::string& symbol,
+                            const std::string& fallback) {
+  CompiledBlock out;
+  out.source = std::move(source);
+  try {
+    out.module.emplace(out.source, symbol);
+  } catch (const util::PreconditionError& e) {
+    out.error = e.what();
+    util::warn("JIT compilation failed; falling back to the " + fallback +
+               ": " + e.what());
+  }
+  return out;
 }
 
-analysis::LegalityReport verify_dsl_spec(const dsl::LoweredKernel& lowered,
-                                         const KernelSpec& spec) {
-  const analysis::AccessSummary kernel = lowered.summary();
-  const analysis::ScheduleDescriptor sched =
-      spec.wavefront ? analysis::ScheduleDescriptor::wavefront(
-                           kernel.radius, std::max(1, spec.tiles.tile_t))
-                     : analysis::ScheduleDescriptor::space_blocked();
-  return analysis::verify_canonical(kernel, /*stage=*/2, /*sources=*/true,
-                                    /*receivers=*/false, sched);
+double resolved_dt(const physics::AcousticModel& model,
+                   const physics::PropagatorOptions& opts) {
+  return opts.dt > 0.0 ? opts.dt : model.critical_dt();
 }
 
-JitAcoustic::JitAcoustic(const physics::AcousticModel& model, KernelSpec spec)
-    : model_(model),
-      spec_(spec),
-      dt_(spec.dt > 0.0 ? spec.dt : model.critical_dt()),
-      source_(emit_acoustic_c(spec)),
-      u_(3, model.geom.extents, model.geom.radius()) {
+/// Gates, then compile. A statically unstable dt is a caller bug, not a
+/// toolchain failure, so StaticVerificationError propagates before the
+/// compiler is paid for — no fallback.
+CompiledBlock compile_acoustic(const physics::AcousticModel& model,
+                               const KernelSpec& spec,
+                               const physics::PropagatorOptions& opts) {
   TEMPEST_REQUIRE_MSG(model.geom.space_order == spec.space_order,
                       "model space order must match the generated kernel");
-  analysis::require_legal(verify_kernel_spec(spec));
-  // Statically unstable specs are refused before the compiler runs: like
-  // an illegal schedule, a dt beyond the von Neumann bound is a caller
-  // bug, so StaticVerificationError propagates — no fallback.
-  analysis::statics::require_stable(
-      analysis::statics::check_acoustic_stability(
-          dt_, model.geom.spacing, spec.space_order,
-          analysis::statics::grid_interval(model.vp)),
-      spec.kernel);
-  try {
-    module_.emplace(source_, spec.symbol());
-  } catch (const util::PreconditionError& e) {
-    // Resilience over speed: a broken toolchain degrades the run to the
-    // tree-walking reference interpreter instead of aborting it.
-    util::warn(
-        std::string("JIT compilation failed; falling back to the DSL "
-                    "interpreter (orders of magnitude slower, same "
-                    "physics): ") +
-        e.what());
+  if (!opts.allow_unstable) {
+    analysis::statics::require_stable(
+        analysis::statics::check_acoustic_stability(
+            resolved_dt(model, opts), model.geom.spacing, spec.space_order,
+            analysis::statics::grid_interval(model.vp)),
+        spec.kernel);
   }
+  return compile_block(emit_acoustic_c(spec), spec.symbol(),
+                       "AOT acoustic template");
 }
 
-void JitAcoustic::run(const sparse::SparseTimeSeries& src) {
-  const int nt = src.nt();
-  TEMPEST_REQUIRE(nt >= 2);
-  u_.fill(real_t{0});
-
-  if (!module_.has_value()) {
-    // Interpreter fallback: evaluate the same symbolic acoustic equation
-    // the pattern matcher recognises, with naive injection. Produces the
-    // final wavefield only — the intermediate slices of a JIT run are an
-    // implementation detail of the circular buffer anyway.
-    dsl::Grid g{model_.geom.extents, model_.geom.spacing};
-    dsl::TimeFunction u("u", g, model_.geom.space_order, 2);
-    const dsl::Eq update = dsl::solve(dsl::param("m") * u.dt2() +
-                                          dsl::param("damp") * u.dt() -
-                                          u.laplace(),
-                                      u.forward());
-    dsl::Interpreter interp(update, model_, dt_);
-    u_.at(nt) = interp.run(src, sparse::InterpKind::Trilinear);
-    return;
-  }
-
-  const auto& e = model_.geom.extents;
-  const core::SourceMasks masks =
-      core::build_source_masks(e, src, sparse::InterpKind::Trilinear);
-  const core::DecomposedSource dcmp =
-      core::decompose_sources(masks, src, sparse::InterpKind::Trilinear);
-  const core::CompressedSparse cs(masks.sm, masks.sid);
-
-  // The generated TU's vectorization contract (see emit_update_block):
-  // field and model storage must come from the 64-byte-aligned
-  // util::AlignedAllocator pool. Grids guarantee this by construction;
-  // assert it where the pointers cross the C ABI so a future layout change
-  // fails loudly instead of silently de-optimizing the SIMD loop.
-  constexpr auto base_aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % util::kAlignment == 0;
-  };
-  TEMPEST_REQUIRE_MSG(base_aligned(u_.slot(0).raw()) &&
-                          base_aligned(u_.slot(1).raw()) &&
-                          base_aligned(u_.slot(2).raw()) &&
-                          base_aligned(model_.m.raw()) &&
-                          base_aligned(model_.damp.raw()),
-                      "field allocations lost their 64-byte alignment");
-
-  auto* fn = module_->as<AcousticKernelC>();
-  const float inv_h2 = static_cast<float>(
-      1.0 / (model_.geom.spacing * model_.geom.spacing));
-  const float idt2 = static_cast<float>(1.0 / (dt_ * dt_));
-  const float i2dt = static_cast<float>(1.0 / (2.0 * dt_));
-  const float dt2 = static_cast<float>(dt_ * dt_);
-
-  fn(u_.slot(0).origin(), u_.slot(1).origin(), u_.slot(2).origin(),
-     model_.m.origin(), model_.damp.origin(), e.nx, e.ny, e.nz,
-     u_.slot(0).stride_x(), u_.slot(0).stride_y(), 1, nt, inv_h2, idt2, i2dt,
-     dt2, cs.raw_offsets(), reinterpret_cast<const int*>(cs.raw_entries()),
-     dcmp.data(), dcmp.npts());
+/// Gates, then compile. Binding errors and a failing statics verdict
+/// (intervals, von Neumann proof, IR lint against the model halo) are
+/// caller bugs and propagate before the compiler runs — no fallback.
+CompiledBlock compile_dsl(const dsl::LoweredKernel& lowered,
+                          const physics::AcousticModel& model,
+                          const KernelSpec& spec,
+                          const physics::PropagatorOptions& opts,
+                          const dsl::ParamBindings& bindings) {
+  TEMPEST_REQUIRE_MSG(model.geom.space_order == spec.space_order,
+                      "model space order must match the generated kernel");
+  TEMPEST_REQUIRE_MSG(lowered.space_order == spec.space_order,
+                      "lowered kernel space order must match the spec");
+  (void)dsl::resolve_params(lowered, model, bindings);
+  dsl::require_statics_ok(lowered, model, bindings, resolved_dt(model, opts),
+                          opts.allow_unstable);
+  return compile_block(emit_dsl_c(lowered, spec), spec.symbol(),
+                       "DslKernel tape");
 }
+
+}  // namespace
+
+JitAcoustic::JitAcoustic(const physics::AcousticModel& model,
+                         const KernelSpec& spec,
+                         physics::PropagatorOptions opts)
+    : JitAcoustic(model, opts, compile_acoustic(model, spec, opts)) {}
+
+JitAcoustic::JitAcoustic(const physics::AcousticModel& model,
+                         const physics::PropagatorOptions& opts,
+                         CompiledBlock block)
+    : physics::AcousticPropagator(model, opts,
+                                  block.fn<physics::AcousticBlockFn>()),
+      compiled_(std::move(block)) {}
 
 JitDsl::JitDsl(const dsl::Eq& eq, const physics::AcousticModel& model,
-               KernelSpec spec, dsl::ParamBindings bindings)
-    : model_(model),
-      spec_(std::move(spec)),
-      dt_(spec_.dt > 0.0 ? spec_.dt : model.critical_dt()),
-      lowered_(dsl::lower_kernel(eq, spec_.space_order, model.geom.spacing,
-                                 dt_, spec_.kernel)),
-      bindings_(std::move(bindings)),
-      source_(emit_dsl_c(lowered_, spec_)),
-      u_(3, model.geom.extents, model.geom.radius()) {
-  init();
-}
+               const KernelSpec& spec, physics::PropagatorOptions opts,
+               const dsl::ParamBindings& bindings)
+    : JitDsl(dsl::lower_kernel(eq, spec.space_order, model.geom.spacing,
+                               resolved_dt(model, opts), spec.kernel),
+             model, spec, opts, bindings) {}
 
-JitDsl::JitDsl(dsl::LoweredKernel lowered, const physics::AcousticModel& model,
-               KernelSpec spec, dsl::ParamBindings bindings)
-    : model_(model),
-      spec_(std::move(spec)),
-      dt_(spec_.dt > 0.0 ? spec_.dt : model.critical_dt()),
-      lowered_(std::move(lowered)),
-      bindings_(std::move(bindings)),
-      source_(emit_dsl_c(lowered_, spec_)),
-      u_(3, model.geom.extents, model.geom.radius()) {
-  init();
-}
+JitDsl::JitDsl(const dsl::LoweredKernel& lowered,
+               const physics::AcousticModel& model, const KernelSpec& spec,
+               physics::PropagatorOptions opts,
+               const dsl::ParamBindings& bindings)
+    : JitDsl(lowered, model, opts, bindings,
+             compile_dsl(lowered, model, spec, opts, bindings)) {}
 
-void JitDsl::init() {
-  TEMPEST_REQUIRE_MSG(model_.geom.space_order == spec_.space_order,
-                      "model space order must match the generated kernel");
-  TEMPEST_REQUIRE_MSG(lowered_.space_order == spec_.space_order,
-                      "lowered kernel space order must match the spec");
-  // Binding errors are caller bugs — surface them before any compile.
-  (void)dsl::resolve_params(lowered_, model_, bindings_);
-  analysis::require_legal(verify_dsl_spec(lowered_, spec_));
-  // Full statics verdict (intervals, von Neumann proof at the real space
-  // order and dt, IR lint against the model halo) before the compiler is
-  // paid for. Like ScheduleLegalityError, StaticVerificationError
-  // propagates: a statically diverging or halo-breaking kernel is a
-  // caller bug, not a toolchain failure, so no interpreter fallback.
-  analysis::statics::StaticsOptions sopts;
-  sopts.bounds =
-      analysis::statics::model_bounds(model_, bindings_, lowered_.field);
-  sopts.resolvable = analysis::statics::resolvable_names(bindings_);
-  sopts.declared_radius = model_.geom.radius();
-  sopts.dt = dt_;
-  analysis::statics::require_static_ok(
-      analysis::statics::verify_statics(lowered_, sopts));
-  try {
-    module_.emplace(source_, spec_.symbol());
-  } catch (const util::PreconditionError& e) {
-    util::warn(
-        std::string("JIT compilation failed; falling back to the typed-IR "
-                    "interpreter (orders of magnitude slower, same bits): ") +
-        e.what());
-  }
-}
-
-void JitDsl::run(const sparse::SparseTimeSeries& src) {
-  const int nt = src.nt();
-  TEMPEST_REQUIRE(nt >= 2);
-  u_.fill(real_t{0});
-
-  if (!module_.has_value()) {
-    // Typed-IR fallback: walks the identical update tree in real_t, so the
-    // final wavefield matches the compiled module bit-for-bit.
-    dsl::TypedInterpreter interp(lowered_, model_, dt_, bindings_);
-    u_.at(nt) = interp.run(src, sparse::InterpKind::Trilinear);
-    return;
-  }
-
-  const auto& e = model_.geom.extents;
-  const core::SourceMasks masks =
-      core::build_source_masks(e, src, sparse::InterpKind::Trilinear);
-  const core::DecomposedSource dcmp =
-      core::decompose_sources(masks, src, sparse::InterpKind::Trilinear);
-  const core::CompressedSparse cs(masks.sm, masks.sid);
-
-  const auto grids = dsl::resolve_params(lowered_, model_, bindings_);
-  std::vector<const float*> prm;
-  prm.reserve(grids.size());
-  constexpr auto base_aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % util::kAlignment == 0;
-  };
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    TEMPEST_REQUIRE_MSG(
-        grids[i]->stride_x() == u_.slot(0).stride_x() &&
-            grids[i]->stride_y() == u_.slot(0).stride_y(),
-        "parameter grid '" + lowered_.params[i] +
-            "' does not match the wavefield layout");
-    TEMPEST_REQUIRE_MSG(base_aligned(grids[i]->raw()),
-                        "parameter allocations lost their 64-byte alignment");
-    prm.push_back(grids[i]->origin());
-  }
-  TEMPEST_REQUIRE_MSG(base_aligned(u_.slot(0).raw()) &&
-                          base_aligned(u_.slot(1).raw()) &&
-                          base_aligned(u_.slot(2).raw()) &&
-                          base_aligned(model_.m.raw()),
-                      "field allocations lost their 64-byte alignment");
-
-  auto* fn = module_->as<DslKernelC>();
-  const float dt2 = static_cast<float>(dt_ * dt_);
-  fn(u_.slot(0).origin(), u_.slot(1).origin(), u_.slot(2).origin(),
-     model_.m.origin(), prm.data(), e.nx, e.ny, e.nz, u_.slot(0).stride_x(),
-     u_.slot(0).stride_y(), 1, nt, dt2, cs.raw_offsets(),
-     reinterpret_cast<const int*>(cs.raw_entries()), dcmp.data(),
-     dcmp.npts());
-}
+JitDsl::JitDsl(const dsl::LoweredKernel& lowered,
+               const physics::AcousticModel& model,
+               const physics::PropagatorOptions& opts,
+               const dsl::ParamBindings& bindings, CompiledBlock block)
+    : dsl::DslPropagator(lowered, model, opts, bindings,
+                         block.fn<dsl::DslBlockFn>()),
+      compiled_(std::move(block)) {}
 
 }  // namespace tempest::codegen

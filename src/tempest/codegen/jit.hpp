@@ -3,12 +3,9 @@
 #include <optional>
 #include <string>
 
-#include "tempest/analysis/legality.hpp"
 #include "tempest/codegen/emit.hpp"
-#include "tempest/core/compress.hpp"
-#include "tempest/core/precompute.hpp"
-#include "tempest/grid/time_buffer.hpp"
-#include "tempest/physics/model.hpp"
+#include "tempest/dsl/kernel.hpp"
+#include "tempest/physics/acoustic.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::codegen {
@@ -16,33 +13,19 @@ namespace tempest::codegen {
 /// Compiler invocation failed after the retry budget (or timed out — a
 /// deadline overrun is never retried, it would hang twice as long). Derives
 /// from util::TransientError: the toolchain may recover on a later attempt,
-/// so job-level retry policies treat it as retryable, while JitAcoustic's
-/// constructor degrades to the interpreter immediately.
+/// so job-level retry policies treat it as retryable, while the JIT
+/// propagators degrade to their AOT template or tape immediately.
 class JitCompileError : public util::TransientError {
  public:
   using util::TransientError::TransientError;
 };
 
-/// Pre-compile legality gate. The generated translation unit implements the
-/// stage-2 nest (precomputed + fused + compressed sparse injection), so the
-/// schedule the spec requests is verified against that nest's dependence
-/// graph *before* paying for a compiler invocation. JitAcoustic calls this
-/// from its constructor and lets analysis::ScheduleLegalityError propagate:
-/// an illegal schedule is a caller bug, not a toolchain failure, so it does
-/// not take the interpreter-fallback path.
-[[nodiscard]] analysis::LegalityReport verify_kernel_spec(
-    const KernelSpec& spec);
-
-/// The same gate for a DSL-lowered kernel: verifies the spec's schedule
-/// against the *lowered* access summary (whatever radius / time reads the
-/// equation actually has) instead of the hand-written acoustic one.
-[[nodiscard]] analysis::LegalityReport verify_dsl_spec(
-    const dsl::LoweredKernel& lowered, const KernelSpec& spec);
-
 /// JIT host: compiles a C translation unit with the system C compiler into
 /// a shared object and loads one symbol — the run-time half of the
-/// Devito-style code generation workflow. The temporary artifacts live
-/// under /tmp and are removed on *every* path, success or failure.
+/// Devito-style code generation workflow. Source and object live in a
+/// private (mode 0700) directory under /tmp that is removed on *every*
+/// path, success or failure; on success it lives exactly as long as the
+/// module.
 ///
 /// Hardened for long-running production use: honours $CC (falling back to
 /// "cc"), retries failed compiles under the shared util::BackoffPolicy
@@ -83,107 +66,95 @@ class JitModule {
  private:
   void* handle_ = nullptr;
   void* sym_ = nullptr;
-  std::string so_path_;
+  std::string dir_;
 };
 
-/// The C ABI every generated acoustic kernel implements (see
-/// emit.hpp::kSignatureDoc).
-using AcousticKernelC = void(float* u0, float* u1, float* u2, const float* m,
-                             const float* damp, int nx, int ny, int nz,
-                             long sx, long sy, int t_begin, int t_end,
-                             float inv_h2, float idt2, float i2dt, float dt2,
-                             const int* cs_offsets, const int* cs_zid,
-                             const float* dcmp, int npts);
+/// A generated translation unit and, when the toolchain built it, the
+/// loaded module exporting its block.
+struct CompiledBlock {
+  std::string source;
+  std::optional<JitModule> module;
+  std::string error;  ///< why `module` is empty
 
-/// Emit + compile + wrap an acoustic kernel, and drive it against the same
-/// field/model/precompute structures the AOT propagator uses. Used by the
-/// jit tests and the codegen example; produces the same wavefield as
-/// physics::AcousticPropagator under the matching schedule.
-class JitAcoustic {
+  template <typename Fn>
+  [[nodiscard]] Fn* fn() const {
+    return module ? module->as<Fn>() : nullptr;
+  }
+};
+
+/// An AcousticPropagator whose per-box update is the block emit_acoustic_c
+/// generates, compiled and loaded at construction. It runs on the engine
+/// like the AOT kernel — every schedule and thread count, fused injection,
+/// receivers, health scans, run_from, checkpoints and the race proof — and
+/// agrees with it to rounding (its weights are float literals folded in
+/// double).
+///
+/// A statically unstable dt (beyond the von Neumann bound, unless
+/// opts.allow_unstable) throws StaticVerificationError before the compiler
+/// runs. A toolchain failure does not throw: the propagator warns and runs
+/// the AOT template instead, and compiled() reports it.
+class JitAcoustic : public physics::AcousticPropagator {
  public:
-  JitAcoustic(const physics::AcousticModel& model, KernelSpec spec);
+  JitAcoustic(const physics::AcousticModel& model, const KernelSpec& spec,
+              physics::PropagatorOptions opts = {});
 
-  /// Propagate: zeroes the buffer, runs ops t in [1, nt) with fused
-  /// injection from the decomposed sources. When compilation failed at
-  /// construction, runs the same physics through the DSL tree-walking
-  /// interpreter instead (much slower, same result).
-  void run(const sparse::SparseTimeSeries& src);
-
-  /// True when compilation failed and run() uses the interpreter fallback.
-  [[nodiscard]] bool used_interpreter_fallback() const {
-    return !module_.has_value();
+  /// True when the generated block runs; false after a toolchain failure.
+  [[nodiscard]] bool compiled() const { return compiled_.module.has_value(); }
+  /// The toolchain diagnostics when !compiled().
+  [[nodiscard]] const std::string& compile_error() const {
+    return compiled_.error;
   }
-
-  [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
-    return u_.at(t);
+  [[nodiscard]] const std::string& source_code() const {
+    return compiled_.source;
   }
-  [[nodiscard]] double dt() const { return dt_; }
-  [[nodiscard]] const std::string& source_code() const { return source_; }
 
  private:
-  const physics::AcousticModel& model_;
-  KernelSpec spec_;
-  double dt_;
-  std::string source_;
-  std::optional<JitModule> module_;
-  grid::TimeBuffer<real_t> u_;
+  JitAcoustic(const physics::AcousticModel& model,
+              const physics::PropagatorOptions& opts, CompiledBlock block);
+
+  CompiledBlock compiled_;
 };
 
-/// The C ABI every generated DSL kernel implements (see
-/// emit.hpp::kDslSignatureDoc): coefficient grids arrive as an array of
-/// interior origins in lowered.params order.
-using DslKernelC = void(float* u0, float* u1, float* u2, const float* m,
-                        const float* const* prm, int nx, int ny, int nz,
-                        long sx, long sy, int t_begin, int t_end, float dt2,
-                        const int* cs_offsets, const int* cs_zid,
-                        const float* dcmp, int npts);
-
-/// Emit + compile + drive a DSL-lowered kernel — the fully generic half of
-/// the Devito-style workflow: any equation dsl::lower_kernel accepts
-/// becomes a compiled translation unit, legality-checked against its own
-/// access summary before the compiler runs. On toolchain failure run()
-/// degrades to the typed-IR interpreter, which evaluates the identical
-/// expression tree in real_t, so results are bit-identical either way.
-class JitDsl {
+/// A DslPropagator whose per-box update is the block emit_dsl_c generates
+/// from the lowered tree — the fully generic half of the Devito-style
+/// workflow: any equation dsl::lower_kernel accepts becomes a compiled
+/// block on the engine. The full statics verdict (intervals, von Neumann
+/// proof, IR lint against the model halo) runs before the compiler; a
+/// toolchain failure degrades to the DslKernel tape, which evaluates the
+/// identical tree in real_t, so results are bit-identical either way.
+class JitDsl : public dsl::DslPropagator {
  public:
   JitDsl(const dsl::Eq& eq, const physics::AcousticModel& model,
-         KernelSpec spec, dsl::ParamBindings bindings = {});
+         const KernelSpec& spec, physics::PropagatorOptions opts = {},
+         const dsl::ParamBindings& bindings = {});
 
   /// Compile an already-lowered kernel tree. Same gates as the Eq
-  /// overload (legality, statics, bindings) — this is the path the statics
-  /// tests use to prove that a *corrupted* tree (e.g. a load beyond the
-  /// declared halo) is refused at compile time, something the Eq overload
-  /// cannot produce because lower_kernel never emits one.
-  JitDsl(dsl::LoweredKernel lowered, const physics::AcousticModel& model,
-         KernelSpec spec, dsl::ParamBindings bindings = {});
+  /// overload — this is the path the statics tests use to prove that a
+  /// *corrupted* tree (e.g. a load beyond the declared halo) is refused
+  /// before compiling, something the Eq overload cannot produce because
+  /// lower_kernel never emits one.
+  JitDsl(const dsl::LoweredKernel& lowered,
+         const physics::AcousticModel& model, const KernelSpec& spec,
+         physics::PropagatorOptions opts = {},
+         const dsl::ParamBindings& bindings = {});
 
-  /// Propagate: zeroes the buffer, runs ops t in [1, nt) with fused
-  /// injection from the decomposed sources.
-  void run(const sparse::SparseTimeSeries& src);
-
-  [[nodiscard]] bool used_interpreter_fallback() const {
-    return !module_.has_value();
+  /// True when the generated block runs; false after a toolchain failure.
+  [[nodiscard]] bool compiled() const { return compiled_.module.has_value(); }
+  /// The toolchain diagnostics when !compiled().
+  [[nodiscard]] const std::string& compile_error() const {
+    return compiled_.error;
   }
-  [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
-    return u_.at(t);
+  [[nodiscard]] const std::string& source_code() const {
+    return compiled_.source;
   }
-  [[nodiscard]] double dt() const { return dt_; }
-  [[nodiscard]] const std::string& source_code() const { return source_; }
-  [[nodiscard]] const dsl::LoweredKernel& lowered() const { return lowered_; }
 
  private:
-  /// Shared ctor tail: binding resolution, legality + statics gates,
-  /// compile (with interpreter fallback on toolchain failure only).
-  void init();
+  JitDsl(const dsl::LoweredKernel& lowered,
+         const physics::AcousticModel& model,
+         const physics::PropagatorOptions& opts,
+         const dsl::ParamBindings& bindings, CompiledBlock block);
 
-  const physics::AcousticModel& model_;
-  KernelSpec spec_;
-  double dt_;
-  dsl::LoweredKernel lowered_;
-  dsl::ParamBindings bindings_;
-  std::string source_;
-  std::optional<JitModule> module_;
-  grid::TimeBuffer<real_t> u_;
+  CompiledBlock compiled_;
 };
 
 }  // namespace tempest::codegen

@@ -205,32 +205,4 @@ real_t TypedInterpreter::eval_at(const grid::TimeBuffer<real_t>& u, int t,
                     observer);
 }
 
-grid::Grid3<real_t> TypedInterpreter::run(const sparse::SparseTimeSeries& src,
-                                          sparse::InterpKind kind) const {
-  const auto& e = model_.geom.extents;
-  grid::TimeBuffer<real_t> u(3, e, model_.geom.radius(), real_t{0});
-  const int nt = src.nt();
-  const auto prm = resolve_params(lowered_, model_, bindings_);
-
-  const auto& m_grid = model_.m;
-  const double dt2 = dt_ * dt_;
-  auto inj_scale = [&](int x, int y, int z) {
-    return dt2 / m_grid(x, y, z);
-  };
-
-  for (int t = 1; t < nt; ++t) {
-    auto& next = u.at(t + 1);
-    for (int x = 0; x < e.nx; ++x) {
-      for (int y = 0; y < e.ny; ++y) {
-        for (int z = 0; z < e.nz; ++z) {
-          next(x, y, z) = eval_typed(*lowered_.update, u, prm,
-                                     lowered_.params, t, x, y, z, {});
-        }
-      }
-    }
-    sparse::inject(next, src, t, kind, inj_scale);
-  }
-  return u.at(nt);
-}
-
 }  // namespace tempest::dsl

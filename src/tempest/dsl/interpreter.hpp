@@ -72,12 +72,6 @@ class TypedInterpreter {
                                int x, int y, int z,
                                const LoadObserver& observer = {}) const;
 
-  /// Propagate src for src.nt() steps with naive injection (scale dt^2/m)
-  /// and return the final wavefield — same driver loop as Interpreter::run,
-  /// but through the typed tree.
-  [[nodiscard]] grid::Grid3<real_t> run(const sparse::SparseTimeSeries& src,
-                                        sparse::InterpKind kind) const;
-
  private:
   const LoweredKernel& lowered_;
   const physics::AcousticModel& model_;

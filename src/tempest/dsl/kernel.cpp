@@ -5,6 +5,7 @@
 
 #include "tempest/analysis/statics/lint.hpp"
 #include "tempest/analysis/statics/verify.hpp"
+#include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::dsl {
@@ -61,6 +62,20 @@ std::vector<const grid::Grid3<real_t>*> resolve_params(
     prm.push_back(g);
   }
   return prm;
+}
+
+void require_statics_ok(const LoweredKernel& lowered,
+                        const physics::AcousticModel& model,
+                        const ParamBindings& bindings, double dt,
+                        bool allow_unstable) {
+  namespace statics = analysis::statics;
+  statics::StaticsOptions sopts;
+  sopts.bounds = statics::model_bounds(model, bindings, lowered.field);
+  sopts.resolvable = statics::resolvable_names(bindings);
+  sopts.declared_radius = model.geom.radius();
+  sopts.dt = dt;
+  sopts.allow_unstable = allow_unstable;
+  statics::require_static_ok(statics::verify_statics(lowered, sopts));
 }
 
 int DslKernel::flatten(const ir::Expr& e) {
@@ -127,10 +142,12 @@ int DslKernel::flatten(const ir::Expr& e) {
 DslKernel::DslKernel(const LoweredKernel& lowered,
                      const physics::AcousticModel& model,
                      const ParamBindings& bindings,
-                     grid::TimeBuffer<real_t>& u, double dt)
+                     grid::TimeBuffer<real_t>& u, double dt,
+                     DslBlockFn* block)
     : lowered_(lowered),
       model_(model),
       u_(u),
+      block_(block),
       field_name_(lowered.field),
       dt2_(static_cast<real_t>(dt * dt)),
       sx_(u.at(0).stride_x()),
@@ -169,8 +186,16 @@ DslKernel::DslKernel(const LoweredKernel& lowered,
         grids[i]->stride_x() == sx_ && grids[i]->stride_y() == sy_,
         "parameter grid '" + lowered.params[i] +
             "' does not match the wavefield layout");
+    TEMPEST_REQUIRE_MSG(block_ == nullptr || util::is_aligned(grids[i]->raw()),
+                        "parameter allocations lost their 64-byte alignment");
     prm_.push_back(grids[i]->origin());
   }
+  // The compiled block's vectorization contract (see AcousticKernel).
+  TEMPEST_REQUIRE_MSG(
+      block_ == nullptr || (util::is_aligned(u.slot(0).raw()) &&
+                            util::is_aligned(u.slot(1).raw()) &&
+                            util::is_aligned(u.slot(2).raw())),
+      "field allocations lost their 64-byte alignment");
 
   const int depth = flatten(*lowered.update);
   TEMPEST_REQUIRE_MSG(depth <= kMaxStack,
@@ -180,6 +205,11 @@ DslKernel::DslKernel(const LoweredKernel& lowered,
 void DslKernel::apply(int t, const grid::Box3& b) {
   real_t* __restrict un = u_.at(t + 1).origin();
   const real_t* base[2] = {u_.at(t).origin(), u_.at(t - 1).origin()};
+  if (block_ != nullptr) {
+    block_(un, base[0], base[1], prm_.data(), sx_, sy_, b.x.lo, b.x.hi,
+           b.y.lo, b.y.hi, b.z.lo, b.z.hi);
+    return;
+  }
   const Op* const tape = tape_.data();
   const std::size_t n = tape_.size();
   for (int x = b.x.lo; x < b.x.hi; ++x) {
@@ -210,32 +240,30 @@ void DslKernel::apply(int t, const grid::Box3& b) {
 DslPropagator::DslPropagator(const Eq& eq, const physics::AcousticModel& model,
                              physics::PropagatorOptions opts,
                              ParamBindings bindings, std::string name)
+    : DslPropagator(
+          lower_kernel(eq, model.geom.space_order, model.geom.spacing,
+                       opts.dt > 0.0 ? opts.dt : model.critical_dt(),
+                       std::move(name)),
+          model, opts, std::move(bindings), nullptr) {}
+
+DslPropagator::DslPropagator(LoweredKernel lowered,
+                             const physics::AcousticModel& model,
+                             physics::PropagatorOptions opts,
+                             ParamBindings bindings, DslBlockFn* block)
     : model_(model),
       opts_(opts),
       dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
-      lowered_(lower_kernel(eq, model.geom.space_order, model.geom.spacing,
-                            dt_, std::move(name))),
+      lowered_(std::move(lowered)),
       bindings_(std::move(bindings)),
-      u_(3, model.geom.extents, model.geom.radius()) {
+      u_(3, model.geom.extents, model.geom.radius()),
+      block_(block) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);
   TEMPEST_REQUIRE(opts_.tiles.valid());
   TEMPEST_REQUIRE_MSG(model.vp.halo() == model.geom.radius(),
                       "model fields must carry halo == stencil radius");
-
-  // Full statics verdict over the freshly lowered kernel, with the
-  // sharpest bounds available: value intervals scanned from the concrete
-  // model (and user-bound) grids, the von Neumann proof at the real space
-  // order and resolved dt, and the IR lint against the model's halo. A
-  // failing spec never reaches the engine.
-  namespace statics = analysis::statics;
-  statics::StaticsOptions sopts;
-  sopts.bounds = statics::model_bounds(model, bindings_, lowered_.field);
-  sopts.resolvable = statics::resolvable_names(bindings_);
-  sopts.declared_radius = model.geom.radius();
-  sopts.dt = dt_;
-  sopts.allow_unstable = opts_.allow_unstable;
-  statics::require_static_ok(statics::verify_statics(lowered_, sopts));
+  // A failing spec never reaches the engine.
+  require_statics_ok(lowered_, model, bindings_, dt_, opts_.allow_unstable);
 }
 
 physics::RunStats DslPropagator::run(physics::Schedule sched,
@@ -251,7 +279,7 @@ physics::RunStats DslPropagator::run_from(int t_begin, physics::Schedule sched,
                                           const sparse::SparseTimeSeries& src,
                                           sparse::SparseTimeSeries* rec,
                                           const StepCallback& on_step) {
-  DslKernel kernel(lowered_, model_, bindings_, u_, dt_);
+  DslKernel kernel(lowered_, model_, bindings_, u_, dt_, block_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
 }

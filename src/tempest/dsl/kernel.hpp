@@ -2,7 +2,8 @@
 
 // The engine adapter for DSL-authored physics: a PhysicsKernel whose
 // per-block update evaluates the lowered expression tree (dsl::lower) in
-// real_t via a compiled postorder tape, plus a propagator wrapper mirroring
+// real_t via a compiled postorder tape (or calls a JIT-compiled block of
+// the same tree), plus a propagator wrapper mirroring
 // physics::AcousticPropagator. DSL-authored equations thereby run under
 // every schedule — reference, space-blocked, wavefront, fused, diamond —
 // with trace, health monitoring, checkpointing, task parallelism and the
@@ -36,9 +37,29 @@ namespace tempest::dsl {
     const LoweredKernel& lowered, const physics::AcousticModel& model,
     const ParamBindings& bindings);
 
+/// The full statics verdict for running `lowered` on `model` at `dt`, with
+/// the sharpest bounds available: value intervals scanned from the
+/// concrete model (and user-bound) grids, the von Neumann proof at the
+/// real space order and dt (skipped when `allow_unstable`), and the IR
+/// lint against the model's halo. Throws StaticVerificationError on a
+/// failing verdict.
+void require_statics_ok(const LoweredKernel& lowered,
+                        const physics::AcousticModel& model,
+                        const ParamBindings& bindings, double dt,
+                        bool allow_unstable);
+
+/// A compiled update of one box at one timestep: u[t+1] = un from uc = u[t]
+/// and up = u[t-1] over [x0,x1) x [y0,y1) x [z0,z1), with prm[i] the
+/// interior origin of lowered.params[i]. codegen::emit_dsl_c exports one
+/// with this C ABI.
+using DslBlockFn = void(float* un, const float* uc, const float* up,
+                        const float* const* prm, long sx, long sy, int x0,
+                        int x1, int y0, int y1, int z0, int z1);
+
 /// PhysicsKernel over a LoweredKernel: three-slot time buffer, single
 /// injection/gather field, `dt^2 / m` injection scaling (the Devito
-/// convention every tempest kernel uses).
+/// convention every tempest kernel uses). A non-null `block` (the same
+/// tree, compiled) replaces the tape for every box.
 class DslKernel {
  public:
   static constexpr int kSubstepsPerStep = 1;
@@ -46,7 +67,7 @@ class DslKernel {
 
   DslKernel(const LoweredKernel& lowered, const physics::AcousticModel& model,
             const ParamBindings& bindings, grid::TimeBuffer<real_t>& u,
-            double dt);
+            double dt, DslBlockFn* block = nullptr);
 
   [[nodiscard]] const grid::Extents3& extents() const {
     return model_.geom.extents;
@@ -89,6 +110,7 @@ class DslKernel {
   const LoweredKernel& lowered_;
   const physics::AcousticModel& model_;
   grid::TimeBuffer<real_t>& u_;
+  DslBlockFn* block_;
   std::string field_name_;
   std::vector<const real_t*> prm_;  ///< param origins, lowered_.params order
   std::vector<Op> tape_;
@@ -135,6 +157,15 @@ class DslPropagator : public core::engine::Checkpointable<
     return opts_;
   }
 
+ protected:
+  /// Runs an already-lowered kernel, updating every box through `block` in
+  /// place of the tape (null keeps the tape); how codegen::JitDsl runs its
+  /// compiled kernel on the engine. `block` must stay loaded while the
+  /// propagator lives.
+  DslPropagator(LoweredKernel lowered, const physics::AcousticModel& model,
+                physics::PropagatorOptions opts, ParamBindings bindings,
+                DslBlockFn* block);
+
  private:
   friend Checkpointable;
   /// Checkpoint state: the three slices of u.
@@ -149,6 +180,7 @@ class DslPropagator : public core::engine::Checkpointable<
   LoweredKernel lowered_;
   ParamBindings bindings_;
   grid::TimeBuffer<real_t> u_;
+  DslBlockFn* block_;
 };
 
 }  // namespace tempest::dsl

@@ -41,8 +41,9 @@ struct Attempt {
 
 struct AttemptResult {
   double seconds = 0.0;
-  bool degraded = false;  ///< executor degraded internally (e.g. JIT ->
-                          ///< interpreter) even though the level held
+  bool degraded = false;  ///< executor degraded internally (e.g. a JIT
+                          ///< kernel fell back to its AOT template) even
+                          ///< though the level held
   std::string detail;
 };
 

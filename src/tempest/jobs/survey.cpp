@@ -7,8 +7,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <type_traits>
 
-#include "tempest/codegen/emit.hpp"
 #include "tempest/codegen/jit.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/jobs/runner.hpp"
@@ -135,6 +135,27 @@ void retain_or_recycle_blackbox(const SurveySpec& spec, const Attempt& a,
 }
 #endif  // !TEMPEST_TRACE_DISABLED
 
+/// The rung's propagator: the generated kernel for a +jit rung, else the
+/// AOT propagator of the survey's physics.
+template <typename Propagator, typename Model>
+Propagator make_propagator(const Model& model,
+                           const physics::PropagatorOptions& opts,
+                           const SurveySpec& spec) {
+  if constexpr (std::is_same_v<Propagator, codegen::JitAcoustic>) {
+    codegen::KernelSpec kspec;
+    kspec.space_order = spec.space_order;
+    Propagator prop(model, kspec, opts);
+    // The +jit rung exists to run the compiled kernel: a toolchain failure
+    // (the propagator fell back to the AOT template) is raised as the
+    // transient JitCompileError, so the Runner retries with backoff and,
+    // once the budget is spent, degrades the shot to the AOT rung below.
+    if (!prop.compiled()) throw codegen::JitCompileError(prop.compile_error());
+    return prop;
+  } else {
+    return Propagator(model, opts);
+  }
+}
+
 /// One attempt of one shot, generic over the uniform propagator surface
 /// (run/run_from/state_view/restore). Throws on failure; the Runner's
 /// classify() decides retry vs degrade vs quarantine.
@@ -162,23 +183,10 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
       sparse::receiver_carpet(model.geom.extents, 16, 8);
   sparse::SparseTimeSeries gather(rec_coords, nt);
 
-  if (rung.jit) {
-    // Compile + load the generated operator for this rung before any
-    // propagation. A broken toolchain throws JitCompileError here —
-    // transient, so the Runner retries with backoff and, once the budget
-    // is spent, degrades the shot to the AOT rung below.
-    codegen::KernelSpec kspec;
-    kspec.space_order = spec.space_order;
-    kspec.wavefront = rung.sched == Schedule::Wavefront;
-    const codegen::JitModule compiled(codegen::emit_acoustic_c(kspec),
-                                      kspec.symbol());
-    TEMPEST_REQUIRE(compiled.symbol() != nullptr);
-  }
-
   physics::PropagatorOptions opts;
   opts.tiles = core::TileSpec{8, 64, 64, 8, 8};
   opts.health.check_every = spec.health_every;
-  Propagator prop(model, opts);
+  Propagator prop = make_propagator<Propagator>(model, opts, spec);
 
   const std::uint64_t fp = shot_fingerprint(base_fp, a.job, rung, a.level);
   resilience::Checkpointer ckpt(shot_ckpt_path(spec, a.job));
@@ -286,6 +294,13 @@ int drive(const Model& model, const SurveySpec& spec,
           JobQueue& queue, const util::BackoffPolicy& policy) {
   Runner runner(queue, runner_ladder(ladder), policy,
                 [&](const Attempt& a) {
+                  if constexpr (std::is_same_v<Propagator,
+                                               physics::AcousticPropagator>) {
+                    if (ladder.at(static_cast<std::size_t>(a.level)).jit) {
+                      return run_shot<codegen::JitAcoustic>(
+                          model, spec, ladder, base_fp, a);
+                    }
+                  }
                   return run_shot<Propagator>(model, spec, ladder, base_fp,
                                               a);
                 });

@@ -22,10 +22,10 @@ struct SurveySpec {
   physics::Schedule schedule = physics::Schedule::Wavefront;  ///< rung 0
 
   /// Start the ladder with a JIT-compiled generated kernel (acoustic only):
-  /// the generated C operator is compiled and loaded before the shot runs,
-  /// so a broken toolchain surfaces as a retryable JitCompileError and —
-  /// when retries exhaust — degrades the shot to the AOT rung instead of
-  /// failing the survey.
+  /// the shot runs on codegen::JitAcoustic, the generated per-box update on
+  /// the same engine, so a broken toolchain surfaces as a retryable
+  /// JitCompileError and — when retries exhaust — degrades the shot to the
+  /// AOT rung instead of failing the survey.
   bool use_jit = false;
 
   std::string jobs_dir = "survey_jobs";  ///< journal + checkpoints + gathers

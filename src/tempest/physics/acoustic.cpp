@@ -4,6 +4,7 @@
 
 #include "tempest/core/engine.hpp"
 #include "tempest/stencil/coefficients.hpp"
+#include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::physics {
@@ -102,16 +103,18 @@ void update_block_generic(real_t* __restrict un, const real_t* __restrict uc,
 }
 
 /// PhysicsKernel adapter for the engine: three-slot time buffer, single
-/// injection/gather field u, `dt^2 / m` injection scaling.
+/// injection/gather field u, `dt^2 / m` injection scaling. A non-null
+/// `block` (a compiled update) replaces the AOT template for every box.
 class AcousticKernel {
  public:
   static constexpr int kSubstepsPerStep = 1;
   static constexpr int kFirstStep = 1;
 
   AcousticKernel(const AcousticModel& model, grid::TimeBuffer<real_t>& u,
-                 double dt)
+                 double dt, AcousticBlockFn* block)
       : model_(model),
         u_(u),
+        block_(block),
         w_(folded_weights(model.geom.space_order)),
         inv_h2_(static_cast<real_t>(
             1.0 / (model.geom.spacing * model.geom.spacing))),
@@ -121,6 +124,19 @@ class AcousticKernel {
         sx_(u.at(0).stride_x()),
         sy_(u.at(0).stride_y()) {
     TEMPEST_REQUIRE(model.m.stride_x() == sx_ && model.m.stride_y() == sy_);
+    // The generated block's vectorization contract: every array it reads
+    // comes from the 64-byte-aligned util::AlignedAllocator pool. Grids
+    // guarantee this by construction; assert it where the pointers cross
+    // the C ABI so a layout change fails loudly instead of silently
+    // de-optimizing the SIMD loop.
+    TEMPEST_REQUIRE_MSG(
+        block_ == nullptr ||
+            (util::is_aligned(u.slot(0).raw()) &&
+             util::is_aligned(u.slot(1).raw()) &&
+             util::is_aligned(u.slot(2).raw()) &&
+             util::is_aligned(model.m.raw()) &&
+             util::is_aligned(model.damp.raw())),
+        "field allocations lost their 64-byte alignment");
   }
 
   [[nodiscard]] const grid::Extents3& extents() const {
@@ -137,6 +153,11 @@ class AcousticKernel {
     const real_t* up = u_.at(t - 1).origin();
     const real_t* m = model_.m.origin();
     const real_t* dmp = model_.damp.origin();
+    if (block_ != nullptr) {
+      block_(un, uc, up, m, dmp, sx_, sy_, box.x.lo, box.x.hi, box.y.lo,
+             box.y.hi, box.z.lo, box.z.hi, inv_h2_, idt2_, i2dt_);
+      return;
+    }
     switch (radius()) {
       case 1:
         update_block<1>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), inv_h2_,
@@ -177,6 +198,7 @@ class AcousticKernel {
  private:
   const AcousticModel& model_;
   grid::TimeBuffer<real_t>& u_;
+  AcousticBlockFn* block_;
   std::vector<real_t> w_;
   real_t inv_h2_, idt2_, i2dt_, dt2_;
   std::ptrdiff_t sx_, sy_;
@@ -193,10 +215,16 @@ static_assert(
 
 AcousticPropagator::AcousticPropagator(const AcousticModel& model,
                                        PropagatorOptions opts)
+    : AcousticPropagator(model, opts, nullptr) {}
+
+AcousticPropagator::AcousticPropagator(const AcousticModel& model,
+                                       PropagatorOptions opts,
+                                       AcousticBlockFn* block)
     : model_(model),
       opts_(opts),
       dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
-      u_(3, model.geom.extents, model.geom.radius()) {
+      u_(3, model.geom.extents, model.geom.radius()),
+      block_(block) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);
   TEMPEST_REQUIRE(opts_.tiles.valid());
@@ -217,7 +245,7 @@ RunStats AcousticPropagator::run_from(int t_begin, Schedule sched,
                                       const sparse::SparseTimeSeries& src,
                                       sparse::SparseTimeSeries* rec,
                                       const StepCallback& on_step) {
-  AcousticKernel kernel(model_, u_, dt_);
+  AcousticKernel kernel(model_, u_, dt_, block_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);
 }

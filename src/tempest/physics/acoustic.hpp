@@ -18,6 +18,15 @@ namespace tempest::physics {
 /// centre read of u[t-1] (second order in time, one substep per step).
 [[nodiscard]] analysis::AccessSummary acoustic_access_summary(int space_order);
 
+/// A compiled update of one box at one timestep: u[t+1] = un from uc = u[t]
+/// and up = u[t-1] over [x0,x1) x [y0,y1) x [z0,z1). Pointers are interior
+/// origins of grids sharing the strides sx, sy. codegen::emit_acoustic_c
+/// exports one with this C ABI.
+using AcousticBlockFn = void(float* un, const float* uc, const float* up,
+                             const float* m, const float* damp, long sx,
+                             long sy, int x0, int x1, int y0, int y1, int z0,
+                             int z1, float inv_h2, float idt2, float i2dt);
+
 /// Isotropic acoustic wave propagator (paper Section III.A):
 ///   m d²u/dt² + damp du/dt − Δu = src,   d(t) = u(t, x_r)
 /// second order in time, configurable even space order, single-precision
@@ -70,6 +79,13 @@ class AcousticPropagator
   [[nodiscard]] const AcousticModel& model() const { return model_; }
   [[nodiscard]] const PropagatorOptions& options() const { return opts_; }
 
+ protected:
+  /// Updates every box through `block` in place of the AOT template (null
+  /// keeps the template); how codegen::JitAcoustic runs its compiled kernel
+  /// on the engine. `block` must stay loaded while the propagator lives.
+  AcousticPropagator(const AcousticModel& model, PropagatorOptions opts,
+                     AcousticBlockFn* block);
+
  private:
   friend Checkpointable;
   /// Checkpoint state: the three slices of u.
@@ -82,6 +98,7 @@ class AcousticPropagator
   PropagatorOptions opts_;
   double dt_;
   grid::TimeBuffer<real_t> u_;
+  AcousticBlockFn* block_ = nullptr;
 };
 
 }  // namespace tempest::physics

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <new>
@@ -11,6 +12,11 @@ namespace tempest::util {
 /// Cache-line / SIMD-register friendly alignment for field storage.
 /// 64 bytes covers one x86 cache line and an AVX-512 register.
 inline constexpr std::size_t kAlignment = 64;
+
+/// True when `p` starts a kAlignment boundary.
+[[nodiscard]] inline bool is_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kAlignment == 0;
+}
 
 /// Minimal C++17 aligned allocator so std::vector storage starts on a
 /// 64-byte boundary. Field arrays use this to keep the contiguous z-loop

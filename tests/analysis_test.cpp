@@ -10,7 +10,6 @@
 #include <string>
 
 #include "tempest/analysis/legality.hpp"
-#include "tempest/codegen/jit.hpp"
 #include "tempest/dsl/operator.hpp"
 #include "tempest/dsl/passes.hpp"
 #include "tempest/physics/acoustic.hpp"
@@ -343,16 +342,6 @@ TEST(Gates, OperatorDescriptorFollowsTheSchedule) {
   EXPECT_EQ(op.schedule_descriptor().kind, an::SchedKind::Diamond);
   EXPECT_TRUE(op.verify_stage(2).legal());
   EXPECT_EQ(op.access_summary(6).radius, 3);
-}
-
-TEST(Gates, JitSpecVerifiedBeforeCompile) {
-  tempest::codegen::KernelSpec spec;
-  spec.space_order = 4;
-  spec.wavefront = true;
-  const auto r = tempest::codegen::verify_kernel_spec(spec);
-  EXPECT_TRUE(r.legal()) << r.str();
-  spec.wavefront = false;
-  EXPECT_TRUE(tempest::codegen::verify_kernel_spec(spec).legal());
 }
 
 TEST(Gates, EngineVerificationCoversEveryKernelSummary) {

@@ -142,29 +142,50 @@ TEST(DslFrontend, AcousticBitIdenticalAtSpaceOrder8) {
 }
 
 // The JIT path: emit_dsl_c + JitDsl produce the same bits as the
-// hand-maintained acoustic emitter, on both generated schedules.
+// hand-maintained acoustic emitter — fields and gathers — under every
+// schedule, at 1 and at 8 threads.
 TEST(DslFrontend, JitDslBitIdenticalToJitAcoustic) {
   auto s = make_setup({20, 18, 16}, 4, 24);
   const dsl::Eq eq = acoustic_eq();
   cg::KernelSpec base;
   base.space_order = 4;
-  base.tiles = tc::TileSpec{4, 8, 8, 4, 4};
+  cg::KernelSpec spec = base;
+  spec.kernel = "dslacoustic";
 
-  cg::JitAcoustic aot(s.model, base);
-  aot.run(s.src);
-
-  for (bool wavefront : {false, true}) {
-    SCOPED_TRACE(wavefront ? "wavefront" : "space-blocked");
-    cg::KernelSpec spec = base;
-    spec.wavefront = wavefront;
-    spec.kernel = "dslacoustic";
-    cg::JitDsl jit(eq, s.model, spec);
-    ASSERT_FALSE(jit.used_interpreter_fallback());
-    EXPECT_EQ(jit.lowered().name, "dslacoustic");
-    EXPECT_NE(jit.source_code().find(spec.symbol()), std::string::npos);
-    jit.run(s.src);
-    EXPECT_EQ(tg::max_abs_diff(aot.wavefield(s.nt), jit.wavefield(s.nt)),
-              0.0);
+  for (const auto& sc : kSchedules) {
+    ph::PropagatorOptions opts;
+    opts.tiles = tc::TileSpec{sc.tile_t, 8, 8, 4, 4};
+    opts.threads = 1;
+    cg::JitAcoustic ref(s.model, base, opts);
+    ASSERT_TRUE(ref.compiled()) << ref.compile_error();
+    auto rec_ref = s.rec;
+    ref.run(sc.sched, s.src, &rec_ref);
+    for (int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(sc.name) + " threads=" +
+                   std::to_string(threads));
+      opts.threads = threads;
+      cg::JitDsl jit(eq, s.model, spec, opts);
+      ASSERT_TRUE(jit.compiled()) << jit.compile_error();
+      EXPECT_EQ(jit.lowered().name, "dslacoustic");
+      EXPECT_NE(jit.source_code().find(spec.symbol()), std::string::npos);
+      auto rec_jit = s.rec;
+      jit.run(sc.sched, s.src, &rec_jit);
+      EXPECT_EQ(tg::max_abs_diff(ref.wavefield(s.nt), jit.wavefield(s.nt)),
+                0.0);
+      cg::JitAcoustic again(s.model, base, opts);
+      auto rec_again = s.rec;
+      again.run(sc.sched, s.src, &rec_again);
+      EXPECT_EQ(tg::max_abs_diff(ref.wavefield(s.nt), again.wavefield(s.nt)),
+                0.0);
+      for (int t = 0; t < s.nt; ++t) {
+        for (int r = 0; r < rec_ref.npoints(); ++r) {
+          ASSERT_EQ(rec_ref.at(t, r), rec_jit.at(t, r))
+              << "t=" << t << " r=" << r;
+          ASSERT_EQ(rec_ref.at(t, r), rec_again.at(t, r))
+              << "t=" << t << " r=" << r;
+        }
+      }
+    }
   }
 }
 

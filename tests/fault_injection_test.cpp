@@ -13,6 +13,7 @@
 #include "tempest/codegen/jit.hpp"
 #include "tempest/core/moving.hpp"
 #include "tempest/core/tile_plan.hpp"
+#include "tempest/dsl/kernel.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/vti.hpp"
@@ -24,6 +25,7 @@
 
 namespace at = tempest::autotune;
 namespace cg = tempest::codegen;
+namespace dsl = tempest::dsl;
 namespace io = tempest::io;
 namespace ph = tempest::physics;
 namespace rs = tempest::resilience;
@@ -494,7 +496,8 @@ TEST_F(FaultInjection, AuxiliaryBlobsRoundTrip) {
 }
 
 // --- JIT resilience: transient failures retry, persistent failures fall
-// back to the DSL interpreter and still produce the right physics. ---
+// back to the AOT template or the DslKernel tape in the same engine and
+// still produce the right physics. ---
 
 TEST_F(FaultInjection, TransientCompilerFailureIsRetried) {
   rs::fault::plan().fail_jit_compiles = 1;
@@ -532,27 +535,44 @@ TEST_F(FaultInjection, PersistentCompilerFailureFallsBackToInterpreter) {
   const int nt = 8;
   sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), nt);
   src.broadcast_signature(sp::ricker(nt, model.critical_dt(), 0.03));
+  dsl::Grid grid;
+  dsl::TimeFunction u("u", grid, 4, 2);
+  const dsl::Eq eq = dsl::solve(dsl::param("m") * u.dt2() +
+                                    dsl::param("damp") * u.dt() - u.laplace(),
+                                u.forward());
 
   cg::KernelSpec spec;
   spec.space_order = 4;
-  spec.wavefront = false;
-  // Both the first attempt and its retry fail: a persistently broken
-  // toolchain.
-  rs::fault::plan().fail_jit_compiles = 1000;
-  cg::JitAcoustic jit(model, spec);
-  rs::fault::reset();
-  ASSERT_TRUE(jit.used_interpreter_fallback());
-  jit.run(src);
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ph::PropagatorOptions popts;
+    popts.threads = threads;
+    // Both the first attempt and its retry fail: a persistently broken
+    // toolchain.
+    rs::fault::plan().fail_jit_compiles = 1000;
+    cg::JitAcoustic jit(model, spec, popts);
+    cg::JitDsl jit_dsl(eq, model, spec, popts);
+    rs::fault::reset();
+    ASSERT_FALSE(jit.compiled());
+    ASSERT_FALSE(jit_dsl.compiled());
+    EXPECT_NE(jit.compile_error().find("fault injection"), std::string::npos);
+    jit.run(ph::Schedule::SpaceBlocked, src, nullptr);
+    jit_dsl.run(ph::Schedule::SpaceBlocked, src, nullptr);
 
-  ph::PropagatorOptions popts;
-  popts.dt = model.critical_dt();
-  ph::AcousticPropagator direct(model, popts);
-  direct.run(ph::Schedule::SpaceBlocked, src, nullptr);
-  const auto& u_direct = direct.wavefield(nt);
-  const double umax = tg::max_abs(u_direct);
-  ASSERT_GT(umax, 0.0);
-  // Interpreter evaluates in double, the kernel in float.
-  EXPECT_LT(tg::max_abs_diff(jit.wavefield(nt), u_direct), 5e-4 * umax);
+    // The fallbacks are the AOT template and the tape: the same bits as
+    // the propagators that own them, at any thread count.
+    ph::PropagatorOptions serial;
+    serial.threads = 1;
+    ph::AcousticPropagator direct(model, serial);
+    direct.run(ph::Schedule::SpaceBlocked, src, nullptr);
+    const auto& u_direct = direct.wavefield(nt);
+    ASSERT_GT(tg::max_abs(u_direct), 0.0);
+    EXPECT_EQ(tg::max_abs_diff(jit.wavefield(nt), u_direct), 0.0);
+    dsl::DslPropagator tape(eq, model, serial);
+    tape.run(ph::Schedule::SpaceBlocked, src, nullptr);
+    EXPECT_EQ(tg::max_abs_diff(jit_dsl.wavefield(nt), tape.wavefield(nt)),
+              0.0);
+  }
 }
 
 // --- Autotuner: one pathological trial must not abort the sweep. ---

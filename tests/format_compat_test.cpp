@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "tempest/codegen/jit.hpp"
 #include "tempest/dsl/kernel.hpp"
 #include "tempest/io/io.hpp"
 #include "tempest/jobs/journal.hpp"
@@ -26,6 +27,7 @@
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
 
+namespace cg = tempest::codegen;
 namespace dsl = tempest::dsl;
 namespace io = tempest::io;
 namespace jb = tempest::jobs;
@@ -204,12 +206,12 @@ void expect_same_gather(const sp::SparseTimeSeries& got,
 // holding the gather of that instant, and resuming from the file in a
 // fresh propagator finishes the run bit for bit — so the slot list holds
 // the whole state — after its view re-encodes the same bytes.
-template <typename Propagator, typename Model, typename... Extra>
-void expect_view_matches_capture(const Model& model, const Extra&... extra) {
+template <typename Make>
+void expect_view_matches_capture(const Make& make) {
   constexpr int kNt = 6;
   constexpr int kAt = 3;
-  const tg::Extents3 e = model.geom.extents;
-  Propagator prop(extra..., model);
+  auto prop = make();
+  const tg::Extents3 e = prop.model().geom.extents;
   sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), kNt);
   src.broadcast_signature(sp::ricker(kNt, prop.dt(), 0.05));
   sp::SparseTimeSeries rec(sp::receiver_line(e, 3, 0.15, 3), kNt);
@@ -237,7 +239,7 @@ void expect_view_matches_capture(const Model& model, const Extra&... extra) {
   ASSERT_EQ(loaded.aux.size(), 1u);
   EXPECT_EQ(loaded.aux[0], aux);
 
-  Propagator fresh(extra..., model);
+  auto fresh = make();
   fresh.restore(loaded);
   rs::CheckpointView again = fresh.state_view(loaded.step, 77, &loaded.rec);
   again.aux = loaded.aux;
@@ -259,32 +261,50 @@ TEST(CheckpointView, MatchesCaptureForEveryPropagator) {
   ph::TTIModel vti = ph::make_tti_layered(g);
   vti.theta.fill(0.0f);
   vti.phi.fill(0.0f);
+  const ph::ElasticModel elastic = ph::make_elastic_layered(g);
+  dsl::Grid grid;
+  dsl::TimeFunction u("u", grid, 4, 2);
+  const dsl::Eq eq = dsl::solve(dsl::param("m") * u.dt2() +
+                                    dsl::param("damp") * u.dt() - u.laplace(),
+                                u.forward());
   {
     SCOPED_TRACE("acoustic");
-    expect_view_matches_capture<ph::AcousticPropagator>(acoustic);
+    expect_view_matches_capture(
+        [&] { return ph::AcousticPropagator(acoustic); });
   }
   {
     SCOPED_TRACE("tti");
-    expect_view_matches_capture<ph::TTIPropagator>(tti);
+    expect_view_matches_capture([&] { return ph::TTIPropagator(tti); });
   }
   {
     SCOPED_TRACE("vti");
-    expect_view_matches_capture<ph::VTIPropagator>(vti);
+    expect_view_matches_capture([&] { return ph::VTIPropagator(vti); });
   }
   {
     SCOPED_TRACE("elastic");
-    expect_view_matches_capture<ph::ElasticPropagator>(
-        ph::make_elastic_layered(g));
+    expect_view_matches_capture(
+        [&] { return ph::ElasticPropagator(elastic); });
   }
   {
     SCOPED_TRACE("dsl");
-    dsl::Grid grid;
-    dsl::TimeFunction u("u", grid, 4, 2);
-    const dsl::Eq eq = dsl::solve(dsl::param("m") * u.dt2() +
-                                      dsl::param("damp") * u.dt() -
-                                      u.laplace(),
-                                  u.forward());
-    expect_view_matches_capture<dsl::DslPropagator>(acoustic, eq);
+    expect_view_matches_capture(
+        [&] { return dsl::DslPropagator(eq, acoustic); });
+  }
+  {
+    SCOPED_TRACE("jit");
+    expect_view_matches_capture([&] {
+      cg::JitAcoustic jit(acoustic, cg::KernelSpec{});
+      EXPECT_TRUE(jit.compiled()) << jit.compile_error();
+      return jit;
+    });
+  }
+  {
+    SCOPED_TRACE("jit-dsl");
+    expect_view_matches_capture([&] {
+      cg::JitDsl jit(eq, acoustic, cg::KernelSpec{});
+      EXPECT_TRUE(jit.compiled()) << jit.compile_error();
+      return jit;
+    });
   }
 }
 

@@ -1,5 +1,7 @@
 // Thread-count invariance of the task-parallel schedule executor: every
-// physics kernel x {space-blocked, wavefront, diamond} must produce
+// physics kernel (plus the JIT-compiled acoustic block, so the TSan lane
+// drives generated code through the pool backend too) x {space-blocked,
+// wavefront, diamond} must produce
 // *byte-identical* wavefields and receiver gathers — and exactly equal work
 // counters — at 1, 2, and 8 worker threads. This is the determinism half of
 // the task-parallel engine's contract (the race-freedom half is the TSan
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "tempest/codegen/jit.hpp"
 #include "tempest/obs/metrics.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/elastic.hpp"
@@ -34,6 +37,7 @@
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/threads.hpp"
 
+namespace cg = tempest::codegen;
 namespace ph = tempest::physics;
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
@@ -46,7 +50,7 @@ using tempest::real_t;
 namespace {
 
 struct Case {
-  const char* kernel;  // "acoustic" | "tti" | "vti" | "elastic"
+  const char* kernel;  // "acoustic" | "jit" | "tti" | "vti" | "elastic"
   ph::Schedule schedule;
 };
 
@@ -81,7 +85,7 @@ Artifacts run_cell(const Case& c, int threads) {
   opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
   opts.threads = threads;
 
-  if (std::string(c.kernel) == "acoustic") {
+  if (std::string(c.kernel) == "acoustic" || std::string(c.kernel) == "jit") {
     const tg::Extents3 e{20, 18, 16};
     const int nt = 12;
     ph::Geometry g{e, 10.0, /*space_order=*/4, /*nbl=*/4};
@@ -89,9 +93,16 @@ Artifacts run_cell(const Case& c, int threads) {
     sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), nt);
     src.broadcast_signature(sp::ricker(nt, model.critical_dt(), 0.015));
     out.rec = sp::SparseTimeSeries(sp::receiver_line(e, 5, 0.15, 3), nt);
-    ph::AcousticPropagator prop(model, opts);
-    prop.run(c.schedule, src, &out.rec);
-    out.fields.push_back(prop.wavefield(nt));
+    if (std::string(c.kernel) == "jit") {
+      cg::JitAcoustic prop(model, cg::KernelSpec{}, opts);
+      EXPECT_TRUE(prop.compiled()) << prop.compile_error();
+      prop.run(c.schedule, src, &out.rec);
+      out.fields.push_back(prop.wavefield(nt));
+    } else {
+      ph::AcousticPropagator prop(model, opts);
+      prop.run(c.schedule, src, &out.rec);
+      out.fields.push_back(prop.wavefield(nt));
+    }
   } else if (std::string(c.kernel) == "tti") {
     const tg::Extents3 e{16, 14, 12};
     const int nt = 12;
@@ -254,7 +265,7 @@ namespace {
 
 std::vector<Case> cases() {
   std::vector<Case> out;
-  for (const char* kernel : {"acoustic", "tti", "vti", "elastic"}) {
+  for (const char* kernel : {"acoustic", "jit", "tti", "vti", "elastic"}) {
     for (const ph::Schedule s : {ph::Schedule::SpaceBlocked,
                                  ph::Schedule::Wavefront,
                                  ph::Schedule::Diamond}) {

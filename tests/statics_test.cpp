@@ -561,11 +561,14 @@ TEST(Gates, DslKernelRefusesACorruptedTree) {
 TEST(Gates, JitAcousticRefusesAStaticallyUnstableSpecBeforeCompiling) {
   const ph::AcousticModel model = small_model();
   cg::KernelSpec spec;
-  spec.dt = 5.0;  // far beyond the so=4 bound for this model
+  ph::PropagatorOptions opts;
+  opts.dt = 5.0;  // far beyond the so=4 bound for this model
   // Throws before any compiler invocation: a diverging spec is a caller
-  // bug, not a toolchain failure, so no interpreter fallback either.
-  EXPECT_THROW(cg::JitAcoustic(model, spec),
+  // bug, not a toolchain failure, so no fallback either.
+  EXPECT_THROW(cg::JitAcoustic(model, spec, opts),
                statics::StaticVerificationError);
+  opts.allow_unstable = true;  // the deliberate-divergence opt-out
+  EXPECT_NO_THROW(cg::JitAcoustic(model, spec, opts));
 }
 
 TEST(Gates, JitDslRefusesACorruptedTreeBeforeCompiling) {
@@ -575,9 +578,10 @@ TEST(Gates, JitDslRefusesACorruptedTreeBeforeCompiling) {
       '+', lk.update, dsl::ir::load(lk.field, 0, lk.radius() + 3, 0, 0));
   cg::KernelSpec spec;
   spec.kernel = lk.name;
-  spec.dt = 0.5;
+  ph::PropagatorOptions opts;
+  opts.dt = 0.5;
   try {
-    cg::JitDsl jit(std::move(lk), model, spec);
+    cg::JitDsl jit(lk, model, spec, opts);
     FAIL() << "out-of-halo tree was not refused at JIT compile";
   } catch (const statics::StaticVerificationError& e) {
     EXPECT_NE(find_code(e.report().diagnostics(), "out-of-halo-read"),

@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "tempest/io/io.hpp"
 #include "tempest/jobs/chaos.hpp"
 #include "tempest/jobs/queue.hpp"
 #include "tempest/jobs/survey.hpp"
@@ -28,12 +31,14 @@
 #include "tempest/resilience/fault.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
+#include "tempest/trace/trace.hpp"
 
 namespace jb = tempest::jobs;
 namespace ph = tempest::physics;
 namespace rs = tempest::resilience;
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
+namespace tr = tempest::trace;
 
 namespace {
 
@@ -180,6 +185,70 @@ TEST_F(SurveyRuntime, PersistentJitFaultDegradesShotsNotSurvey) {
     EXPECT_GE(s.level, 1);  // below the JIT rung
     EXPECT_GE(s.attempts, spec.retry.max_attempts);  // transients retried
     EXPECT_TRUE(std::filesystem::exists(jb::shot_gather_path(spec, s.shot)));
+  }
+}
+
+// --- The +jit rung with a working toolchain: every shot runs on the
+// compiled block, on the same engine as the AOT wavefront rung, and its
+// gathers agree with that rung's to rounding. ---
+
+TEST_F(SurveyRuntime, JitRungRunsEveryShotOnTheCompiledKernel) {
+  jb::SurveySpec spec;
+  spec.n = 16;
+  spec.nt = 12;
+  spec.n_shots = 2;
+  spec.space_order = 4;
+  spec.physics = "acoustic";
+  spec.schedule = ph::Schedule::Wavefront;
+  spec.ckpt_every = 4;
+  spec.health_every = 4;
+
+  TempDir jit_dir;
+  spec.use_jit = true;
+  spec.jobs_dir = jit_dir.path();
+  tr::set_enabled(true);
+  tr::reset();
+  const jb::SurveyReport report = jb::run_survey(spec);
+  const long long compiles = tr::value(tr::Counter::JitCompiles);
+  tr::set_enabled(false);
+  EXPECT_EQ(report.done, 2);
+  EXPECT_EQ(report.degraded, 0);
+  for (const jb::ShotReport& s : report.shots) {
+    EXPECT_EQ(s.state, "done");
+    EXPECT_EQ(s.level, 0);
+    EXPECT_EQ(s.level_name, "wavefront+jit");
+  }
+#if !defined(TEMPEST_TRACE_DISABLED)
+  EXPECT_GT(compiles, 0);
+#else
+  (void)compiles;
+#endif
+
+  TempDir aot_dir;
+  jb::SurveySpec aot_spec = spec;
+  aot_spec.use_jit = false;
+  aot_spec.jobs_dir = aot_dir.path();
+  const jb::SurveyReport aot = jb::run_survey(aot_spec);
+  ASSERT_EQ(aot.done, 2);
+  for (int shot = 0; shot < spec.n_shots; ++shot) {
+    SCOPED_TRACE("shot " + std::to_string(shot));
+    const sp::SparseTimeSeries want =
+        tempest::io::load_gather(jb::shot_gather_path(aot_spec, shot));
+    const sp::SparseTimeSeries got =
+        tempest::io::load_gather(jb::shot_gather_path(spec, shot));
+    ASSERT_EQ(got.nt(), want.nt());
+    ASSERT_EQ(got.npoints(), want.npoints());
+    double peak = 0.0;
+    double diff = 0.0;
+    for (int t = 0; t < want.nt(); ++t) {
+      for (int r = 0; r < want.npoints(); ++r) {
+        peak = std::max(peak, std::abs(static_cast<double>(want.at(t, r))));
+        diff = std::max(diff, std::abs(static_cast<double>(got.at(t, r)) -
+                                       want.at(t, r)));
+      }
+    }
+    ASSERT_GT(peak, 0.0);
+    EXPECT_LE(diff, 1e-5 * peak);
   }
 }
 
