@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
       src.broadcast_signature(wavelet);
       sparse::SparseTimeSeries rec = make_receivers(geom.extents, nt);
 
-      const auto masks = core::build_source_masks(
-          geom.extents, src, sparse::InterpKind::Trilinear);
+      const int npts = core::build_affected_points(
+                           geom.extents, src, sparse::InterpKind::Trilinear)
+                           .npts;
 
       const std::string n_s = std::to_string(n);
       const CaseResult& base_c = measure(
@@ -75,13 +76,13 @@ int main(int argc, char** argv) {
           prop, physics::Schedule::Wavefront, src, &rec, cfg.reps);
       const physics::RunStats base = best_stats(base_c);
       const physics::RunStats wave = best_stats(wave_c);
-      std::cerr << "  " << geometry << " n=" << n << " npts=" << masks.npts
+      std::cerr << "  " << geometry << " n=" << n << " npts=" << npts
                 << ": " << base.gpoints_per_s() << " -> "
                 << wave.gpoints_per_s() << " GPts/s (wtb min "
                 << wave_c.min_s() << "s, median " << wave_c.median_s()
                 << "s)\n";
 
-      table.add_row({geometry, std::to_string(n), std::to_string(masks.npts),
+      table.add_row({geometry, std::to_string(n), std::to_string(npts),
                      util::Table::num(base.gpoints_per_s(), 4),
                      util::Table::num(wave.gpoints_per_s(), 4),
                      util::Table::num(

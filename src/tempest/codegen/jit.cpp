@@ -51,8 +51,24 @@ class TempDirGuard {
   std::string path_;
 };
 
+/// The flags of every generated block: optimise + vectorise; -fopenmp-simd
+/// honours the generated `omp simd simdlen` pragmas without pulling in the
+/// OpenMP runtime, so compiled blocks stay single-threaded objects the
+/// task-parallel engine schedules; -ffp-contract=off mirrors the library
+/// build — the generated C evaluates the same expression trees as the AOT
+/// kernels and the DslKernel tape, and bitwise cross-artifact comparisons
+/// need all three to round identically. -march=native follows the library
+/// build too (TEMPEST_NATIVE_ARCH), so a block vectorises for the same ISA
+/// as the AOT kernel it replaces.
+constexpr const char* kCompileFlags =
+    "-O3 -fopenmp-simd -ffp-contract=off"
+#if defined(TEMPEST_JIT_MARCH_NATIVE)
+    " -march=native"
+#endif
+    ;
+
 /// The system C compiler: $CC when set (how users point the JIT at icc/
-/// clang or a wrapper), else "cc".
+/// clang or a wrapper, extra flags included), else "cc".
 std::string compiler_command() {
   const char* cc = std::getenv("CC");
   return (cc != nullptr && *cc != '\0') ? cc : "cc";
@@ -153,8 +169,7 @@ CommandResult run_command(const std::string& cmd, int timeout_ms) {
 }  // namespace
 
 JitModule::JitModule(const std::string& c_source,
-                     const std::string& symbol_name,
-                     const std::string& extra_flags) {
+                     const std::string& symbol_name) {
   TEMPEST_TRACE_SPAN("jit.compile", "codegen");
   TEMPEST_OBS_TIME(JitCompileSeconds);
   TEMPEST_TRACE_COUNT(JitCompiles, 1);
@@ -180,7 +195,7 @@ JitModule::JitModule(const std::string& c_source,
     }
   }
 
-  const std::string cmd = compiler_command() + " " + extra_flags +
+  const std::string cmd = compiler_command() + " " + kCompileFlags +
                           " -fPIC -shared -o " + so_path + " " + c_path;
   const int timeout_ms = jit_timeout_ms();
 

@@ -38,17 +38,10 @@ class JitCompileError : public util::TransientError {
 class JitModule {
  public:
   /// Compile `c_source` and resolve `symbol_name`. Throws PreconditionError
-  /// with the compiler diagnostics on failure. `extra_flags` is appended to
-  /// the compile line (default: optimise + vectorise; -fopenmp-simd honours
-  /// the generated `omp simd simdlen` pragmas without pulling in the
-  /// OpenMP runtime, so JIT-compiled kernels stay single-threaded objects
-  /// the task-parallel engine can schedule; -ffp-contract=off mirrors the
-  /// engine build — the JIT'd C evaluates the same expression trees as the
-  /// AOT kernels and the DslKernel tape, and bitwise cross-artifact
-  /// comparisons require all three to round identically).
-  JitModule(const std::string& c_source, const std::string& symbol_name,
-            const std::string& extra_flags =
-                "-O3 -fopenmp-simd -ffp-contract=off");
+  /// with the compiler diagnostics on failure. The compile line carries the
+  /// library's own floating-point and ISA flags (see jit.cpp); extra flags
+  /// ride on $CC.
+  JitModule(const std::string& c_source, const std::string& symbol_name);
 
   JitModule(JitModule&& other) noexcept;
   JitModule& operator=(JitModule&& other) noexcept;

@@ -1,6 +1,7 @@
 #include "tempest/core/compress.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/error.hpp"
@@ -44,6 +45,21 @@ CompressedSparse::CompressedSparse(const grid::Grid3<unsigned char>& mask,
         data_[w++] = Entry{z, id};
       }
     }
+  }
+}
+
+CompressedSparse::CompressedSparse(int nx, int ny, std::vector<int> offsets,
+                                   std::vector<Entry> entries)
+    : nx_(nx),
+      ny_(ny),
+      offsets_(std::move(offsets)),
+      data_(std::move(entries)) {
+  TEMPEST_REQUIRE(offsets_.size() ==
+                  static_cast<std::size_t>(nx_) * ny_ + 1);
+  TEMPEST_REQUIRE(offsets_.front() == 0 &&
+                  offsets_.back() == static_cast<int>(data_.size()));
+  for (std::size_t c = 0; c + 1 < offsets_.size(); ++c) {
+    max_nnz_ = std::max(max_nnz_, offsets_[c + 1] - offsets_[c]);
   }
 }
 

@@ -22,9 +22,16 @@ class CompressedSparse {
 
   CompressedSparse() = default;
 
-  /// Build from a binary mask and an id volume (sid < 0 where mask == 0).
+  /// The paper-literal Listing 5 reference: scan a binary mask and an id
+  /// volume (sid < 0 where mask == 0) column by column. The engine builds
+  /// its columns without the volumes (core::build_affected_points).
   CompressedSparse(const grid::Grid3<unsigned char>& mask,
                    const grid::Grid3<int>& ids);
+
+  /// Adopt columns built elsewhere: `offsets` holds nx*ny + 1 ascending CSR
+  /// offsets into `entries`, whose entries are z-ascending per column.
+  CompressedSparse(int nx, int ny, std::vector<int> offsets,
+                   std::vector<Entry> entries);
 
   [[nodiscard]] int nx() const { return nx_; }
   [[nodiscard]] int ny() const { return ny_; }
@@ -52,11 +59,6 @@ class CompressedSparse {
 
   /// True if no column has any entry (e.g. zero sources).
   [[nodiscard]] bool empty() const { return data_.empty(); }
-
-  /// Raw CSR views for generated-code consumers (codegen/): offsets has
-  /// nx*ny + 1 ints; entries are (z, id) int pairs, interleaved.
-  [[nodiscard]] const int* raw_offsets() const { return offsets_.data(); }
-  [[nodiscard]] const Entry* raw_entries() const { return data_.data(); }
 
  private:
   [[nodiscard]] std::size_t column(int x, int y) const {

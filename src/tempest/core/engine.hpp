@@ -333,25 +333,26 @@ class ScheduleExecutor {
         analysis::statics::require_race_free(analysis::statics::prove_race_free(
             plan, {radius, 1, summary.time_reads, has_rec}));
       }
+      // Affected points, src_dcmp and the packed columns come straight from
+      // the interpolation supports: no grid-sized buffer (the dense
+      // SM/SID volumes of Listings 2-5 are the tested reference only).
       util::Timer pre;
-      const core::SourceMasks masks =
-          core::build_source_masks(e, src, opts_.interp);
-      const core::DecomposedSource dcmp =
-          core::decompose_sources(masks, src, opts_.interp);
-      const core::CompressedSparse cs_src(masks.sm, masks.sid);
+      const core::AffectedPoints src_pts =
+          core::build_affected_points(e, src, opts_.interp);
+      const core::DecomposedSource dcmp = core::decompose_sources(src_pts, src);
+      const core::CompressedSparse& cs_src = src_pts.columns;
 
-      core::DecomposedReceivers drec;
-      core::CompressedSparse cs_rec;
+      core::AffectedPoints rec_pts;
       core::ReceiverStage stage;
       if (has_rec) {
-        drec = core::decompose_receivers(e, *rec, opts_.interp);
-        cs_rec = core::CompressedSparse(drec.rm, drec.rid);
+        rec_pts = core::build_affected_points(e, *rec, opts_.interp);
         // Band-local staging for the deterministic parallel gather (see
         // fused.hpp): one row per in-flight timestep of a band.
         stage = core::ReceiverStage(std::max(1, opts_.tiles.tile_t),
-                                    drec.npts);
+                                    rec_pts.npts);
         stage.begin_band(t_begin);
       }
+      const core::CompressedSparse& cs_rec = rec_pts.columns;
       stats.precompute_seconds = pre.seconds();
 
       // Substep block + the fused sparse operators after the timestep's
@@ -408,7 +409,8 @@ class ScheduleExecutor {
         if (has_rec && !cs_rec.empty()) {
           TEMPEST_TRACE_SPAN_ARG("interp.reduce", "sparse", t_done);
           for (int t = reduced_upto; t < t_done; ++t) {
-            core::reduce_receiver_stage(stage, drec, t, rec->step(t).data());
+            core::reduce_receiver_stage(stage, rec_pts, t,
+                                        rec->step(t).data());
           }
         }
         if (has_rec) stage.begin_band(t_done);

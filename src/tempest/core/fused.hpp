@@ -65,40 +65,6 @@ inline void fused_inject_dense(grid::Grid3<real_t>& u,
   TEMPEST_TRACE_COUNT(SourcesInjected, updates);
 }
 
-/// Fused, compressed receiver gather over the block's columns. Receiver
-/// samples accumulate contributions from every support column; columns may
-/// be processed by different threads, hence the atomic update. Atomics make
-/// this race-free but NOT order-deterministic: float accumulation order
-/// varies with thread interleaving, so two runs can differ in the last ulp.
-/// The task-parallel engine therefore uses fused_sample + ReceiverStage +
-/// reduce_receiver_stage instead (bitwise identical at any thread count);
-/// this operator remains the single-pass reference/ablation.
-inline void fused_gather(const grid::Grid3<real_t>& u,
-                         const CompressedSparse& cs,
-                         const DecomposedReceivers& dr, real_t* rec_step,
-                         grid::Range xr, grid::Range yr) {
-  if (cs.empty()) return;
-  long long applications = 0;
-  for (int x = xr.lo; x < xr.hi; ++x) {
-    for (int y = yr.lo; y < yr.hi; ++y) {
-      for (const CompressedSparse::Entry& e : cs.entries(x, y)) {
-        const real_t value = u(x, y, e.z);
-        const int begin = dr.offsets[static_cast<std::size_t>(e.id)];
-        const int end = dr.offsets[static_cast<std::size_t>(e.id) + 1];
-        applications += end - begin;
-        for (int k = begin; k < end; ++k) {
-          const DecomposedReceivers::Pair& pr =
-              dr.pairs[static_cast<std::size_t>(k)];
-          const real_t contribution = pr.weight * value;
-#pragma omp atomic
-          rec_step[pr.receiver] += contribution;
-        }
-      }
-    }
-  }
-  TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);
-}
-
 /// Band-local staging buffer for the *deterministic* parallel gather.
 /// samples(t, id) holds the wavefield value of affected grid point `id` at
 /// timestep t of the current band. Every (t, id) cell is written by exactly
@@ -157,19 +123,18 @@ inline void fused_sample(const grid::Grid3<real_t>& u,
 /// parallel gathers bitwise equal to the single-thread reference (float
 /// accumulation order is fixed, independent of tile interleaving).
 inline void reduce_receiver_stage(const ReceiverStage& stage,
-                                  const DecomposedReceivers& dr, int t,
+                                  const AffectedPoints& rec_points, int t,
                                   real_t* rec_step) {
   const real_t* samples = stage.row(t);
   long long applications = 0;
   for (int id = 0; id < stage.npts(); ++id) {
     const real_t value = samples[id];
-    const int begin = dr.offsets[static_cast<std::size_t>(id)];
-    const int end = dr.offsets[static_cast<std::size_t>(id) + 1];
+    const int begin = rec_points.offsets[static_cast<std::size_t>(id)];
+    const int end = rec_points.offsets[static_cast<std::size_t>(id) + 1];
     applications += end - begin;
     for (int k = begin; k < end; ++k) {
-      const DecomposedReceivers::Pair& pr =
-          dr.pairs[static_cast<std::size_t>(k)];
-      rec_step[pr.receiver] += pr.weight * value;
+      const SiteWeight& pr = rec_points.pairs[static_cast<std::size_t>(k)];
+      rec_step[pr.site] += pr.weight * value;
     }
   }
   TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);

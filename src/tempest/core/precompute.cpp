@@ -1,5 +1,9 @@
 #include "tempest/core/precompute.hpp"
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/error.hpp"
 
@@ -81,7 +85,7 @@ DecomposedReceivers decompose_receivers(const grid::Extents3& extents,
 
   // Gather-side decomposition: per affected point, its (receiver, weight)
   // contributions, stored CSR so the fused kernel walks a contiguous list.
-  std::vector<std::vector<DecomposedReceivers::Pair>> per_id(
+  std::vector<std::vector<SiteWeight>> per_id(
       static_cast<std::size_t>(out.npts));
   for (int r = 0; r < rec.npoints(); ++r) {
     for (const sparse::SupportPoint& p :
@@ -102,6 +106,77 @@ DecomposedReceivers decompose_receivers(const grid::Extents3& extents,
     out.pairs.insert(out.pairs.end(), lst.begin(), lst.end());
   }
   return out;
+}
+
+AffectedPoints build_affected_points(const grid::Extents3& extents,
+                                     const sparse::SparseTimeSeries& series,
+                                     sparse::InterpKind kind) {
+  TEMPEST_TRACE_SPAN("precompute.points", "precompute");
+  struct Hit {
+    std::int64_t index;  ///< (x * ny + y) * nz + z
+    int site;
+    real_t weight;
+  };
+  std::vector<Hit> hits;
+  const int width = sparse::support_width(kind);
+  hits.reserve(static_cast<std::size_t>(series.npoints()) * width * width *
+               width);
+  for (int s = 0; s < series.npoints(); ++s) {
+    for (const sparse::SupportPoint& p :
+         sparse::support(series.coord(s), kind, extents)) {
+      const std::int64_t column =
+          static_cast<std::int64_t>(p.x) * extents.ny + p.y;
+      hits.push_back(
+          {column * extents.nz + p.z, s, static_cast<real_t>(p.w)});
+    }
+  }
+  // Stable: a point's hits stay in site order, the order the dense
+  // decompose loops accumulate in.
+  std::stable_sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return a.index < b.index;
+  });
+
+  AffectedPoints out;
+  std::vector<int> col_offsets(
+      static_cast<std::size_t>(extents.nx) * extents.ny + 1, 0);
+  std::vector<CompressedSparse::Entry> entries;
+  out.pairs.reserve(hits.size());
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    const Hit& h = hits[k];
+    if (k == 0 || h.index != hits[k - 1].index) {
+      ++col_offsets[static_cast<std::size_t>(h.index / extents.nz) + 1];
+      entries.push_back(
+          {static_cast<int>(h.index % extents.nz), out.npts++});
+      out.offsets.push_back(static_cast<int>(k));
+    }
+    out.pairs.push_back({h.site, h.weight});
+  }
+  out.offsets.push_back(static_cast<int>(hits.size()));
+  for (std::size_t c = 1; c < col_offsets.size(); ++c) {
+    col_offsets[c] += col_offsets[c - 1];
+  }
+  out.columns = CompressedSparse(extents.nx, extents.ny,
+                                 std::move(col_offsets), std::move(entries));
+  return out;
+}
+
+DecomposedSource decompose_sources(const AffectedPoints& points,
+                                   const sparse::SparseTimeSeries& src) {
+  TEMPEST_TRACE_SPAN("precompute.decompose", "precompute");
+  DecomposedSource dcmp(src.nt(), points.npts);
+  for (int t = 0; t < src.nt(); ++t) {
+    const auto amp = src.step(t);
+    for (int id = 0; id < points.npts; ++id) {
+      real_t sum = 0;
+      for (int k = points.offsets[static_cast<std::size_t>(id)];
+           k < points.offsets[static_cast<std::size_t>(id) + 1]; ++k) {
+        const SiteWeight& pr = points.pairs[static_cast<std::size_t>(k)];
+        sum += pr.weight * amp[static_cast<std::size_t>(pr.site)];
+      }
+      dcmp.at(t, id) = sum;
+    }
+  }
+  return dcmp;
 }
 
 }  // namespace tempest::core

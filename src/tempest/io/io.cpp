@@ -1,9 +1,11 @@
 #include "tempest/io/io.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "tempest/util/error.hpp"
 
@@ -181,10 +183,15 @@ sparse::SparseTimeSeries load_gather(const std::string& path) {
     throw_size_mismatch(path, "gather header", expected, actual);
   }
   sparse::CoordList coords(static_cast<std::size_t>(npoints));
-  for (sparse::Coord3& c : coords) {
+  for (std::size_t p = 0; p < coords.size(); ++p) {
+    sparse::Coord3& c = coords[p];
     c.x = read_pod<double>(is);
     c.y = read_pod<double>(is);
     c.z = read_pod<double>(is);
+    if (!std::isfinite(c.x) || !std::isfinite(c.y) || !std::isfinite(c.z)) {
+      throw CorruptFileError(path, "non-finite coordinate of point " +
+                                       std::to_string(p));
+    }
   }
   sparse::SparseTimeSeries gather(std::move(coords), nt);
   for (int t = 0; t < nt; ++t) {

@@ -47,7 +47,8 @@ void save_field(const std::string& path, const grid::Grid3<real_t>& field);
 [[nodiscard]] grid::Grid3<real_t> load_field(const std::string& path);
 
 /// Save/load a sparse time series (coordinates + the nt x npoints data).
-/// load_gather performs the same pre-validation as load_field.
+/// load_gather performs the same pre-validation as load_field and throws
+/// CorruptFileError for a non-finite coordinate.
 void save_gather(const std::string& path,
                  const sparse::SparseTimeSeries& gather);
 [[nodiscard]] sparse::SparseTimeSeries load_gather(const std::string& path);

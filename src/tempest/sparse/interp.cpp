@@ -47,6 +47,10 @@ void windowed_sinc_1d(int base, double frac, std::vector<Weight1D>& out) {
 
 }  // namespace
 
+/// Coordinates stay well inside the int range so base - 1 .. base + 2
+/// never overflow.
+constexpr double kMaxCoordinate = 1 << 30;
+
 int support_width(InterpKind kind) {
   return kind == InterpKind::Trilinear ? 2 : 4;
 }
@@ -56,6 +60,12 @@ std::vector<SupportPoint> support(const Coord3& c, InterpKind kind,
   const double coords[3] = {c.x, c.y, c.z};
   std::vector<Weight1D> per_dim[3];
   for (int d = 0; d < 3; ++d) {
+    // The base index and its neighbours must be ints: casting the floor of
+    // a NaN, an infinity or a coordinate beyond the int range is undefined.
+    TEMPEST_REQUIRE_MSG(std::isfinite(coords[d]) &&
+                            std::abs(coords[d]) < kMaxCoordinate,
+                        "interpolation coordinate is not finite or lies "
+                        "beyond +-2^30 grid spacings");
     const double fl = std::floor(coords[d]);
     const int base = static_cast<int>(fl);
     const double frac = coords[d] - fl;

@@ -36,7 +36,8 @@ enum class InterpKind {
 /// but geometry sweeps in the benches may graze edges). Zero weights are
 /// dropped, so a source exactly on a grid point yields a single support
 /// point — this mirrors the paper's probe step, which only marks points the
-/// injection actually touches.
+/// injection actually touches. Throws util::PreconditionError for a
+/// coordinate that is not finite or lies beyond +-2^30 grid spacings.
 [[nodiscard]] std::vector<SupportPoint> support(const Coord3& c,
                                                 InterpKind kind,
                                                 const grid::Extents3& extents);

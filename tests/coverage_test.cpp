@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "tempest/cachesim/instrumented_acoustic.hpp"
 #include "tempest/codegen/jit.hpp"
@@ -210,9 +212,25 @@ TEST(Codegen, HighOrderWeightsEmitted) {
 }
 
 TEST(Codegen, CustomFlagsRespected) {
-  // -O0 compiles too; behaviour must be identical.
-  cg::JitModule mod("int tempest_two(void) { return 2; }", "tempest_two",
-                    "-O0");
+  // Extra flags ride on $CC: a definition passed there reaches the compile.
+  struct RestoreCc {
+    bool was_set;
+    std::string value;
+    ~RestoreCc() {
+      if (was_set) {
+        ::setenv("CC", value.c_str(), 1);
+      } else {
+        ::unsetenv("CC");
+      }
+    }
+  };
+  const char* cc = std::getenv("CC");
+  const RestoreCc restore{cc != nullptr, cc != nullptr ? cc : ""};
+  const std::string compiler =
+      restore.value.empty() ? std::string("cc") : restore.value;
+  ::setenv("CC", (compiler + " -DTEMPEST_TWO=2").c_str(), 1);
+  cg::JitModule mod("int tempest_two(void) { return TEMPEST_TWO; }",
+                    "tempest_two");
   EXPECT_EQ(mod.as<int(void)>()(), 2);
 }
 

@@ -1,18 +1,26 @@
 // The engine executes the tile plan it proves: a recording PhysicsKernel
 // sees exactly TilePlan::ops() of the plan the run's geometry defines, and
 // the pre-run gates (schedule legality, write radius) throw before the
-// first block is computed.
+// first block is computed. A temporally blocked shot allocates no
+// grid-sized precompute buffer.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "tempest/core/engine.hpp"
 #include "tempest/core/tile_plan.hpp"
+#include "tempest/physics/acoustic.hpp"
+#include "tempest/physics/model.hpp"
 #include "tempest/sparse/survey.hpp"
+#include "tempest/sparse/wavelet.hpp"
 
 namespace an = tempest::analysis;
+namespace ph = tempest::physics;
 namespace tc = tempest::core;
 namespace eng = tempest::core::engine;
 namespace tg = tempest::grid;
@@ -137,4 +145,69 @@ TEST(EnginePlan, ScatteredWritesThrowBeforeAnyBlock) {
         << eng::to_string(sched);
     EXPECT_TRUE(kernel.applied.empty()) << eng::to_string(sched);
   }
+}
+
+TEST(EngineMemory, WavefrontShotAllocatesNoGridSizedPrecompute) {
+  // A forked child, so the peak resident set it reads is this rig's alone.
+  // A small wavefront shot first faults in the code and allocator state
+  // the path needs. On the 160^3 rig the space-blocked shot then sets the
+  // peak of the fields; the wavefront shot on the same propagator may add
+  // its precompute, tile plan and gather stage, all O(sites + nx*ny), but
+  // no buffer of a byte per grid point. Building the dense probe, SM/SID
+  // and RM/RID reference volumes instead grows it by about 13 B per point.
+  const tg::Extents3 e{160, 160, 160};
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(pipe_fds[0]);
+    const auto peak_bytes = [] {
+      rusage ru{};
+      ::getrusage(RUSAGE_SELF, &ru);
+      return static_cast<long long>(ru.ru_maxrss) * 1024;  // KiB on Linux
+    };
+    const auto rig = [](const tg::Extents3& extents) {
+      const ph::Geometry g{extents, 10.0, /*space_order=*/4, /*nbl=*/10};
+      return ph::make_acoustic_homogeneous(g, 1.5);
+    };
+    const int nt = 4;
+    ph::PropagatorOptions opts;
+    opts.tiles = {2, 32, 32, 8, 8};
+    opts.threads = 1;
+    const auto shot = [&](ph::AcousticPropagator& prop, ph::Schedule sched) {
+      const tg::Extents3& x = prop.model().geom.extents;
+      sp::SparseTimeSeries src(sp::single_center_source(x, 0.4), nt);
+      src.broadcast_signature(sp::ricker(nt, prop.dt(), 0.010));
+      sp::SparseTimeSeries rec(sp::receiver_line(x, 64), nt);
+      (void)prop.run(sched, src, &rec);
+    };
+    {
+      const ph::AcousticModel small = rig({32, 32, 32});
+      ph::AcousticPropagator warm(small, opts);
+      shot(warm, ph::Schedule::Wavefront);
+    }
+    const ph::AcousticModel model = rig(e);
+    ph::AcousticPropagator prop(model, opts);
+    shot(prop, ph::Schedule::SpaceBlocked);
+    const long long before = peak_bytes();
+    shot(prop, ph::Schedule::Wavefront);
+    const long long grown = peak_bytes() - before;
+    const bool sent =
+        ::write(pipe_fds[1], &grown, sizeof grown) == sizeof grown;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(pipe_fds[1]);
+  long long grown = -1;
+  const bool received =
+      ::read(pipe_fds[0], &grown, sizeof grown) == sizeof grown;
+  ::close(pipe_fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0 && received)
+      << "the measuring child did not finish";
+  EXPECT_LT(grown, static_cast<long long>(e.size()))
+      << "the wavefront shot grew the peak RSS by "
+      << static_cast<double>(grown) / static_cast<double>(e.size())
+      << " B per grid point";
 }

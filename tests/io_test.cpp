@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,16 @@ TEST(IoGather, SizeMismatchAndCorruptErrorsAreTyped) {
   // tests keep working unchanged.
   EXPECT_THROW((void)io::load_gather(file.path()),
                tempest::util::PreconditionError);
+}
+
+TEST(IoGather, NonFiniteCoordinateIsCorrupt) {
+  TempFile file(".tpg");
+  sp::SparseTimeSeries g(
+      {{1.5, 2.25, 3.125},
+       {9.75, std::numeric_limits<double>::quiet_NaN(), 7.0625}},
+      4);
+  io::save_gather(file.path(), g);
+  EXPECT_THROW((void)io::load_gather(file.path()), io::CorruptFileError);
 }
 
 TEST(IoField, RejectsUnwritablePath) {

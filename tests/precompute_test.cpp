@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include "affected_points_check.hpp"
 #include "tempest/core/compress.hpp"
 #include "tempest/core/fused.hpp"
 #include "tempest/core/precompute.hpp"
@@ -23,6 +25,29 @@ sp::SparseTimeSeries make_sources(sp::CoordList coords, int nt) {
     sig[static_cast<std::size_t>(t)] = static_cast<real_t>(0.3 * t - 1.0);
   src.broadcast_signature(sig);
   return src;
+}
+
+/// A distinct amplitude per site and step, so any change in the order a
+/// point accumulates its sites shows in the last bits of src_dcmp.
+sp::SparseTimeSeries make_varied(sp::CoordList coords, int nt) {
+  sp::SparseTimeSeries src(std::move(coords), nt);
+  for (int t = 0; t < nt; ++t) {
+    for (int s = 0; s < src.npoints(); ++s) {
+      src.at(t, s) =
+          static_cast<real_t>(std::sin(0.7 * t + 1.3 * s) * (1.0 + 0.1 * s));
+    }
+  }
+  return src;
+}
+
+void expect_both_kinds_match(const sp::CoordList& coords) {
+  const auto series = make_varied(coords, 5);
+  for (const auto kind :
+       {sp::InterpKind::Trilinear, sp::InterpKind::WindowedSinc}) {
+    SCOPED_TRACE(kind == sp::InterpKind::Trilinear ? "trilinear"
+                                                   : "windowed-sinc");
+    tempest::testing::expect_matches_dense_reference(kE, series, kind);
+  }
 }
 }  // namespace
 
@@ -243,12 +268,15 @@ TEST(Receivers, DecompositionMatchesNaiveGather) {
 
   sp::interpolate(u, rec_naive, 1, sp::InterpKind::Trilinear);
 
-  const auto dr =
-      tc::decompose_receivers(kE, rec_fused, sp::InterpKind::Trilinear);
-  const tc::CompressedSparse cs(dr.rm, dr.rid);
+  // The engine's gather: tiles stage per-point samples, the band barrier
+  // folds them into the traces in ascending id order.
+  const auto pts =
+      tc::build_affected_points(kE, rec_fused, sp::InterpKind::Trilinear);
+  tc::ReceiverStage stage(1, pts.npts);
+  stage.begin_band(1);
   rec_fused.zero();
-  tc::fused_gather(u, cs, dr, rec_fused.step(1).data(), {0, kE.nx},
-                   {0, kE.ny});
+  tc::fused_sample(u, pts.columns, stage.row(1), {0, kE.nx}, {0, kE.ny});
+  tc::reduce_receiver_stage(stage, pts, 1, rec_fused.step(1).data());
 
   for (int r = 0; r < rec_naive.npoints(); ++r) {
     EXPECT_NEAR(rec_naive.at(1, r), rec_fused.at(1, r), 1e-4) << "r=" << r;
@@ -259,11 +287,15 @@ TEST(Receivers, PartialColumnsAccumulate) {
   const sp::CoordList rec_coords{{4.5, 5.5, 2.25}};
   sp::SparseTimeSeries rec(rec_coords, 1);
   tg::Grid3<real_t> u(kE, 0, 1.0f);
-  const auto dr = tc::decompose_receivers(kE, rec, sp::InterpKind::Trilinear);
-  const tc::CompressedSparse cs(dr.rm, dr.rid);
-  // Gather over two disjoint x ranges must equal the full gather.
-  tc::fused_gather(u, cs, dr, rec.step(0).data(), {0, 5}, {0, kE.ny});
-  tc::fused_gather(u, cs, dr, rec.step(0).data(), {5, kE.nx}, {0, kE.ny});
+  const auto pts =
+      tc::build_affected_points(kE, rec, sp::InterpKind::Trilinear);
+  tc::ReceiverStage stage(1, pts.npts);
+  stage.begin_band(0);
+  // Two tiles sampling disjoint x ranges, then one reduction, must equal
+  // the full gather.
+  tc::fused_sample(u, pts.columns, stage.row(0), {0, 5}, {0, kE.ny});
+  tc::fused_sample(u, pts.columns, stage.row(0), {5, kE.nx}, {0, kE.ny});
+  tc::reduce_receiver_stage(stage, pts, 0, rec.step(0).data());
   EXPECT_NEAR(rec.at(0, 0), 1.0, 1e-5);  // partition of unity on constant u
 }
 
@@ -281,4 +313,49 @@ TEST(Receivers, OffsetsAreConsistentCsr) {
                   dr.offsets[static_cast<std::size_t>(id)],
               2);  // both receivers contribute to every shared point
   }
+}
+
+// --- build_affected_points against the paper-literal dense reference:
+// ids, src_dcmp, the per-id pairs and the packed columns, byte for byte. ---
+
+TEST(AffectedPoints, OffGridSitesMatchDenseReference) {
+  expect_both_kinds_match({{5.5, 6.25, 7.75},
+                           {11.3, 4.2, 9.9},
+                           {2.1, 13.7, 3.3},
+                           {9.3, 7.1, 10.6}});
+}
+
+TEST(AffectedPoints, OnGridSitesMatchDenseReference) {
+  expect_both_kinds_match(
+      {{5.0, 6.0, 7.0}, {5.0, 6.5, 7.0}, {12.0, 3.0, 4.25}});
+}
+
+TEST(AffectedPoints, BoundaryClippedSupportsMatchDenseReference) {
+  // Supports that cross x = 0, x = nx, y = ny and z = nz lose the outside
+  // points on both paths.
+  expect_both_kinds_match({{0.5, 0.25, 0.75},
+                           {19.5, 17.5, 15.5},
+                           {-0.5, 8.5, 8.5},
+                           {0.3, 16.9, 14.6}});
+}
+
+TEST(AffectedPoints, CoincidentAndDuplicatedSitesMatchDenseReference) {
+  // Sites sharing support points accumulate in site order; a duplicated
+  // site contributes twice to each of its points.
+  expect_both_kinds_match({{5.25, 6.25, 7.25},
+                           {5.75, 6.75, 7.75},
+                           {5.25, 6.25, 7.25},
+                           {5.5, 6.5, 7.5},
+                           {6.1, 6.2, 7.3}});
+}
+
+TEST(AffectedPoints, ZeroSitesMatchDenseReference) {
+  expect_both_kinds_match({});
+  const sp::SparseTimeSeries none(sp::CoordList{}, 3);
+  const auto pts =
+      tc::build_affected_points(kE, none, sp::InterpKind::Trilinear);
+  EXPECT_EQ(pts.npts, 0);
+  EXPECT_TRUE(pts.columns.empty());
+  EXPECT_EQ(pts.offsets, std::vector<int>{0});
+  EXPECT_EQ(tc::decompose_sources(pts, none).npts(), 0);
 }

@@ -16,11 +16,13 @@
 #include <memory>
 #include <vector>
 
+#include "affected_points_check.hpp"
 #include "tempest/core/compress.hpp"
 #include "tempest/core/precompute.hpp"
 #include "tempest/core/tile_plan.hpp"
 #include "tempest/sparse/interp.hpp"
 #include "tempest/sparse/series.hpp"
+#include "tempest/sparse/survey.hpp"
 #include "tempest/stencil/coefficients.hpp"
 #include "tempest/util/rng.hpp"
 
@@ -196,6 +198,25 @@ TEST_P(SeededProperty, MasksDependOnlyOnGeometry) {
   ma.sid.for_each_interior([&](int x, int y, int z) {
     EXPECT_EQ(ma.sid(x, y, z), mb.sid(x, y, z));
   });
+}
+
+TEST_P(SeededProperty, AffectedPointsMatchDenseReference) {
+  // Random dense_volume sites (many share support points) with random
+  // amplitudes: build_affected_points reproduces the dense reference
+  // byte for byte under both interpolation schemes.
+  tu::SplitMix64 rng(GetParam());
+  const tg::Extents3 e{24, 20, 16};
+  const int n = 8 + static_cast<int>(rng.next() % 56);
+  sp::SparseTimeSeries series(sp::dense_volume(e, n, rng.next(), 2), 4);
+  for (int t = 0; t < series.nt(); ++t) {
+    for (int s = 0; s < n; ++s) {
+      series.at(t, s) = static_cast<real_t>(rng.uniform(-1, 1));
+    }
+  }
+  for (const auto kind :
+       {sp::InterpKind::Trilinear, sp::InterpKind::WindowedSinc}) {
+    tempest::testing::expect_matches_dense_reference(e, series, kind);
+  }
 }
 
 TEST_P(SeededProperty, InterpolationPartitionOfUnityEverywhere) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "tempest/grid/grid3.hpp"
 #include "tempest/sparse/interp.hpp"
@@ -9,6 +10,7 @@
 #include "tempest/sparse/series.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
+#include "tempest/util/error.hpp"
 
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
@@ -76,6 +78,26 @@ TEST(Interp, ClipsAtDomainEdge) {
       sp::support({0.5, 8.0, 9.0}, sp::InterpKind::WindowedSinc, kE);
   for (const auto& p : sup) EXPECT_GE(p.x, 0);
   EXPECT_LT(sup.size(), 4u * 1u * 1u + 1u);
+}
+
+TEST(Interp, NonFiniteOrOutOfRangeCoordinateThrows) {
+  // The base index is an int cast of floor(c): undefined for these.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, 3.0e9, -3.0e9}) {
+    for (const auto kind :
+         {sp::InterpKind::Trilinear, sp::InterpKind::WindowedSinc}) {
+      EXPECT_THROW((void)sp::support({8.5, bad, 9.0}, kind, kE),
+                   tempest::util::PreconditionError)
+          << bad;
+      EXPECT_THROW((void)sp::support({bad, 8.5, 9.0}, kind, kE),
+                   tempest::util::PreconditionError)
+          << bad;
+      EXPECT_THROW((void)sp::support({8.5, 9.0, bad}, kind, kE),
+                   tempest::util::PreconditionError)
+          << bad;
+    }
+  }
 }
 
 TEST(Interp, SupportWidth) {
