@@ -27,19 +27,19 @@
 //               [--retries=3] [--retry-base-ms=50]
 //               [--survey-json=BENCH_survey.json] [--out=gather.csv]
 //               [--trace=survey_trace.json] [--metrics=survey_metrics.csv]
-//               [--openmetrics=survey.om] [--no-obs]
+//               [--openmetrics=survey.om]
 //
-// --survey-json writes the schema-versioned machine-readable report
-// (shots/hour, p50/p99 shot latency, per-shot outcomes). --out exports the
-// last shot's gather as CSV for plotting. Exit status is nonzero when any
-// shot was quarantined.
+// --survey-json writes the machine-readable tempest-survey-v2 report
+// (shots/hour, p50/p99 shot latency, per-shot outcomes, latency
+// histograms). --out exports the last shot's gather as CSV for plotting.
+// Exit status is nonzero when any shot was quarantined.
 //
-// Observability is on by default: every attempt runs under a
-// crash-persistent flight recorder (<jobs-dir>/blackbox/shot_<k>.tfbr,
-// decode with tools/blackbox_dump), the report uses the v2 schema with
-// latency histograms, and --openmetrics exports the survey-wide counters
-// and histograms as an OpenMetrics textfile for Prometheus scraping.
-// --no-obs restores the exact v1 behaviour and output.
+// Observability is always on: every attempt runs under a crash-persistent
+// flight recorder (<jobs-dir>/blackbox/shot_<k>.tfbr, decode with
+// tools/blackbox_dump), the report carries the survey-wide latency
+// histograms, and --openmetrics exports the counters and histograms as an
+// OpenMetrics textfile for Prometheus scraping. --trace/--metrics add the
+// Chrome trace and the flat metrics of the same spans.
 
 #include <cstdio>
 #include <iostream>
@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   spec.retry.max_attempts = static_cast<int>(cli.get_int("retries", 3));
   spec.retry.base_ms = cli.get_double("retry-base-ms", 50.0);
   spec.survey_json = cli.get("survey-json", "");
-  spec.obs = !cli.get_flag("no-obs");
   spec.openmetrics = cli.get("openmetrics", "");
   const std::string out_csv = cli.get("out", "");
   const trace::Session trace_session(cli.get("trace", ""),

@@ -9,12 +9,12 @@ OpenMetrics text expositions:
     PMU-less runs are *valid* as long as they say so (pmu.available/
     hardware flags + a captured reason) and still carry timings and
     modelled numbers.
-  * "tempest-survey-v1" / "tempest-survey-v2" — written by the
-    crash-tolerant survey runtime (jobs::write_survey_json): per-shot
-    outcomes, retry/degradation counts, and throughput/latency
-    aggregates, checked for internal consistency (counts add up,
-    aggregates match the rows). v2 additionally carries the obs latency
-    histograms, checked for bucket monotonicity and count consistency.
+  * "tempest-survey-v2" — written by the crash-tolerant survey runtime
+    (jobs::write_survey_json): per-shot outcomes, retry/degradation
+    counts, and throughput/latency aggregates, checked for internal
+    consistency (counts add up, aggregates match the rows), plus the obs
+    latency histograms, checked for bucket monotonicity and count
+    consistency.
   * OpenMetrics textfiles (obs::write_openmetrics, --openmetrics=...):
     metric-name lint, strictly increasing le-bucket bounds, cumulative
     non-decreasing counts, +Inf bucket == _count, terminal `# EOF`.
@@ -145,18 +145,18 @@ def check_validation(errors, v, i):
         fail(errors, f"{where}: verdict {verdict} with no measured bytes")
 
 
-SURVEY_SCHEMAS = ("tempest-survey-v1", "tempest-survey-v2")
+SURVEY_SCHEMA = "tempest-survey-v2"
 SHOT_STATES = {"done", "quarantined", "pending", "running"}
 
 
 def check_latency_histograms(errors, doc):
-    """Validate the v2 "latency_histograms" object: every metric carries a
+    """Validate the "latency_histograms" object: every metric carries a
     cumulative le-bucket list (strictly increasing bounds, non-decreasing
     counts, final cumulative == count), and the shot_seconds sample count
     is consistent with the number of completed shots."""
     hists = doc.get("latency_histograms")
     if not isinstance(hists, dict) or not hists:
-        fail(errors, "latency_histograms: expected a non-empty object (v2)")
+        fail(errors, "latency_histograms: expected a non-empty object")
         return
     for name, h in hists.items():
         where = f"latency_histograms.{name}"
@@ -209,12 +209,9 @@ def check_latency_histograms(errors, doc):
 
 
 def check_survey_file(doc):
-    """Validate a tempest-survey-v1/v2 document for internal consistency."""
+    """Validate a tempest-survey-v2 document for internal consistency."""
     errors = []
-    if doc.get("schema") == "tempest-survey-v2":
-        check_latency_histograms(errors, doc)
-    elif "latency_histograms" in doc:
-        fail(errors, "latency_histograms present in a v1 document")
+    check_latency_histograms(errors, doc)
     for key in ("physics", "requested_schedule"):
         if not isinstance(doc.get(key), str) or not doc[key]:
             fail(errors, f"{key}: missing")
@@ -410,7 +407,7 @@ def check_file(path):
     except (OSError, json.JSONDecodeError) as e:
         return [f"unreadable: {e}"]
 
-    if doc.get("schema") in SURVEY_SCHEMAS:
+    if doc.get("schema") == SURVEY_SCHEMA:
         return check_survey_file(doc)
 
     if doc.get("schema") != SCHEMA:
@@ -520,7 +517,7 @@ def main(argv):
         else:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
-            if doc.get("schema") in SURVEY_SCHEMAS:
+            if doc.get("schema") == SURVEY_SCHEMA:
                 print(f"OK   {path} ({doc.get('shots')} shots, "
                       f"{doc.get('done')} done, "
                       f"{doc.get('degraded')} degraded, "

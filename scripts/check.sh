@@ -2,7 +2,8 @@
 # Tier-1 verification: build + full test suite under the default (Release)
 # preset, then again under the asan preset (-fsanitize=address,undefined).
 # Usage:  scripts/check.sh [--fast | --skip-asan | --bench | --tidy |
-#                           --ubsan | --tsan | --analyze | --chaos]
+#                           --ubsan | --tsan | --notrace | --analyze |
+#                           --chaos]
 #   --fast       build the default preset and run only the `unit`-labelled
 #                tests (the PR fast lane); implies no asan pass
 #   --skip-asan  full default-preset suite, skip the sanitizer pass
@@ -29,6 +30,10 @@
 #                CI gate) — returns non-zero on any hit
 #   --ubsan      full suite under the standalone UBSan preset
 #                (-fsanitize=undefined,float-cast-overflow, no recovery)
+#   --notrace    full suite under the notrace preset (-DTEMPEST_TRACE=OFF,
+#                the one compile-out switch: the instrumentation macros
+#                expand to nothing, every other code path is the default
+#                build's)
 #   --tsan       the `parallel`-labelled tests under the ThreadSanitizer
 #                preset: no OpenMP runtime (libgomp is opaque to TSan),
 #                task graphs run on the std::thread pool backend with the
@@ -221,6 +226,12 @@ fi
 if [ "${1:-}" = "--ubsan" ]; then
   run_preset ubsan
   echo "==> ubsan suite passed"
+  exit 0
+fi
+
+if [ "${1:-}" = "--notrace" ]; then
+  run_preset notrace
+  echo "==> notrace suite passed"
   exit 0
 fi
 

@@ -17,7 +17,6 @@
 
 #include "tempest/analysis/statics/stability.hpp"
 #include "tempest/analysis/statics/verify.hpp"
-#include "tempest/obs/metrics.hpp"
 #include "tempest/resilience/fault.hpp"
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/backoff.hpp"
@@ -170,8 +169,7 @@ CommandResult run_command(const std::string& cmd, int timeout_ms) {
 
 JitModule::JitModule(const std::string& c_source,
                      const std::string& symbol_name) {
-  TEMPEST_TRACE_SPAN("jit.compile", "codegen");
-  TEMPEST_OBS_TIME(JitCompileSeconds);
+  TEMPEST_TRACE_SPAN_METRIC("jit.compile", "codegen", JitCompileSeconds);
   TEMPEST_TRACE_COUNT(JitCompiles, 1);
   // Both artifacts live in a fresh mode-0700 directory: a predictable name
   // in world-writable /tmp could be claimed by another local user between

@@ -39,7 +39,6 @@
 #include "tempest/core/wavefront.hpp"
 #include "tempest/grid/blocks.hpp"
 #include "tempest/grid/grid3.hpp"
-#include "tempest/obs/metrics.hpp"
 #include "tempest/obs/recorder.hpp"
 #include "tempest/resilience/checkpoint.hpp"
 #include "tempest/resilience/fault.hpp"
@@ -265,9 +264,10 @@ class ScheduleExecutor {
     };
 
     // One block of one substep: the unit every schedule hands to the kernel,
-    // and the single place the stencil work counters are emitted.
+    // and the single place the stencil span (TileSeconds) and the stencil
+    // work counters are emitted.
     auto substep_block = [&](int s, const grid::Box3& box) {
-      TEMPEST_OBS_TIME(TileSeconds);
+      TEMPEST_TRACE_SPAN_ARG_METRIC("stencil", "compute", s, TileSeconds);
       TEMPEST_TRACE_COUNT(CellsUpdated, box.volume());
       TEMPEST_TRACE_COUNT(HaloCellsTouched,
                           2 * radius *
@@ -363,10 +363,7 @@ class ScheduleExecutor {
       // the accumulation happens in fixed point order at the band barrier,
       // which is what keeps every thread count bitwise identical.
       auto fused_block = [&](int s, const grid::Box3& box) {
-        {
-          TEMPEST_TRACE_SPAN_ARG("stencil", "compute", s);
-          substep_block(s, box);
-        }
+        substep_block(s, box);
         if ((s + 1) % S != 0) return;
         const int t = s / S;
         {
@@ -390,22 +387,8 @@ class ScheduleExecutor {
       // gather samples in ascending point-id order, then run the health
       // scan — the only instants a whole timestep exists under blocking.
       int reduced_upto = t_begin;
-#if !defined(TEMPEST_TRACE_DISABLED)
-      // Band latency = the wall interval between successive band barriers
-      // (the first one counts from loop entry). A ScopedLatency cannot
-      // express this — bands overlap task execution — so the delta is taken
-      // by hand at each barrier.
-      std::int64_t band_start_ns = obs::now_ns();
-#endif
       auto on_band = [&](int se) {
         const int t_done = se / S;
-#if !defined(TEMPEST_TRACE_DISABLED)
-        if (obs::enabled()) {
-          const std::int64_t now = obs::now_ns();
-          obs::record_ns(obs::Metric::BandSeconds, now - band_start_ns);
-          band_start_ns = now;
-        }
-#endif
         if (has_rec && !cs_rec.empty()) {
           TEMPEST_TRACE_SPAN_ARG("interp.reduce", "sparse", t_done);
           for (int t = reduced_upto; t < t_done; ++t) {
@@ -455,19 +438,17 @@ class ScheduleExecutor {
       // Under a barrier schedule the "band" is one full timestep including
       // its sparse operators and callbacks — the unit comparable to a
       // temporally blocked band in the exported histograms.
-      TEMPEST_OBS_TIME(BandSeconds);
-      {
-        TEMPEST_TRACE_SPAN_ARG("stencil", "compute", t);
-        TEMPEST_TRACE_COUNT(BlocksExecuted, S * blocks.size());
-        // Substeps are dependent (stress reads the new velocity): each is a
-        // full parallel sweep of its own.
-        for (int sub = 0; sub < S; ++sub) {
-          const int s = S * t + sub;
-          TEMPEST_OBS_TIME(SubstepSeconds);
-          util::parallel_for(
-              static_cast<int>(blocks.size()), block_threads,
-              [&](int b) { substep_block(s, blocks[static_cast<std::size_t>(b)]); });
-        }
+      TEMPEST_TRACE_SPAN_ARG_METRIC("step", "schedule", t, BandSeconds);
+      TEMPEST_TRACE_COUNT(BlocksExecuted, S * blocks.size());
+      // Substeps are dependent (stress reads the new velocity): each is a
+      // full parallel sweep of its own.
+      for (int sub = 0; sub < S; ++sub) {
+        const int s = S * t + sub;
+        TEMPEST_TRACE_SPAN_ARG_METRIC("substep", "schedule", s,
+                                      SubstepSeconds);
+        util::parallel_for(
+            static_cast<int>(blocks.size()), block_threads,
+            [&](int b) { substep_block(s, blocks[static_cast<std::size_t>(b)]); });
       }
       {
         TEMPEST_TRACE_SPAN_ARG("inject", "sparse", t);

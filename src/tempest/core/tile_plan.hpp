@@ -123,7 +123,8 @@ struct TilePlan {
 /// every space block of every task step, timesteps innermost within a task.
 /// `on_band(te)` fires after band [t0, te) drains — every substep < te is
 /// then fully computed, the only global barrier temporal blocking offers.
-/// threads == 1 is the bitwise serial reference order.
+/// One band span (BandSeconds) covers the band's task graph and its
+/// on_band. threads == 1 is the bitwise serial reference order.
 template <typename BlockFn, typename BandFn = NoBandCallback>
 void execute(const TilePlan& plan, int threads, BlockFn&& fn,
              BandFn&& on_band = BandFn{}) {
@@ -132,7 +133,7 @@ void execute(const TilePlan& plan, int threads, BlockFn&& fn,
       : plan.kind == TilePlan::Kind::Diamond ? "diamond.band"
                                              : "step";
   for (const TileBand& band : plan.bands) {
-    TEMPEST_TRACE_SPAN_ARG(span, "schedule", band.te);
+    TEMPEST_TRACE_SPAN_ARG_METRIC(span, "schedule", band.te, BandSeconds);
     band.dag.run(threads, [&](int node) {
       const std::vector<TileStep>& steps =
           band.tasks[static_cast<std::size_t>(node)];

@@ -110,7 +110,6 @@ ChildResult spawn_worker(const std::string& self,
   return run_child(argv, env);
 }
 
-#if !defined(TEMPEST_TRACE_DISABLED)
 /// Every .tfbr the dead worker left behind must pass CRC verification, and
 /// at least one must decode to a non-empty event stream (the victim shot's
 /// final moments). Returns "" on success, a diagnostic otherwise.
@@ -141,7 +140,6 @@ std::string check_blackboxes(const std::string& blackbox_dir) {
              " with decodable events");
   return "";
 }
-#endif
 
 }  // namespace
 
@@ -186,7 +184,6 @@ std::string run_chaos(const ChaosSpec& spec, const std::string& self) {
     util::info("chaos: kill " + std::to_string(k) + " fired at tick " +
                std::to_string(kill_at) + " (signal " +
                std::to_string(r.signal) + ")");
-#if !defined(TEMPEST_TRACE_DISABLED)
     // Post-mortem contract: a SIGKILL'd worker must leave its victim
     // shot's flight recorder behind, CRC-verifiable and holding at least
     // one decodable record of the shot's final moments.
@@ -196,7 +193,6 @@ std::string run_chaos(const ChaosSpec& spec, const std::string& self) {
         return "chaos: after kill " + std::to_string(k) + ": " + err;
       }
     }
-#endif
     if (spec.corrupt && k == spec.kills / 2) {
       // Bit-flip the newest checkpoint of shot 0 (if present): recovery
       // must fall back to the rotated predecessor, not die.

@@ -20,20 +20,15 @@ struct ShotReport {
   std::string detail;      ///< diagnostics from the last recorded event
 };
 
-/// Machine-readable survey summary. Two schemas share this struct:
-///
-///   "tempest-survey-v1" (obs == false, or TEMPEST_TRACE=OFF builds) — the
-///   original fields only, byte-identical to pre-obs output: p50/p99 are
-///   nearest-rank percentiles over the exact per-shot latencies.
-///
-///   "tempest-survey-v2" (obs == true) — adds a "latency_histograms"
-///   object with the full fixed-layout bucket contents of every obs
-///   metric, and p50/p99 come from the shared obs::Histogram quantile rule
-///   (inclusive upper bound of the first bucket whose cumulative count
-///   reaches ceil(q*N), clamped to the observed [min, max]; an upward bias
-///   of at most one bucket width, <= 12.5% relative). Histogram-derived
-///   quantiles are what a fleet aggregator can merge across surveys
-///   without the raw samples.
+/// Machine-readable survey summary, schema "tempest-survey-v2": the
+/// per-shot rows, the throughput aggregates and a "latency_histograms"
+/// object with the full fixed-layout bucket contents of every obs metric.
+/// p50/p99 come from the ShotSeconds histogram under the shared
+/// obs::Histogram quantile rule (inclusive upper bound of the first bucket
+/// whose cumulative count reaches ceil(q*N), clamped to the observed
+/// [min, max]; an upward bias of at most one bucket width, <= 12.5%
+/// relative). Histogram-derived quantiles are what a fleet aggregator can
+/// merge across surveys without the raw samples.
 struct SurveyReport {
   std::string physics;
   std::string requested_schedule;
@@ -48,17 +43,14 @@ struct SurveyReport {
   double shots_per_hour = 0.0;  ///< completed shots over total wall-clock
   double p50_shot_seconds = 0.0;
   double p99_shot_seconds = 0.0;
-  bool obs = false;  ///< true: v2 schema with latency histograms
-  obs::MetricSnapshot latency{};  ///< survey-wide metric histograms (v2)
+  obs::MetricSnapshot latency{};  ///< survey-wide metric histograms
   std::vector<ShotReport> shots;
 };
 
-/// Fill the throughput/latency aggregates from the per-shot rows and
-/// `total_seconds`: shots/hour counts Done shots against the whole run's
-/// wall-clock. v1 (obs == false): p50/p99 are nearest-rank percentiles
-/// over the winning attempts of Done shots. v2: p50/p99 come from the
-/// ShotSeconds histogram in `latency` (see the SurveyReport comment for
-/// the quantile rule).
+/// Fill the throughput/latency aggregates from the per-shot rows,
+/// `total_seconds` and `latency`: shots/hour counts Done shots against the
+/// whole run's wall-clock; p50/p99 come from the ShotSeconds histogram (see
+/// the SurveyReport comment for the quantile rule).
 void finalize_aggregates(SurveyReport& report);
 
 /// Write the schema-versioned BENCH_survey.json sink

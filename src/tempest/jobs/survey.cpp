@@ -77,9 +77,8 @@ std::uint64_t shot_fingerprint(std::uint64_t base, int shot,
   return s == Schedule::Reference || s == Schedule::SpaceBlocked;
 }
 
-#if !defined(TEMPEST_TRACE_DISABLED)
 /// Arms the flight recorder around one attempt: a fresh (truncated) black
-/// box under the live name, installed as the process-wide trace tap, with
+/// box under the live name, installed as the process-wide black box, with
 /// job-state bookends. Destruction detects how the attempt ended — a
 /// throw unwinding through the scope notes "attempt.fail" so the dead
 /// shot's last record names its failure mode; the file itself is retained
@@ -89,7 +88,6 @@ class BlackboxScope {
  public:
   BlackboxScope(const SurveySpec& spec, const Attempt& a)
       : shot_(a.job), level_(a.level) {
-    if (!spec.obs) return;
     obs::FlightRecorder::Options o;
     o.shot = static_cast<std::uint32_t>(a.job);
     rec_ = obs::FlightRecorder::create(blackbox_live_path(spec, a.job), o);
@@ -133,7 +131,22 @@ void retain_or_recycle_blackbox(const SurveySpec& spec, const Attempt& a,
     std::filesystem::rename(live, kept, ec);
   }
 }
-#endif  // !TEMPEST_TRACE_DISABLED
+
+/// Turns the latency histograms on (from empty) for one survey and puts
+/// the caller's setting back on every exit, a throw included.
+class HistogramScope {
+ public:
+  HistogramScope() : was_enabled_(obs::enabled()) {
+    obs::reset_metrics();
+    obs::set_enabled(true);
+  }
+  ~HistogramScope() { obs::set_enabled(was_enabled_); }
+  HistogramScope(const HistogramScope&) = delete;
+  HistogramScope& operator=(const HistogramScope&) = delete;
+
+ private:
+  bool was_enabled_;
+};
 
 /// The rung's propagator: the generated kernel for a +jit rung, else the
 /// AOT propagator of the survey's physics.
@@ -164,9 +177,7 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
                        const std::vector<SurveyRung>& ladder,
                        std::uint64_t base_fp, const Attempt& a) {
   const SurveyRung& rung = ladder.at(static_cast<std::size_t>(a.level));
-#if !defined(TEMPEST_TRACE_DISABLED)
   const BlackboxScope blackbox(spec, a);
-#endif
   const int n = spec.n;
   const int nt = spec.nt;
   const double dt = model.critical_dt();
@@ -277,7 +288,8 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   AttemptResult res;
   res.seconds = stats.seconds + stats.precompute_seconds;
   res.detail = rung.name;
-  TEMPEST_OBS_RECORD_NS(ShotSeconds, res.seconds * 1e9);
+  obs::record_ns(obs::Metric::ShotSeconds,
+                 static_cast<std::int64_t>(res.seconds * 1e9));
   return res;
 }
 
@@ -304,13 +316,9 @@ int drive(const Model& model, const SurveySpec& spec,
                   return run_shot<Propagator>(model, spec, ladder, base_fp,
                                               a);
                 });
-#if !defined(TEMPEST_TRACE_DISABLED)
-  if (spec.obs) {
-    runner.set_on_outcome([&spec](const Attempt& a, const char* outcome) {
-      retain_or_recycle_blackbox(spec, a, outcome);
-    });
-  }
-#endif
+  runner.set_on_outcome([&spec](const Attempt& a, const char* outcome) {
+    retain_or_recycle_blackbox(spec, a, outcome);
+  });
   return runner.run();
 }
 
@@ -356,19 +364,8 @@ SurveyReport run_survey(const SurveySpec& spec) {
   TEMPEST_REQUIRE(spec.n_shots > 0 && spec.nt >= 2 && spec.n >= 8);
   // Let the chaos harness arm its kill point in a child it spawned.
   resilience::fault::arm_kill_from_env();
-  std::filesystem::create_directories(spec.jobs_dir);
-
-#if !defined(TEMPEST_TRACE_DISABLED)
-  const bool obs_on = spec.obs;
-  const bool obs_was_enabled = obs::enabled();
-  if (obs_on) {
-    std::filesystem::create_directories(spec.jobs_dir + "/blackbox");
-    obs::reset_metrics();
-    obs::set_enabled(true);
-  }
-#else
-  const bool obs_on = false;
-#endif
+  std::filesystem::create_directories(spec.jobs_dir + "/blackbox");
+  const HistogramScope histograms;
 
   const std::uint64_t base_fp = survey_fingerprint(spec);
   const bool jit_rung = spec.use_jit && spec.physics == "acoustic";
@@ -434,16 +431,8 @@ SurveyReport run_survey(const SurveySpec& spec) {
     row.detail = j.detail;
     report.shots.push_back(std::move(row));
   }
-  report.obs = obs_on;
-#if !defined(TEMPEST_TRACE_DISABLED)
-  if (obs_on) {
-    report.latency = obs::snapshot_metrics();
-    if (!spec.openmetrics.empty()) {
-      obs::write_openmetrics(spec.openmetrics);
-    }
-    obs::set_enabled(obs_was_enabled);
-  }
-#endif
+  report.latency = obs::snapshot_metrics();
+  if (!spec.openmetrics.empty()) obs::write_openmetrics(spec.openmetrics);
   finalize_aggregates(report);
   if (!spec.survey_json.empty()) {
     write_survey_json(spec.survey_json, report);

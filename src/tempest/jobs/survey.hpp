@@ -38,14 +38,6 @@ struct SurveySpec {
   util::BackoffPolicy retry{};
 
   std::string survey_json;  ///< BENCH_survey.json path ("" = skip)
-
-  /// Observability (tempest::obs). When on, every attempt runs under a
-  /// crash-persistent flight recorder at <jobs_dir>/blackbox/shot_<k>.tfbr
-  /// (retained on degrade/quarantine, recycled on success), the latency
-  /// histograms are collected survey-wide, and the report uses the v2
-  /// schema. Off — or in a TEMPEST_TRACE=OFF build, which compiles the
-  /// whole layer out — the survey behaves and serializes exactly as v1.
-  bool obs = true;
   std::string openmetrics;  ///< OpenMetrics textfile path ("" = skip)
 };
 
@@ -83,6 +75,12 @@ struct SurveyRung {
 /// drives every shot to Done or Quarantined under the retry/degradation
 /// policy. On full success the journal and checkpoints are removed; the
 /// gathers and the report remain.
+///
+/// Telemetry: every attempt runs under a crash-persistent flight recorder
+/// at <jobs_dir>/blackbox/shot_<k>.tfbr (retained on degrade/quarantine,
+/// recycled on success), and the latency histograms are collected
+/// survey-wide for the report. The histogram switch is turned on for the
+/// survey and restored on every exit, a throw included.
 SurveyReport run_survey(const SurveySpec& spec);
 
 }  // namespace tempest::jobs

@@ -8,18 +8,26 @@
 namespace tempest::obs {
 
 /// The runtime's latency distributions. Every metric is a Histogram of
-/// nanosecond durations with the shared fixed bucket layout, accumulated in
-/// per-thread shards and merged on snapshot — so the aggregate is invariant
-/// under thread count and merge order (only the wall-clock values themselves
-/// vary run to run).
+/// nanosecond durations with the shared fixed bucket layout. The samples
+/// live in the telemetry runtime's per-thread registry (tempest::trace) and
+/// are merged on snapshot — so the aggregate is invariant under thread
+/// count and merge order (only the wall-clock values themselves vary run to
+/// run). Each metric is fed by the one span that times its interval (see
+/// trace::ScopedSpan), except ShotSeconds, which the survey computes itself
+/// and records with record_ns().
 ///
-///   TileSeconds            one space block handed to a kernel (all schedules)
-///   SubstepSeconds         one whole-domain substep sweep (barrier schedules)
+///   TileSeconds            one space block handed to a kernel (all
+///                          schedules): the "stencil" span
+///   SubstepSeconds         one whole-domain substep sweep (barrier
+///                          schedules): the "substep" span
 ///   BandSeconds            one time band (temporal blocking) / one full
-///                          timestep including callbacks (barrier schedules)
+///                          timestep including callbacks (barrier
+///                          schedules): the band spans and the "step" span
 ///   ShotSeconds            one winning shot attempt (time loop + precompute)
-///   JitCompileSeconds      one codegen::JitModule compile+load
-///   CheckpointWriteSeconds one resilience::Checkpointer::save
+///   JitCompileSeconds      one codegen::JitModule compile+load: the
+///                          "jit.compile" span
+///   CheckpointWriteSeconds one resilience::Checkpointer::save: the
+///                          "checkpoint.save" span
 enum class Metric : int {
   TileSeconds = 0,
   SubstepSeconds,
@@ -31,65 +39,35 @@ enum class Metric : int {
 inline constexpr int kNumMetrics = 6;
 
 /// OpenMetrics-safe base name ("tile_seconds", ...).
-[[nodiscard]] const char* to_string(Metric m);
+[[nodiscard]] constexpr const char* to_string(Metric m) {
+  switch (m) {
+    case Metric::TileSeconds: return "tile_seconds";
+    case Metric::SubstepSeconds: return "substep_seconds";
+    case Metric::BandSeconds: return "band_seconds";
+    case Metric::ShotSeconds: return "shot_seconds";
+    case Metric::JitCompileSeconds: return "jit_compile_seconds";
+    case Metric::CheckpointWriteSeconds: return "checkpoint_write_seconds";
+  }
+  return "?";
+}
 
-/// Global runtime switch, independent of trace::enabled(). Off by default;
-/// when off, record_ns() is one relaxed load + branch.
+/// The histogram bit of the telemetry gate word. Off by default; while off,
+/// record_ns() and metric spans record nothing.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 
-/// Record one duration into metric `m` on this thread's shard (no-op while
+/// Record one duration into metric `m` on this thread (no-op while
 /// disabled).
 void record_ns(Metric m, std::int64_t ns);
 
-/// Monotonic nanosecond clock shared by all obs timing (steady_clock).
-[[nodiscard]] std::int64_t now_ns();
-
 /// Merged view of every metric across all threads (including threads that
-/// have since exited — their shards are folded into retired accumulators,
-/// exactly like the trace registry). Call from serial code.
+/// have since exited — their samples are folded into retired accumulators).
+/// Call from serial code.
 using MetricSnapshot = std::array<Histogram, kNumMetrics>;
 [[nodiscard]] MetricSnapshot snapshot_metrics();
 [[nodiscard]] Histogram metric_histogram(Metric m);
 
-/// Zero every shard on every thread.
+/// Zero every histogram on every thread.
 void reset_metrics();
 
-/// RAII duration: records [construction, destruction) into `m` when the
-/// metrics runtime is enabled. Prefer the TEMPEST_OBS_TIME macro, which
-/// compiles out under TEMPEST_TRACE_DISABLED.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Metric m)
-      : m_(m), active_(enabled()), start_(active_ ? now_ns() : 0) {}
-  ~ScopedLatency() {
-    if (active_) record_ns(m_, now_ns() - start_);
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  Metric m_;
-  bool active_;
-  std::int64_t start_;
-};
-
 }  // namespace tempest::obs
-
-#define TEMPEST_OBS_CONCAT_IMPL(a, b) a##b
-#define TEMPEST_OBS_CONCAT(a, b) TEMPEST_OBS_CONCAT_IMPL(a, b)
-
-// Instrumentation macros: compiled out together with the trace macros under
-// -DTEMPEST_TRACE=OFF, so an un-instrumented build carries zero obs cost.
-#if defined(TEMPEST_TRACE_DISABLED)
-#define TEMPEST_OBS_TIME(metric) ((void)0)
-#define TEMPEST_OBS_RECORD_NS(metric, ns) ((void)0)
-#else
-#define TEMPEST_OBS_TIME(metric)                                           \
-  ::tempest::obs::ScopedLatency TEMPEST_OBS_CONCAT(tempest_obs_latency_,   \
-                                                   __LINE__)(              \
-      ::tempest::obs::Metric::metric)
-#define TEMPEST_OBS_RECORD_NS(metric, ns)                                  \
-  ::tempest::obs::record_ns(::tempest::obs::Metric::metric,                \
-                            static_cast<std::int64_t>(ns))
-#endif

@@ -48,24 +48,20 @@ void write_histogram(std::ostream& os, const char* name, const char* help,
 }  // namespace
 
 void write_openmetrics(std::ostream& os, const OpenMetricsOptions& opts) {
-  if (opts.counters) {
-    const trace::CounterSnapshot counters = trace::snapshot();
-    for (int c = 0; c < trace::kNumCounters; ++c) {
-      const char* name = trace::to_string(static_cast<trace::Counter>(c));
-      os << "# TYPE tempest_" << name << " counter\n";
-      os << "# HELP tempest_" << name
-         << " Monotonic work counter from tempest::trace.\n";
-      os << "tempest_" << name << "_total "
-         << counters[static_cast<std::size_t>(c)] << "\n";
-    }
+  const trace::CounterSnapshot counters = trace::snapshot();
+  for (int c = 0; c < trace::kNumCounters; ++c) {
+    const char* name = trace::to_string(static_cast<trace::Counter>(c));
+    os << "# TYPE tempest_" << name << " counter\n";
+    os << "# HELP tempest_" << name
+       << " Monotonic work counter from tempest::trace.\n";
+    os << "tempest_" << name << "_total "
+       << counters[static_cast<std::size_t>(c)] << "\n";
   }
-  if (opts.metrics) {
-    const MetricSnapshot snap = snapshot_metrics();
-    for (int m = 0; m < kNumMetrics; ++m) {
-      write_histogram(os, to_string(static_cast<Metric>(m)),
-                      "Latency distribution from tempest::obs.",
-                      snap[static_cast<std::size_t>(m)]);
-    }
+  const MetricSnapshot snap = snapshot_metrics();
+  for (int m = 0; m < kNumMetrics; ++m) {
+    write_histogram(os, to_string(static_cast<Metric>(m)),
+                    "Latency distribution from tempest::obs.",
+                    snap[static_cast<std::size_t>(m)]);
   }
   if (opts.pmu != nullptr) {
     for (int e = 0; e < perf::pmu::kNumEvents; ++e) {

@@ -10,9 +10,9 @@ struct Sample;
 namespace tempest::obs {
 
 /// OpenMetrics / Prometheus textfile exposition of the runtime's telemetry:
-/// the trace work counters as monotonic counters, the obs latency metrics
-/// as histograms (cumulative le-buckets in seconds), and optionally a PMU
-/// sample as gauges. Metric names are a stable contract:
+/// every trace work counter as a monotonic counter, every obs latency
+/// metric as a histogram (cumulative le-buckets in seconds), and optionally
+/// a PMU sample as gauges. Metric names are a stable contract:
 ///
 ///   tempest_<counter>_total            e.g. tempest_cells_updated_total
 ///   tempest_<metric>{_bucket,_sum,_count}
@@ -29,8 +29,6 @@ namespace tempest::obs {
 /// node_exporter textfile collector or any Prometheus scrape relay.
 struct OpenMetricsOptions {
   const perf::pmu::Sample* pmu = nullptr;  ///< non-null: emit PMU gauges
-  bool counters = true;                    ///< trace counter totals
-  bool metrics = true;                     ///< latency histograms
 };
 
 void write_openmetrics(std::ostream& os, const OpenMetricsOptions& opts = {});

@@ -246,34 +246,15 @@ namespace {
 
 std::atomic<FlightRecorder*> g_blackbox{nullptr};
 
-void tap_span_enter(void*, const char* name, const char*, std::int64_t arg,
-                    bool has_arg) {
-  FlightRecorder* r = g_blackbox.load(std::memory_order_acquire);
-  if (r != nullptr) r->record(kSpanEnter, name, arg, has_arg ? 1 : 0);
-}
-
-void tap_span_exit(void*, const char* name, std::int64_t, std::int64_t dur_ns) {
-  FlightRecorder* r = g_blackbox.load(std::memory_order_acquire);
-  if (r != nullptr) r->record(kSpanExit, name, dur_ns, 0);
-}
-
-void tap_counter(void*, trace::Counter c, long long delta) {
-  FlightRecorder* r = g_blackbox.load(std::memory_order_acquire);
-  if (r != nullptr) r->record(kCounterDelta, trace::to_string(c), delta, 0);
-}
-
-const trace::EventTap kBlackboxTap{nullptr, tap_span_enter, tap_span_exit,
-                                   tap_counter};
-
 }  // namespace
 
 void install_blackbox(FlightRecorder* r) {
   g_blackbox.store(r, std::memory_order_release);
-  trace::set_event_tap(r != nullptr ? &kBlackboxTap : nullptr);
+  trace::set_sinks(trace::kRecorderSink, r != nullptr);
 }
 
 void uninstall_blackbox() {
-  trace::set_event_tap(nullptr);
+  trace::set_sinks(trace::kRecorderSink, false);
   g_blackbox.store(nullptr, std::memory_order_release);
 }
 

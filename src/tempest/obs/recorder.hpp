@@ -98,9 +98,10 @@ inline constexpr std::uint16_t kMark = 6;      ///< free-form
 
 [[nodiscard]] const char* kind_name(std::uint16_t kind);
 
-/// Install `r` as the process-wide black box: span enter/exit and counter
-/// deltas flow in through the trace event tap, health samples and job state
-/// transitions through the note_* feeds below. Serial code only; uninstall
+/// Install `r` as the process-wide black box and set the recorder bit of
+/// the telemetry gate word: every span records its enter and exit, and
+/// every counter its delta, while health samples and job state transitions
+/// arrive through the note_* feeds below. Serial code only; uninstall
 /// before destroying the recorder.
 void install_blackbox(FlightRecorder* r);
 void uninstall_blackbox();

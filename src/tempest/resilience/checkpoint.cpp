@@ -8,7 +8,6 @@
 
 #include "tempest/io/io.hpp"
 #include "tempest/resilience/fault.hpp"
-#include "tempest/obs/metrics.hpp"
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/crc32.hpp"
 #include "tempest/util/error.hpp"
@@ -38,6 +37,7 @@ class CrcWriter {
     os_.write(static_cast<const char*>(data),
               static_cast<std::streamsize>(n));
     crc_.update(data, n);
+    size_ += n;
   }
 
   template <typename T>
@@ -47,10 +47,13 @@ class CrcWriter {
   }
 
   [[nodiscard]] std::uint32_t crc() const { return crc_.value(); }
+  /// Bytes emitted so far.
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   std::ostream& os_;
   util::Crc32 crc_;
+  std::size_t size_ = 0;
 };
 
 /// Bounds-checked cursor over the fully loaded file image.
@@ -118,8 +121,8 @@ Checkpoint::operator CheckpointView() const {
 }
 
 void Checkpointer::save(const CheckpointView& ck) const {
-  TEMPEST_TRACE_SPAN("checkpoint.save", "resilience");
-  TEMPEST_OBS_TIME(CheckpointWriteSeconds);
+  TEMPEST_TRACE_SPAN_METRIC("checkpoint.save", "resilience",
+                            CheckpointWriteSeconds);
   TEMPEST_REQUIRE_MSG(!ck.slots.empty(), "checkpoint carries no time slices");
   const auto& e0 = ck.slots.front()->extents();
   const int halo0 = ck.slots.front()->halo();
@@ -129,6 +132,7 @@ void Checkpointer::save(const CheckpointView& ck) const {
   }
 
   const std::string tmp = path_ + ".tmp";
+  [[maybe_unused]] std::size_t written = 0;
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     TEMPEST_REQUIRE_MSG(os.is_open(),
@@ -181,6 +185,7 @@ void Checkpointer::save(const CheckpointView& ck) const {
 
     const std::uint32_t crc = w.crc();
     os.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    written = w.size() + sizeof(crc);
     os.flush();
     TEMPEST_REQUIRE_MSG(static_cast<bool>(os),
                         "checkpoint write failed: " + tmp);
@@ -200,13 +205,7 @@ void Checkpointer::save(const CheckpointView& ck) const {
   }
   TEMPEST_REQUIRE_MSG(std::rename(tmp.c_str(), path_.c_str()) == 0,
                       "cannot move checkpoint into place: " + path_);
-#if !defined(TEMPEST_TRACE_DISABLED)
-  if (trace::enabled()) {
-    std::error_code size_ec;
-    const auto written = std::filesystem::file_size(path_, size_ec);
-    if (!size_ec) TEMPEST_TRACE_COUNT(CheckpointBytes, written);
-  }
-#endif
+  TEMPEST_TRACE_COUNT(CheckpointBytes, written);
 }
 
 Checkpoint Checkpointer::load() const { return load_file(path_); }

@@ -1,51 +1,57 @@
 #include "tempest/trace/trace.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
-#include <fstream>
-#include <map>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <type_traits>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#define TEMPEST_TRACE_HAVE_SIGNALS 1
-#endif
+#include "tempest/obs/recorder.hpp"
 
 namespace tempest::trace {
 
 namespace {
 
-/// Per-thread buffer: counter accumulators plus completed spans. The
-/// recording thread is the only writer of `events`; `mu` serialises those
-/// writes against the serial-phase sinks that drain them. Counters are
-/// relaxed atomics so the sinks can read them without the lock.
+/// Per-thread buffer: counter accumulators, completed spans and the latency
+/// histograms. The recording thread is the only writer of `events` and
+/// `hist`; `mu` serialises those writes against the serial-phase sinks that
+/// drain them. Counters are relaxed atomics so the sinks can read them
+/// without the lock.
 struct ThreadState {
   std::array<std::atomic<long long>, kNumCounters> counters{};
   std::vector<Event> events;
+  obs::MetricSnapshot hist;
   std::mutex mu;
   int tid = 0;
 };
 
-/// Registry of every thread that ever traced. States are shared_ptr so a
+/// Registry of every thread that ever recorded. States are shared_ptr so a
 /// thread exiting does not invalidate its (still unread) buffer.
 ///
 /// The task-parallel engine's pool backend spawns short-lived workers (a
 /// fresh team per band when OpenMP is absent), so "every thread that ever
-/// traced" is unbounded over a long run. Exited threads' buffers are
-/// therefore *merged on flush*: any aggregation pass folds the counters
-/// and events of dead threads into the `retired` accumulators and drops
-/// their states, keeping the registry bounded by the number of *live*
-/// threads while totals stay exactly thread-count-invariant (a worker's
-/// counts survive its thread).
+/// recorded" is unbounded over a long run. Exited threads' buffers are
+/// therefore *merged on flush*: any aggregation pass folds the counters,
+/// events and histograms of dead threads into the `retired` accumulators
+/// and drops their states, keeping the registry bounded by the number of
+/// *live* threads while totals stay exactly thread-count-invariant (a
+/// worker's counts survive its thread).
 struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadState>> states;
   int next_tid = 0;
   std::array<long long, kNumCounters> retired_counters{};
   std::vector<Event> retired_events;
+  obs::MetricSnapshot retired_hist;
 };
 
 Registry& registry() {
@@ -71,6 +77,10 @@ void compact_locked(Registry& r) {
     }
     r.retired_events.insert(r.retired_events.end(), s.events.begin(),
                             s.events.end());
+    for (int m = 0; m < obs::kNumMetrics; ++m) {
+      r.retired_hist[static_cast<std::size_t>(m)].merge(
+          s.hist[static_cast<std::size_t>(m)]);
+    }
   }
   r.states.erase(dead_begin, r.states.end());
 }
@@ -87,10 +97,24 @@ ThreadState& local_state() {
   return *state;
 }
 
-std::atomic<bool> g_enabled{false};
+/// Counter totals: the retired ones plus every live thread's. Reads only
+/// relaxed atomics, so the crash path calls it without the registry lock.
+CounterSnapshot sum_counters(const Registry& r) {
+  CounterSnapshot out = r.retired_counters;
+  for (const auto& s : r.states) {
+    for (int c = 0; c < kNumCounters; ++c) {
+      out[static_cast<std::size_t>(c)] +=
+          s->counters[static_cast<std::size_t>(c)].load(
+              std::memory_order_relaxed);
+    }
+  }
+  return out;
+}
+
+/// The gate word: one Sink bit per live sink.
+std::atomic<unsigned> g_sinks{0};
 std::atomic<std::int64_t> g_epoch_ns{0};
 std::atomic<const SpanEnricher*> g_enricher{nullptr};
-std::atomic<const EventTap*> g_tap{nullptr};
 
 std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -100,30 +124,160 @@ std::int64_t steady_ns() {
 
 std::int64_t now_ns() { return steady_ns() - g_epoch_ns.load(std::memory_order_relaxed); }
 
-/// JSON string escape for names (call-site literals, but keep it correct).
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
+// ------------------------------------------------------------------ sinks
+//
+// One renderer serves the clean sinks and the crash flush. It formats into
+// a fixed buffer and never allocates, so the fatal-signal handler runs the
+// same code as a Session's destructor.
+
+/// Sink output: a fixed buffer drained to an ostream or, for a Session's
+/// files, to a file descriptor with write(2).
+class Out {
+ public:
+  explicit Out(std::ostream& os) : os_(&os) {}
+  explicit Out(int fd) : fd_(fd) {}
+  ~Out() { flush(); }
+  Out(const Out&) = delete;
+  Out& operator=(const Out&) = delete;
+
+  Out& operator<<(char c) {
+    if (n_ == sizeof(buf_)) flush();
+    buf_[n_++] = c;
+    return *this;
+  }
+  Out& operator<<(const char* s) {
+    for (; *s != '\0'; ++s) *this << *s;
+    return *this;
+  }
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, char> &&
+             !std::is_same_v<T, bool>)
+  Out& operator<<(T v) {
+    return fixed(static_cast<long long>(v), 0);
+  }
+
+  /// v / 10^decimals, printed with exactly `decimals` fraction digits.
+  Out& fixed(long long v, int decimals) {
+    char digits[24];
+    int n = 0;
+    unsigned long long u = v < 0 ? 0ULL - static_cast<unsigned long long>(v)
+                                 : static_cast<unsigned long long>(v);
+    do {
+      digits[n++] = static_cast<char>('0' + u % 10);
+      u /= 10;
+    } while (u != 0 || n <= decimals);
+    if (v < 0) *this << '-';
+    while (n > 0) {
+      if (n == decimals) *this << '.';
+      *this << digits[--n];
+    }
+    return *this;
+  }
+
+  /// JSON string escape for names (call-site literals, but keep it correct).
+  Out& json_string(const char* s) {
+    *this << '"';
+    for (; *s != '\0'; ++s) {
+      const char c = *s;
+      switch (c) {
+        case '"': *this << "\\\""; break;
+        case '\\': *this << "\\\\"; break;
+        case '\n': *this << "\\n"; break;
+        case '\t': *this << "\\t"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            *this << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
+                  << "0123456789abcdef"[c & 0xf];
+          } else {
+            *this << c;
+          }
+      }
+    }
+    return *this << '"';
+  }
+
+  void flush() {
+    const char* p = buf_;
+    std::size_t left = n_;
+    n_ = 0;
+    if (os_ != nullptr) {
+      os_->write(p, static_cast<std::streamsize>(left));
+      return;
+    }
+    while (left > 0) {
+      const ssize_t w = ::write(fd_, p, left);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) return;
+      p += w;
+      left -= static_cast<std::size_t>(w);
     }
   }
-  os << '"';
+
+ private:
+  char buf_[4096];
+  std::size_t n_ = 0;
+  std::ostream* os_ = nullptr;
+  int fd_ = -1;
+};
+
+/// The counter totals as the members of a JSON object.
+void render_counters_json(Out& out, const CounterSnapshot& counters) {
+  for (int c = 0; c < kNumCounters; ++c) {
+    if (c != 0) out << ',';
+    out.json_string(to_string(static_cast<Counter>(c)))
+        << ':' << counters[static_cast<std::size_t>(c)];
+  }
+}
+
+/// An event source for the renderers: calls fn(event) for every event.
+auto each_of(const std::vector<Event>& evs) {
+  return [&evs](const auto& fn) {
+    for (const Event& e : evs) fn(e);
+  };
+}
+
+template <typename EachEvent>
+void render_chrome_trace(Out& out, const EachEvent& each,
+                         const CounterSnapshot& counters) {
+  out << "{\"traceEvents\":[";
+  bool first = true;
+  each([&](const Event& e) {
+    if (!first) out << ',';
+    first = false;
+    out << "\n{\"name\":";
+    out.json_string(e.name);
+    out << ",\"cat\":";
+    out.json_string(e.cat);
+    // Chrome trace timestamps are microseconds; the three-digit fraction
+    // keeps the nanosecond at any distance from reset().
+    out << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid << ",\"ts\":";
+    out.fixed(e.ts_ns, 3) << ",\"dur\":";
+    out.fixed(e.dur_ns, 3);
+    if (e.has_arg || e.n_slots > 0) {
+      out << ",\"args\":{";
+      bool first_arg = true;
+      if (e.has_arg) {
+        out << "\"t\":" << e.arg;
+        first_arg = false;
+      }
+      for (int i = 0; i < e.n_slots; ++i) {
+        if (!first_arg) out << ',';
+        first_arg = false;
+        out.json_string(e.slot_names[i]) << ':'
+                                         << e.slots[static_cast<std::size_t>(i)];
+      }
+      out << '}';
+    }
+    out << '}';
+  });
+  out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{";
+  render_counters_json(out, counters);
+  out << "}}\n";
 }
 
 /// Per-span-name aggregate used by the flat metrics sinks.
 struct SpanAggregate {
+  const char* name = nullptr;
   long long count = 0;
   std::int64_t total_ns = 0;
   int n_slots = 0;  ///< >0 when at least one span carried enrichment
@@ -131,29 +285,97 @@ struct SpanAggregate {
   std::array<std::int64_t, kMaxSpanSlots> slots{};
 };
 
-std::map<std::string, SpanAggregate> aggregate_spans() {
-  std::map<std::string, SpanAggregate> agg;
-  for (const Event& e : events()) {
-    SpanAggregate& a = agg[e.name];
-    a.count += 1;
-    a.total_ns += e.dur_ns;
+/// Fold `each`'s events into `aggs` by name, sorted by name. With
+/// grow == false (the crash path) `aggs` never reallocates: names beyond
+/// the capacity reserved at arm time are dropped.
+template <typename EachEvent>
+void aggregate_spans(const EachEvent& each, std::vector<SpanAggregate>& aggs,
+                     bool grow) {
+  aggs.clear();
+  each([&](const Event& e) {
+    auto it = std::find_if(aggs.begin(), aggs.end(),
+                           [&](const SpanAggregate& a) {
+                             return a.name == e.name ||
+                                    std::strcmp(a.name, e.name) == 0;
+                           });
+    if (it == aggs.end()) {
+      if (!grow && aggs.size() == aggs.capacity()) return;
+      aggs.push_back(SpanAggregate{e.name});
+      it = aggs.end() - 1;
+    }
+    it->count += 1;
+    it->total_ns += e.dur_ns;
     if (e.n_slots > 0) {
-      a.n_slots = e.n_slots;
-      a.slot_names = e.slot_names;
+      it->n_slots = e.n_slots;
+      it->slot_names = e.slot_names;
       for (int i = 0; i < e.n_slots; ++i) {
-        a.slots[static_cast<std::size_t>(i)] +=
+        it->slots[static_cast<std::size_t>(i)] +=
             e.slots[static_cast<std::size_t>(i)];
       }
     }
-  }
-  return agg;
+  });
+  std::sort(aggs.begin(), aggs.end(),
+            [](const SpanAggregate& a, const SpanAggregate& b) {
+              return std::strcmp(a.name, b.name) < 0;
+            });
 }
 
-bool any_enriched(const std::map<std::string, SpanAggregate>& agg) {
-  for (const auto& [name, a] : agg) {
-    if (a.n_slots > 0) return true;
+/// The metrics sink in two parts. The head carries the schema marker and
+/// every counter row and reads only counter totals; the tail carries the
+/// span rows. The crash flush writes the head before it reads any event.
+void render_metrics_head(Out& out, bool csv, const CounterSnapshot& counters) {
+  if (!csv) {
+    out << "{\"schema_version\":2,\"counters\":{";
+    render_counters_json(out, counters);
+    out << "},\"spans\":{";
+    return;
   }
-  return false;
+  out << "kind,name,value\nschema,version,2\n";
+  for (int c = 0; c < kNumCounters; ++c) {
+    out << "counter," << to_string(static_cast<Counter>(c)) << ','
+        << counters[static_cast<std::size_t>(c)] << '\n';
+  }
+}
+
+void render_metrics_spans(Out& out, bool csv,
+                          const std::vector<SpanAggregate>& aggs) {
+  bool first = true;
+  for (const SpanAggregate& a : aggs) {
+    if (csv) {
+      out << "span_count," << a.name << ',' << a.count << '\n';
+      out << "span_ms," << a.name << ',';
+      out.fixed(a.total_ns, 6) << '\n';
+      for (int i = 0; i < a.n_slots; ++i) {
+        out << "span_pmu_" << a.slot_names[i] << ',' << a.name << ','
+            << a.slots[static_cast<std::size_t>(i)] << '\n';
+      }
+      continue;
+    }
+    if (!first) out << ',';
+    first = false;
+    out.json_string(a.name) << ":{\"count\":" << a.count << ",\"total_ms\":";
+    out.fixed(a.total_ns, 6);
+    if (a.n_slots > 0) {
+      out << ",\"pmu\":{";
+      for (int i = 0; i < a.n_slots; ++i) {
+        if (i != 0) out << ',';
+        out.json_string(a.slot_names[i])
+            << ':' << a.slots[static_cast<std::size_t>(i)];
+      }
+      out << '}';
+    }
+    out << '}';
+  }
+  if (!csv) out << "}}\n";
+}
+
+void write_metrics(std::ostream& os, bool csv) {
+  const std::vector<Event> evs = events();
+  std::vector<SpanAggregate> aggs;
+  aggregate_spans(each_of(evs), aggs, /*grow=*/true);
+  Out out(os);
+  render_metrics_head(out, csv, snapshot());
+  render_metrics_spans(out, csv, aggs);
 }
 
 }  // namespace
@@ -174,49 +396,42 @@ const char* to_string(Counter c) {
   return "?";
 }
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
+void set_sinks(unsigned bits, bool on) {
+  if (on) {
+    g_sinks.fetch_or(bits, std::memory_order_relaxed);
+  } else {
+    g_sinks.fetch_and(~bits, std::memory_order_relaxed);
+  }
+}
 
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+bool enabled() {
+  return (g_sinks.load(std::memory_order_relaxed) & kEventSink) != 0;
+}
+
+void set_enabled(bool on) { set_sinks(kEventSink, on); }
 
 void count(Counter c, long long delta) {
   if (delta == 0) return;
-  // A tap keeps the counters live even while full tracing is off, so an
-  // obs-only run (flight recorder / OpenMetrics, no Chrome trace) still
-  // produces real work totals.
-  const EventTap* tap = g_tap.load(std::memory_order_acquire);
-  if (!enabled() && tap == nullptr) return;
+  const unsigned sinks = g_sinks.load(std::memory_order_relaxed);
+  if (sinks == 0) return;
   local_state().counters[static_cast<std::size_t>(c)].fetch_add(
       delta, std::memory_order_relaxed);
-  if (tap != nullptr && tap->counter != nullptr) {
-    tap->counter(tap->ctx, c, delta);
+  if ((sinks & kRecorderSink) != 0) {
+    if (obs::FlightRecorder* r = obs::installed_blackbox()) {
+      r->record(obs::kCounterDelta, to_string(c), delta, 0);
+    }
   }
 }
 
 long long value(Counter c) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  compact_locked(r);
-  long long total = r.retired_counters[static_cast<std::size_t>(c)];
-  for (const auto& s : r.states) {
-    total += s->counters[static_cast<std::size_t>(c)].load(
-        std::memory_order_relaxed);
-  }
-  return total;
+  return snapshot()[static_cast<std::size_t>(c)];
 }
 
 CounterSnapshot snapshot() {
   Registry& r = registry();
   const std::lock_guard<std::mutex> lock(r.mu);
   compact_locked(r);
-  CounterSnapshot out = r.retired_counters;
-  for (const auto& s : r.states) {
-    for (int c = 0; c < kNumCounters; ++c) {
-      out[static_cast<std::size_t>(c)] +=
-          s->counters[static_cast<std::size_t>(c)].load(
-              std::memory_order_relaxed);
-    }
-  }
-  return out;
+  return sum_counters(r);
 }
 
 void reset() {
@@ -232,46 +447,36 @@ void reset() {
   g_epoch_ns.store(steady_ns(), std::memory_order_relaxed);
 }
 
-ScopedSpan::ScopedSpan(const char* name, const char* cat)
-    : name_(name), cat_(cat), start_ns_(0), arg_(0), has_arg_(false),
-      active_(enabled()) {
-  tap_ = g_tap.load(std::memory_order_acquire);
-  if (active_ || tap_ != nullptr) {
-    if (active_) {
-      enricher_ = g_enricher.load(std::memory_order_acquire);
-      if (enricher_ != nullptr) enricher_->sample(slot_start_.data());
-    }
-    if (tap_ != nullptr && tap_->span_enter != nullptr) {
-      tap_->span_enter(tap_->ctx, name_, cat_, arg_, has_arg_);
-    }
-    start_ns_ = now_ns();
+ScopedSpan::ScopedSpan(const char* name, const char* cat, std::int64_t arg,
+                       bool has_arg, int metric)
+    : name_(name), cat_(cat), arg_(arg), has_arg_(has_arg), metric_(metric),
+      sinks_(g_sinks.load(std::memory_order_relaxed) &
+             (metric == kNoMetric ? ~unsigned{kHistogramSink} : ~0u)) {
+  if (sinks_ == 0) return;
+  if ((sinks_ & kEventSink) != 0) {
+    enricher_ = g_enricher.load(std::memory_order_acquire);
+    if (enricher_ != nullptr) enricher_->sample(slot_start_.data());
   }
-}
-
-ScopedSpan::ScopedSpan(const char* name, const char* cat, std::int64_t arg)
-    : name_(name), cat_(cat), start_ns_(0), arg_(arg), has_arg_(true),
-      active_(enabled()) {
-  tap_ = g_tap.load(std::memory_order_acquire);
-  if (active_ || tap_ != nullptr) {
-    if (active_) {
-      enricher_ = g_enricher.load(std::memory_order_acquire);
-      if (enricher_ != nullptr) enricher_->sample(slot_start_.data());
+  if ((sinks_ & kRecorderSink) != 0) {
+    if (obs::FlightRecorder* r = obs::installed_blackbox()) {
+      r->record(obs::kSpanEnter, name_, arg_, has_arg_ ? 1 : 0);
     }
-    if (tap_ != nullptr && tap_->span_enter != nullptr) {
-      tap_->span_enter(tap_->ctx, name_, cat_, arg_, has_arg_);
-    }
-    start_ns_ = now_ns();
   }
+  start_ns_ = now_ns();
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!active_ && tap_ == nullptr) return;
-  const std::int64_t end = now_ns();
-  if (tap_ != nullptr && tap_->span_exit != nullptr) {
-    tap_->span_exit(tap_->ctx, name_, start_ns_, end - start_ns_);
+  if (sinks_ == 0) return;
+  const std::int64_t dur = now_ns() - start_ns_;
+  if ((sinks_ & kRecorderSink) != 0) {
+    if (obs::FlightRecorder* r = obs::installed_blackbox()) {
+      r->record(obs::kSpanExit, name_, dur, 0);
+    }
   }
-  if (!active_) return;
-  Event ev{name_, cat_, 0, start_ns_, end - start_ns_, arg_, has_arg_};
+  const bool buffer = (sinks_ & kEventSink) != 0;
+  const bool sample = (sinks_ & kHistogramSink) != 0;
+  if (!buffer && !sample) return;
+  Event ev{name_, cat_, 0, start_ns_, dur, arg_, has_arg_};
   if (enricher_ != nullptr) {
     std::array<std::int64_t, kMaxSpanSlots> now{};
     enricher_->sample(now.data());
@@ -285,8 +490,11 @@ ScopedSpan::~ScopedSpan() {
   }
   ThreadState& s = local_state();
   const std::lock_guard<std::mutex> lock(s.mu);
-  ev.tid = s.tid;
-  s.events.push_back(ev);
+  if (sample) s.hist[static_cast<std::size_t>(metric_)].record(dur);
+  if (buffer) {
+    ev.tid = s.tid;
+    s.events.push_back(ev);
+  }
 }
 
 void set_span_enricher(const SpanEnricher* enricher) {
@@ -295,14 +503,6 @@ void set_span_enricher(const SpanEnricher* enricher) {
 
 const SpanEnricher* span_enricher() {
   return g_enricher.load(std::memory_order_acquire);
-}
-
-void set_event_tap(const EventTap* tap) {
-  g_tap.store(tap, std::memory_order_release);
-}
-
-const EventTap* event_tap() {
-  return g_tap.load(std::memory_order_acquire);
 }
 
 std::vector<Event> events() {
@@ -322,130 +522,33 @@ std::vector<Event> events() {
 }
 
 void write_chrome_trace(std::ostream& os) {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  for (const Event& e : events()) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"name\":";
-    write_json_string(os, e.name);
-    os << ",\"cat\":";
-    write_json_string(os, e.cat);
-    // Chrome trace timestamps are microseconds; keep ns precision via the
-    // fractional part.
-    os << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
-       << ",\"ts\":" << static_cast<double>(e.ts_ns) / 1e3
-       << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3;
-    if (e.has_arg || e.n_slots > 0) {
-      os << ",\"args\":{";
-      bool first_arg = true;
-      if (e.has_arg) {
-        os << "\"t\":" << e.arg;
-        first_arg = false;
-      }
-      for (int i = 0; i < e.n_slots; ++i) {
-        if (!first_arg) os << ",";
-        first_arg = false;
-        write_json_string(os, e.slot_names[i]);
-        os << ":" << e.slots[static_cast<std::size_t>(i)];
-      }
-      os << "}";
-    }
-    os << "}";
-  }
-  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{";
-  const CounterSnapshot counters = snapshot();
-  for (int c = 0; c < kNumCounters; ++c) {
-    if (c != 0) os << ",";
-    write_json_string(os, to_string(static_cast<Counter>(c)));
-    os << ":" << counters[static_cast<std::size_t>(c)];
-  }
-  os << "}}\n";
+  const std::vector<Event> evs = events();
+  Out out(os);
+  render_chrome_trace(out, each_of(evs), snapshot());
 }
 
-bool write_chrome_trace(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  write_chrome_trace(os);
-  return static_cast<bool>(os);
-}
+void write_metrics_csv(std::ostream& os) { write_metrics(os, /*csv=*/true); }
 
-void write_metrics_csv(std::ostream& os) {
-  const std::map<std::string, SpanAggregate> agg = aggregate_spans();
-  os << "kind,name,value\n";
-  // Schema marker only in v2 (enriched) mode: the v1 byte stream is a
-  // golden-test contract.
-  if (any_enriched(agg)) os << "schema,version,2\n";
-  const CounterSnapshot counters = snapshot();
-  for (int c = 0; c < kNumCounters; ++c) {
-    os << "counter," << to_string(static_cast<Counter>(c)) << ","
-       << counters[static_cast<std::size_t>(c)] << "\n";
-  }
-  for (const auto& [name, a] : agg) {
-    os << "span_count," << name << "," << a.count << "\n";
-    os << "span_ms," << name << ","
-       << static_cast<double>(a.total_ns) / 1e6 << "\n";
-    for (int i = 0; i < a.n_slots; ++i) {
-      os << "span_pmu_" << a.slot_names[i] << "," << name << ","
-         << a.slots[static_cast<std::size_t>(i)] << "\n";
-    }
-  }
-}
-
-void write_metrics_json(std::ostream& os) {
-  const std::map<std::string, SpanAggregate> agg = aggregate_spans();
-  os << "{";
-  if (any_enriched(agg)) os << "\"schema_version\":2,";
-  os << "\"counters\":{";
-  const CounterSnapshot counters = snapshot();
-  for (int c = 0; c < kNumCounters; ++c) {
-    if (c != 0) os << ",";
-    write_json_string(os, to_string(static_cast<Counter>(c)));
-    os << ":" << counters[static_cast<std::size_t>(c)];
-  }
-  os << "},\"spans\":{";
-  bool first = true;
-  for (const auto& [name, a] : agg) {
-    if (!first) os << ",";
-    first = false;
-    write_json_string(os, name.c_str());
-    os << ":{\"count\":" << a.count
-       << ",\"total_ms\":" << static_cast<double>(a.total_ns) / 1e6;
-    if (a.n_slots > 0) {
-      os << ",\"pmu\":{";
-      for (int i = 0; i < a.n_slots; ++i) {
-        if (i != 0) os << ",";
-        write_json_string(os, a.slot_names[i]);
-        os << ":" << a.slots[static_cast<std::size_t>(i)];
-      }
-      os << "}";
-    }
-    os << "}";
-  }
-  os << "}}\n";
-}
-
-bool write_metrics(const std::string& path) {
-  std::ofstream os(path);
-  if (!os) return false;
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    write_metrics_csv(os);
-  } else {
-    write_metrics_json(os);
-  }
-  return static_cast<bool>(os);
-}
+void write_metrics_json(std::ostream& os) { write_metrics(os, /*csv=*/false); }
 
 namespace {
 
-/// Crash-flush state for the armed Session. Paths are written once at arm
-/// time (before any fault can fire the hooks) and only cleared after the
-/// flushed flag is already set, so the handlers never race a mutation.
+/// `.csv` paths get the CSV sink, everything else JSON.
+bool is_csv(const std::string& path) {
+  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+}
+
+/// Distinct span names the crash flush can aggregate without allocating.
+constexpr std::size_t kCrashSpanNames = 256;
+
+/// The armed Session's sinks: both files are open from arm time on, and
+/// the aggregate table is reserved then, so a flush from a signal handler
+/// needs no lock, no allocation and no open(2).
 struct CrashFlush {
-  std::string trace_path;
-  std::string metrics_path;
+  int trace_fd = -1;
+  int metrics_fd = -1;
+  bool metrics_csv = false;
+  std::vector<SpanAggregate> aggs;
   std::atomic<bool> flushed{true};  ///< true: nothing (left) to write
   bool hooks_installed = false;
 };
@@ -455,18 +558,47 @@ CrashFlush& crash_flush_state() {
   return cf;
 }
 
-#if defined(TEMPEST_TRACE_HAVE_SIGNALS)
+int open_sink(const std::string& path) {
+  if (path.empty()) return -1;
+  return ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+}
+
+/// Empty a Session sink file for a fresh render.
+void rewind_sink(int fd) {
+  ::lseek(fd, 0, SEEK_SET);
+  static_cast<void>(::ftruncate(fd, 0));
+}
+
+/// Render both sinks into the Session's files, replacing any earlier flush.
+/// Order matters on the crash path, where other threads may still be
+/// appending events: the counter rows (relaxed atomics only) reach the
+/// metrics file before any event buffer is read, then the span rows, then
+/// the trace.
+template <typename EachEvent>
+void write_session_sinks(CrashFlush& cf, const EachEvent& each,
+                         const CounterSnapshot& counters, bool grow) {
+  if (cf.metrics_fd >= 0) {
+    rewind_sink(cf.metrics_fd);
+    Out out(cf.metrics_fd);
+    render_metrics_head(out, cf.metrics_csv, counters);
+    out.flush();
+    aggregate_spans(each, cf.aggs, grow);
+    render_metrics_spans(out, cf.metrics_csv, cf.aggs);
+  }
+  if (cf.trace_fd >= 0) {
+    rewind_sink(cf.trace_fd);
+    Out out(cf.trace_fd);
+    render_chrome_trace(out, each, counters);
+  }
+}
+
 void crash_signal_handler(int sig) {
-  // Best-effort: ofstream is not async-signal-safe, but for the fatal
-  // signals we install on (and only where no other runtime claimed the
-  // signal) a truncated-but-valid trace beats certain loss. The flushed
-  // exchange in crash_flush_now() makes a double fault inside the flush
-  // fall straight through to the re-raise.
+  // The flushed exchange in crash_flush_now() makes a double fault inside
+  // the flush fall straight through to the re-raise.
   crash_flush_now();
   std::signal(sig, SIG_DFL);
   std::raise(sig);
 }
-#endif
 
 /// Install the atexit + fatal-signal hooks, once per process. A signal
 /// handler is installed only where the current disposition is the default
@@ -477,7 +609,6 @@ void install_crash_hooks() {
   if (cf.hooks_installed) return;
   cf.hooks_installed = true;
   std::atexit([] { crash_flush_now(); });
-#if defined(TEMPEST_TRACE_HAVE_SIGNALS)
   const int fatal[] = {SIGABRT, SIGSEGV, SIGBUS, SIGFPE, SIGILL};
   for (const int sig : fatal) {
     struct sigaction current {};
@@ -491,7 +622,6 @@ void install_crash_hooks() {
     action.sa_flags = 0;
     sigaction(sig, &action, nullptr);
   }
-#endif
 }
 
 }  // namespace
@@ -499,30 +629,97 @@ void install_crash_hooks() {
 void crash_flush_now() {
   CrashFlush& cf = crash_flush_state();
   if (cf.flushed.exchange(true, std::memory_order_acq_rel)) return;
-  if (!cf.trace_path.empty()) write_chrome_trace(cf.trace_path);
-  if (!cf.metrics_path.empty()) write_metrics(cf.metrics_path);
+  // No lock: the registry is walked as it stands, in buffer order,
+  // unsorted. The counter rows are exact; the span rows and the trace are
+  // best-effort when other threads are still appending (a racing append
+  // can be missed, or reallocate a buffer under the walk).
+  const Registry& r = registry();
+  const auto each_unlocked = [&r](const auto& fn) {
+    for (const Event& e : r.retired_events) fn(e);
+    for (const auto& s : r.states) {
+      for (const Event& e : s->events) fn(e);
+    }
+  };
+  write_session_sinks(cf, each_unlocked, sum_counters(r), /*grow=*/false);
 }
 
-Session::Session(std::string trace_path, std::string metrics_path)
-    : trace_path_(std::move(trace_path)),
-      metrics_path_(std::move(metrics_path)) {
-  if (!trace_path_.empty() || !metrics_path_.empty()) {
-    reset();
-    set_enabled(true);
-    CrashFlush& cf = crash_flush_state();
-    cf.trace_path = trace_path_;
-    cf.metrics_path = metrics_path_;
-    install_crash_hooks();
-    cf.flushed.store(false, std::memory_order_release);
-  }
+Session::Session(const std::string& trace_path,
+                 const std::string& metrics_path) {
+  if (trace_path.empty() && metrics_path.empty()) return;
+  armed_ = true;
+  reset();
+  set_enabled(true);
+  CrashFlush& cf = crash_flush_state();
+  cf.trace_fd = open_sink(trace_path);
+  cf.metrics_fd = open_sink(metrics_path);
+  cf.metrics_csv = is_csv(metrics_path);
+  cf.aggs.reserve(kCrashSpanNames);
+  install_crash_hooks();
+  cf.flushed.store(false, std::memory_order_release);
 }
 
 Session::~Session() {
+  if (!armed_) return;
   // Disarm the crash hook before writing: the destructor pass is the
   // complete one, and a subsequent atexit flush must not overwrite it.
-  crash_flush_state().flushed.store(true, std::memory_order_release);
-  if (!trace_path_.empty()) write_chrome_trace(trace_path_);
-  if (!metrics_path_.empty()) write_metrics(metrics_path_);
+  CrashFlush& cf = crash_flush_state();
+  cf.flushed.store(true, std::memory_order_release);
+  const std::vector<Event> evs = events();
+  write_session_sinks(cf, each_of(evs), snapshot(), /*grow=*/true);
+  for (int* fd : {&cf.trace_fd, &cf.metrics_fd}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 }  // namespace tempest::trace
+
+// The obs metric store is the same per-thread registry: a histogram sample
+// lives next to the counters and events of the thread that recorded it,
+// and one compaction retires all three.
+namespace tempest::obs {
+
+bool enabled() {
+  return (trace::g_sinks.load(std::memory_order_relaxed) &
+          trace::kHistogramSink) != 0;
+}
+
+void set_enabled(bool on) { trace::set_sinks(trace::kHistogramSink, on); }
+
+void record_ns(Metric m, std::int64_t ns) {
+  if (!enabled()) return;
+  trace::ThreadState& s = trace::local_state();
+  const std::lock_guard<std::mutex> lock(s.mu);
+  s.hist[static_cast<std::size_t>(m)].record(ns);
+}
+
+MetricSnapshot snapshot_metrics() {
+  trace::Registry& r = trace::registry();
+  const std::lock_guard<std::mutex> lock(r.mu);
+  trace::compact_locked(r);
+  MetricSnapshot out = r.retired_hist;
+  for (const auto& s : r.states) {
+    const std::lock_guard<std::mutex> state_lock(s->mu);
+    for (int m = 0; m < kNumMetrics; ++m) {
+      out[static_cast<std::size_t>(m)].merge(
+          s->hist[static_cast<std::size_t>(m)]);
+    }
+  }
+  return out;
+}
+
+Histogram metric_histogram(Metric m) {
+  return snapshot_metrics()[static_cast<std::size_t>(m)];
+}
+
+void reset_metrics() {
+  trace::Registry& r = trace::registry();
+  const std::lock_guard<std::mutex> lock(r.mu);
+  for (const auto& s : r.states) {
+    const std::lock_guard<std::mutex> state_lock(s->mu);
+    for (auto& h : s->hist) h.clear();
+  }
+  for (auto& h : r.retired_hist) h.clear();
+}
+
+}  // namespace tempest::obs

@@ -1,15 +1,17 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "tempest/obs/metrics.hpp"
+
 namespace tempest::trace {
 
-/// Low-overhead structured tracing and metrics for the execution schedules.
+/// The telemetry runtime: one span type, one per-thread registry and one
+/// gate word feed every sink.
 ///
 /// Two primitives:
 ///   * monotonic counters — exact work accounting (cells updated, sources
@@ -17,15 +19,20 @@ namespace tempest::trace {
 ///     the runtime's ground truth of *what a schedule did*, and the
 ///     cross-schedule equivalence tests assert on them (every legal schedule
 ///     must update exactly the same number of cells as the reference sweep);
-///   * scoped spans — named wall-clock intervals (one per timestep phase,
-///     wavefront band, autotune trial, JIT compile, ...) emitted to a Chrome
-///     `trace_event` JSON sink loadable in Perfetto / chrome://tracing.
+///   * scoped spans — named wall-clock intervals (one per space block,
+///     wavefront band, autotune trial, JIT compile, ...). A span may name an
+///     obs::Metric; its one close then feeds three sinks:
+///       - the Chrome `trace_event` buffer (trace::set_enabled);
+///       - that metric's latency histogram (obs::set_enabled);
+///       - the flight recorder's enter/exit records (obs::install_blackbox).
 ///
-/// Cost model: everything is gated on a single relaxed atomic flag. With
-/// tracing runtime-disabled (the default) a span is one load+branch and a
-/// counter increment is one load+branch — unmeasurable next to a stencil
-/// block. Compiling with TEMPEST_TRACE_DISABLED (CMake -DTEMPEST_TRACE=OFF)
-/// removes even that: the instrumentation macros expand to nothing.
+/// Cost model: one relaxed atomic word holds a bit per live sink, read once
+/// per span and once per count(). A zero word (the default) makes each a
+/// load and a branch — unmeasurable next to a stencil block. Counters
+/// accumulate whenever the word is nonzero. Compiling with
+/// TEMPEST_TRACE_DISABLED (CMake -DTEMPEST_TRACE=OFF) removes even that:
+/// the instrumentation macros expand to nothing. It is the only compile-out
+/// switch; the sinks and the obs calls stay.
 ///
 /// Sinks drain the thread-local buffers; call them from serial code (after
 /// the parallel run), not from inside an instrumented region.
@@ -65,12 +72,24 @@ inline constexpr int kNumCounters = 10;
 
 [[nodiscard]] const char* to_string(Counter c);
 
-/// Global runtime switch. Disabled by default; when disabled, counters do
-/// not accumulate and spans record nothing.
+/// The bits of the gate word, one per sink. Each subsystem's switch owns
+/// one bit: trace::set_enabled the event buffer, obs::set_enabled the
+/// latency histograms, obs::install_blackbox the flight recorder.
+enum Sink : unsigned {
+  kEventSink = 1u << 0,
+  kHistogramSink = 1u << 1,
+  kRecorderSink = 1u << 2,
+};
+
+/// Set (on) or clear the `bits` of the gate word.
+void set_sinks(unsigned bits, bool on);
+
+/// The event-buffer bit. Off by default; while off, spans buffer no Event.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 
-/// Add `delta` to counter `c` on this thread (no-op while disabled).
+/// Add `delta` to counter `c` on this thread (no-op while the gate word is
+/// zero); with the recorder bit on, the delta is also recorded there.
 void count(Counter c, long long delta);
 
 /// Aggregate value of `c` across all threads since the last reset().
@@ -81,7 +100,8 @@ using CounterSnapshot = std::array<long long, kNumCounters>;
 [[nodiscard]] CounterSnapshot snapshot();
 
 /// Zero every counter and drop every recorded span on every thread, and
-/// restart the trace clock.
+/// restart the trace clock. The histograms have their own reset
+/// (obs::reset_metrics).
 void reset();
 
 /// Optional span enrichment: an installed enricher is sampled at span
@@ -101,27 +121,6 @@ struct SpanEnricher {
 void set_span_enricher(const SpanEnricher* enricher);
 [[nodiscard]] const SpanEnricher* span_enricher();
 
-/// Event tap: a set of raw callbacks fired synchronously on the recording
-/// thread for every span boundary and counter delta — the feed the obs
-/// flight recorder drinks from. Unlike the in-memory buffers the tap fires
-/// even while enabled() is false, so a black box can observe a run without
-/// paying for full span buffering; counters likewise accumulate whenever a
-/// tap is installed. Callbacks must be wait-free-ish and reentrant-safe
-/// (they run inside instrumented regions). The struct must have static
-/// storage duration; install/clear from serial code only.
-struct EventTap {
-  void* ctx = nullptr;
-  void (*span_enter)(void* ctx, const char* name, const char* cat,
-                     std::int64_t arg, bool has_arg) = nullptr;
-  void (*span_exit)(void* ctx, const char* name, std::int64_t start_ns,
-                    std::int64_t dur_ns) = nullptr;
-  void (*counter)(void* ctx, Counter c, long long delta) = nullptr;
-};
-
-/// Install (or clear, with nullptr) the event tap.
-void set_event_tap(const EventTap* tap);
-[[nodiscard]] const EventTap* event_tap();
-
 /// One completed span. Names/categories are string literals at the call
 /// sites (never freed, never copied on the hot path).
 struct Event {
@@ -137,25 +136,39 @@ struct Event {
   std::array<std::int64_t, kMaxSpanSlots> slots{};  ///< per-slot deltas
 };
 
-/// RAII span: records [construction, destruction) under `name` when tracing
-/// is enabled. Prefer the TEMPEST_TRACE_SPAN* macros, which compile out.
+/// RAII span over [construction, destruction). The gate word is read once,
+/// at construction; the close feeds the sinks that were live then: an Event
+/// (event bit), one sample of `metric` (histogram bit, spans naming a
+/// metric only) and an enter/exit record pair (recorder bit). Prefer the
+/// TEMPEST_TRACE_SPAN* macros, which compile out.
 class ScopedSpan {
  public:
-  ScopedSpan(const char* name, const char* cat);
-  ScopedSpan(const char* name, const char* cat, std::int64_t arg);
+  ScopedSpan(const char* name, const char* cat)
+      : ScopedSpan(name, cat, 0, false, kNoMetric) {}
+  ScopedSpan(const char* name, const char* cat, std::int64_t arg)
+      : ScopedSpan(name, cat, arg, true, kNoMetric) {}
+  ScopedSpan(const char* name, const char* cat, obs::Metric metric)
+      : ScopedSpan(name, cat, 0, false, static_cast<int>(metric)) {}
+  ScopedSpan(const char* name, const char* cat, std::int64_t arg,
+             obs::Metric metric)
+      : ScopedSpan(name, cat, arg, true, static_cast<int>(metric)) {}
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  static constexpr int kNoMetric = -1;
+  ScopedSpan(const char* name, const char* cat, std::int64_t arg,
+             bool has_arg, int metric);
+
   const char* name_;
   const char* cat_;
-  std::int64_t start_ns_;
   std::int64_t arg_;
   bool has_arg_;
-  bool active_;
+  int metric_;             ///< obs::Metric index, or kNoMetric
+  unsigned sinks_;         ///< gate bits this span feeds (0: inert)
+  std::int64_t start_ns_ = 0;
   const SpanEnricher* enricher_ = nullptr;  ///< non-null: sampled at start
-  const EventTap* tap_ = nullptr;           ///< non-null: fires enter/exit
   std::array<std::int64_t, kMaxSpanSlots> slot_start_{};
 };
 
@@ -165,45 +178,48 @@ class ScopedSpan {
 
 /// Chrome trace_event JSON ("X" complete events + an `otherData` object
 /// carrying the counter totals). Loadable in Perfetto / chrome://tracing.
+/// `ts` and `dur` are microseconds printed with a three-digit fraction, so
+/// every timestamp keeps its nanosecond.
 void write_chrome_trace(std::ostream& os);
-bool write_chrome_trace(const std::string& path);
 
-/// Flat metrics: every counter total plus per-span-name count/total-ms
-/// aggregates, as CSV (`kind,name,value` rows) or a JSON object. When any
-/// recorded span carries enrichment slots the sinks emit schema v2: a
-/// `schema_version` marker plus per-span-name per-slot totals (CSV rows
-/// `span_pmu_<slot>,<span>,<total>`, JSON `"pmu"` objects). With no
-/// enrichment the output is byte-identical to the v1 schema.
+/// Flat metrics, schema version 2: a `schema_version` marker, every counter
+/// total and per-span-name count/total-ms aggregates (total ms with six
+/// decimals, exact to the nanosecond), as CSV (`kind,name,value` rows) or a
+/// JSON object. Spans that carried enrichment slots add per-span-name
+/// per-slot totals (CSV rows `span_pmu_<slot>,<span>,<total>`, JSON `"pmu"`
+/// objects).
 void write_metrics_csv(std::ostream& os);
 void write_metrics_json(std::ostream& os);
-bool write_metrics(const std::string& path);  ///< .csv -> CSV, else JSON
 
 /// Flag-driven session for the example/bench binaries: enables tracing when
 /// either path is non-empty, and writes the requested sinks (Chrome trace
 /// JSON to `trace_path`, metrics to `metrics_path`) on destruction.
 ///
-/// Crash flush: constructing a Session also arms a best-effort crash hook
-/// (std::atexit plus fatal-signal handlers for SIGABRT/SIGSEGV/SIGBUS/
-/// SIGFPE/SIGILL, installed only where no other handler is present so
-/// sanitizer runtimes keep theirs). If the process dies before the
-/// destructor runs, the hook writes whatever spans have completed — a
-/// truncated-but-valid trace instead of nothing. The flush is idempotent:
-/// a clean destructor pass disarms it.
+/// Crash flush: constructing a Session opens both sink files and arms a
+/// best-effort crash hook (std::atexit plus fatal-signal handlers for
+/// SIGABRT/SIGSEGV/SIGBUS/SIGFPE/SIGILL, installed only where no other
+/// handler is present so sanitizer runtimes keep theirs). If the process
+/// dies before the destructor runs, the hook writes every counter and the
+/// spans completed so far — a truncated-but-valid trace instead of nothing.
+/// The hook is async-signal-safe: it takes no lock, allocates nothing and
+/// renders through a fixed buffer with write(2), using the same formatting
+/// as the clean path. The flush is idempotent: a clean destructor pass
+/// disarms it.
 class Session {
  public:
-  Session(std::string trace_path, std::string metrics_path);
+  Session(const std::string& trace_path, const std::string& metrics_path);
   ~Session();
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
  private:
-  std::string trace_path_;
-  std::string metrics_path_;
+  bool armed_ = false;  ///< a sink path was given: the files are open
 };
 
 /// Write the armed Session's sinks immediately if they have not been
-/// written yet (no-op otherwise). Exposed for the crash-flush regression
-/// test; called automatically from the atexit/signal hooks.
+/// written yet (no-op otherwise), through the lock-free crash path.
+/// Exposed for the crash-flush regression test; called automatically from
+/// the atexit/signal hooks.
 void crash_flush_now();
 
 }  // namespace tempest::trace
@@ -217,6 +233,8 @@ void crash_flush_now();
 #if defined(TEMPEST_TRACE_DISABLED)
 #define TEMPEST_TRACE_SPAN(name, cat) ((void)0)
 #define TEMPEST_TRACE_SPAN_ARG(name, cat, arg) ((void)0)
+#define TEMPEST_TRACE_SPAN_METRIC(name, cat, metric) ((void)0)
+#define TEMPEST_TRACE_SPAN_ARG_METRIC(name, cat, arg, metric) ((void)0)
 #define TEMPEST_TRACE_COUNT(counter, n) ((void)0)
 #else
 #define TEMPEST_TRACE_SPAN(name, cat)                                       \
@@ -226,6 +244,16 @@ void crash_flush_now();
   ::tempest::trace::ScopedSpan TEMPEST_TRACE_CONCAT(tempest_trace_span_,    \
                                                     __LINE__)(              \
       name, cat, static_cast<std::int64_t>(arg))
+// A span that also times obs::Metric::metric (e.g. TileSeconds).
+#define TEMPEST_TRACE_SPAN_METRIC(name, cat, metric)                        \
+  ::tempest::trace::ScopedSpan TEMPEST_TRACE_CONCAT(tempest_trace_span_,    \
+                                                    __LINE__)(              \
+      name, cat, ::tempest::obs::Metric::metric)
+#define TEMPEST_TRACE_SPAN_ARG_METRIC(name, cat, arg, metric)               \
+  ::tempest::trace::ScopedSpan TEMPEST_TRACE_CONCAT(tempest_trace_span_,    \
+                                                    __LINE__)(              \
+      name, cat, static_cast<std::int64_t>(arg),                            \
+      ::tempest::obs::Metric::metric)
 #define TEMPEST_TRACE_COUNT(counter, n)                                     \
   ::tempest::trace::count(::tempest::trace::Counter::counter,               \
                           static_cast<long long>(n))

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +15,8 @@
 #include "tempest/core/tile_plan.hpp"
 #include "tempest/dsl/kernel.hpp"
 #include "tempest/io/io.hpp"
+#include "tempest/obs/metrics.hpp"
+#include "tempest/obs/recorder.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/vti.hpp"
 #include "tempest/resilience/checkpoint.hpp"
@@ -21,16 +24,19 @@
 #include "tempest/resilience/health.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
+#include "tempest/trace/trace.hpp"
 
 namespace at = tempest::autotune;
 namespace cg = tempest::codegen;
 namespace dsl = tempest::dsl;
 namespace io = tempest::io;
+namespace ob = tempest::obs;
 namespace ph = tempest::physics;
 namespace rs = tempest::resilience;
 namespace sp = tempest::sparse;
 namespace tc = tempest::core;
 namespace tg = tempest::grid;
+namespace tr = tempest::trace;
 using tempest::real_t;
 
 namespace {
@@ -327,6 +333,35 @@ TEST_F(FaultInjection, TornWriteLeavesPreviousCheckpointIntact) {
   ASSERT_EQ(survivor.slots.size(), 3u);
   EXPECT_EQ(survivor.slots[0](1, 2, 3), real_t{1.5});
 }
+
+#if !defined(TEMPEST_TRACE_DISABLED)
+// CheckpointBytes counts what the writer emitted whenever any telemetry
+// sink is live: a default survey runs with the histograms and the black
+// box on and tracing off, and must still report its checkpoint volume.
+TEST_F(FaultInjection, CheckpointBytesCountedUnderHistogramOrRecorderBit) {
+  TempFile file(".tpck");
+  TempFile box(".tfbr");
+  rs::Checkpointer ckpt(file.path());
+  ASSERT_FALSE(tr::enabled());
+  tr::reset();
+  ob::set_enabled(true);  // histogram bit only
+  ckpt.save(make_checkpoint(3, 42, real_t{1}));
+  ob::set_enabled(false);
+  EXPECT_EQ(tr::value(tr::Counter::CheckpointBytes),
+            static_cast<long long>(std::filesystem::file_size(file.path())));
+
+  tr::reset();
+  auto rec = ob::FlightRecorder::create(box.path(), {});
+  ASSERT_NE(rec, nullptr);
+  ob::install_blackbox(rec.get());  // recorder bit only
+  ckpt.save(make_checkpoint(4, 42, real_t{2}));
+  ob::uninstall_blackbox();
+  EXPECT_EQ(tr::value(tr::Counter::CheckpointBytes),
+            static_cast<long long>(std::filesystem::file_size(file.path())));
+  tr::reset();
+  ob::reset_metrics();
+}
+#endif  // !defined(TEMPEST_TRACE_DISABLED)
 
 TEST_F(FaultInjection, TruncatedCheckpointIsDetected) {
   TempFile file(".tpck");

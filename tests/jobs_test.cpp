@@ -513,12 +513,23 @@ TEST(Report, AggregatesAndJson) {
     s.degraded = (i == 2);
     rep.shots.push_back(s);
   }
+  // The survey records one ShotSeconds sample per Done shot.
+  auto& shot_hist = rep.latency[static_cast<std::size_t>(
+      tempest::obs::Metric::ShotSeconds)];
+  for (const jb::ShotReport& s : rep.shots) {
+    if (s.state == "done") {
+      shot_hist.record(static_cast<std::int64_t>(s.seconds * 1e9));
+    }
+  }
   jb::finalize_aggregates(rep);
   EXPECT_EQ(rep.done, 3);
   EXPECT_EQ(rep.degraded, 1);
   EXPECT_EQ(rep.quarantined, 1);
   EXPECT_DOUBLE_EQ(rep.shots_per_hour, 3 * 3600.0 / 2.0);
-  EXPECT_DOUBLE_EQ(rep.p50_shot_seconds, 0.2);  // nearest-rank over {.1,.2,.3}
+  // Histogram quantiles over {.1,.2,.3} s: p50 is the inclusive upper bound
+  // of the bucket holding 0.2 s, [184549376, 201326591] ns (2^27 plus
+  // sub-buckets 3 of 8); p99 clamps to the observed max.
+  EXPECT_DOUBLE_EQ(rep.p50_shot_seconds, 201326591.0 / 1e9);
   EXPECT_DOUBLE_EQ(rep.p99_shot_seconds, 0.3);
 
   TempPath file(".json");
@@ -526,12 +537,11 @@ TEST(Report, AggregatesAndJson) {
   std::ifstream is(file.path());
   const std::string text((std::istreambuf_iterator<char>(is)),
                          std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("\"schema\": \"tempest-survey-v1\""), std::string::npos);
+  EXPECT_NE(text.find("\"schema\": \"tempest-survey-v2\""), std::string::npos);
   EXPECT_NE(text.find("\"shots_per_hour\""), std::string::npos);
   EXPECT_NE(text.find("\"quarantined\": 1"), std::string::npos);
   EXPECT_NE(text.find("\"shot_reports\""), std::string::npos);
-  // v1 output must never grow v2 fields.
-  EXPECT_EQ(text.find("latency_histograms"), std::string::npos);
+  EXPECT_NE(text.find("\"latency_histograms\""), std::string::npos);
 }
 
 namespace {
@@ -556,16 +566,6 @@ jb::SurveyReport five_shot_report() {
 
 }  // namespace
 
-// Golden: the legacy v1 nearest-rank percentiles are a compatibility
-// contract — adding the histogram path must not move them by a single bit.
-TEST(Report, V1NearestRankQuantilesUnchanged) {
-  jb::SurveyReport rep = five_shot_report();
-  ASSERT_FALSE(rep.obs);
-  jb::finalize_aggregates(rep);
-  EXPECT_DOUBLE_EQ(rep.p50_shot_seconds, 0.030);
-  EXPECT_DOUBLE_EQ(rep.p99_shot_seconds, 0.050);
-}
-
 // Golden: the v2 histogram quantile rule (inclusive upper bound of the
 // first bucket whose cumulative count reaches ceil(q*N), clamped to
 // [min, max]). For {10,20,30,40,50} ms the p50 bucket is [29360128,
@@ -574,7 +574,6 @@ TEST(Report, V1NearestRankQuantilesUnchanged) {
 // deliberate schema event.
 TEST(Report, V2HistogramQuantilesGolden) {
   jb::SurveyReport rep = five_shot_report();
-  rep.obs = true;
   auto& shot_hist = rep.latency[static_cast<std::size_t>(
       tempest::obs::Metric::ShotSeconds)];
   for (const jb::ShotReport& s : rep.shots) {
@@ -591,7 +590,6 @@ TEST(Report, V2HistogramQuantilesGolden) {
 
 TEST(Report, V2SchemaCarriesLatencyHistograms) {
   jb::SurveyReport rep = five_shot_report();
-  rep.obs = true;
   auto& shot_hist = rep.latency[static_cast<std::size_t>(
       tempest::obs::Metric::ShotSeconds)];
   for (const jb::ShotReport& s : rep.shots) {

@@ -1,8 +1,8 @@
 // tempest::obs unit tests: the fixed histogram layout and its quantile
 // contract, merge associativity (the thread-count-invariance property),
 // the flight-recorder wire format round-trip including torn-slot and
-// ring-wrap recovery, the trace event tap, the OpenMetrics exposition
-// lint, and a generous hot-path overhead bound.
+// ring-wrap recovery, the one span feeding every live sink, the
+// OpenMetrics exposition lint, and a generous hot-path overhead bound.
 
 #include <gtest/gtest.h>
 
@@ -352,8 +352,9 @@ TEST_F(ObsTest, InstalledBlackboxCapturesTraceSpansAndCounters) {
   obs::install_blackbox(rec.get());
   EXPECT_EQ(obs::installed_blackbox(), rec.get());
   {
-    // The tap fires even with the trace runtime disabled — the black box
-    // must see the shot's spans without paying for the in-memory trace.
+    // The recorder bit feeds the span even with the trace runtime
+    // disabled — the black box must see the shot's spans without paying
+    // for the in-memory trace.
     ASSERT_FALSE(tr::enabled());
     tr::ScopedSpan span("obs.tap.span", "test", 42);
     tr::count(tr::Counter::CellsUpdated, 9);
@@ -363,6 +364,11 @@ TEST_F(ObsTest, InstalledBlackboxCapturesTraceSpansAndCounters) {
   obs::uninstall_blackbox();
   EXPECT_EQ(obs::installed_blackbox(), nullptr);
   rec.reset();  // unmap before reading
+  // With the recorder bit live, counter totals accumulate even while the
+  // trace runtime is off — the exported totals must be real — and the
+  // in-memory event buffer stays untouched.
+  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 9);
+  EXPECT_TRUE(tr::events().empty());
 
   const obs::BlackboxContents box = obs::read_blackbox(path);
   ASSERT_EQ(box.events.size(), 5u);
@@ -381,9 +387,89 @@ TEST_F(ObsTest, InstalledBlackboxCapturesTraceSpansAndCounters) {
   EXPECT_EQ(box.events[4].a, 3);
   EXPECT_EQ(box.events[4].b, 1);
   EXPECT_TRUE(box.open_spans.empty());
+  EXPECT_EQ(box.events[2].name, "obs.tap.span");
   std::remove(path.c_str());
 }
 #endif  // !defined(TEMPEST_TRACE_DISABLED)
+
+// One span, one close, every live sink exactly once: a span naming a metric
+// lands as one histogram sample, one buffered Event and one enter/exit
+// pair in the black box. A zero gate word makes the same span inert, and a
+// histogram-only word accumulates counters but buffers no event.
+TEST_F(ObsTest, OneSpanCloseLandsOnceInEachLiveSink) {
+  const auto timed_span = [] {
+    tr::ScopedSpan span("one.span", "test", 5, obs::Metric::TileSeconds);
+    tr::count(tr::Counter::CellsUpdated, 7);
+  };
+
+  timed_span();  // zero word
+  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 0);
+  EXPECT_TRUE(tr::events().empty());
+  EXPECT_EQ(obs::metric_histogram(obs::Metric::TileSeconds).count(), 0u);
+
+  obs::set_enabled(true);  // histogram bit only
+  timed_span();
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::metric_histogram(obs::Metric::TileSeconds).count(), 1u);
+  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 7);
+  EXPECT_TRUE(tr::events().empty());
+  std::ostringstream om;
+  obs::write_openmetrics(om);
+  EXPECT_NE(om.str().find("tempest_cells_updated_total 7\n"),
+            std::string::npos);
+  EXPECT_NE(om.str().find("tempest_tile_seconds_count 1\n"),
+            std::string::npos);
+  obs::reset_metrics();
+  tr::reset();
+
+  const std::string path = ::testing::TempDir() + "obs_one_span.tfbr";
+  auto rec = obs::FlightRecorder::create(path, {});
+  ASSERT_NE(rec, nullptr);
+  obs::install_blackbox(rec.get());  // every sink live
+  obs::set_enabled(true);
+  tr::set_enabled(true);
+  timed_span();
+  {
+    tr::ScopedSpan plain("plain.span", "test");  // names no metric
+  }
+  tr::set_enabled(false);
+  obs::set_enabled(false);
+  obs::uninstall_blackbox();
+  rec.reset();
+
+  const obs::MetricSnapshot snap = obs::snapshot_metrics();
+  for (int m = 0; m < obs::kNumMetrics; ++m) {
+    EXPECT_EQ(snap[static_cast<std::size_t>(m)].count(),
+              m == static_cast<int>(obs::Metric::TileSeconds) ? 1u : 0u)
+        << obs::to_string(static_cast<obs::Metric>(m));
+  }
+  const std::vector<tr::Event> events = tr::events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_STREQ(events[0].name, "one.span");
+  EXPECT_EQ(events[0].arg, 5);
+  EXPECT_STREQ(events[1].name, "plain.span");
+  // The sample and the Event come from the same close.
+  EXPECT_EQ(snap[static_cast<std::size_t>(obs::Metric::TileSeconds)].sum(),
+            events[0].dur_ns);
+  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 7);
+
+  const obs::BlackboxContents box = obs::read_blackbox(path);
+  ASSERT_EQ(box.events.size(), 5u);
+  EXPECT_EQ(box.events[0].kind, obs::kSpanEnter);
+  EXPECT_EQ(box.events[0].name, "one.span");
+  EXPECT_EQ(box.events[0].a, 5);
+  EXPECT_EQ(box.events[1].kind, obs::kCounterDelta);
+  EXPECT_EQ(box.events[1].a, 7);
+  EXPECT_EQ(box.events[2].kind, obs::kSpanExit);
+  EXPECT_EQ(box.events[2].name, "one.span");
+  EXPECT_EQ(box.events[2].a, events[0].dur_ns);
+  EXPECT_EQ(box.events[3].kind, obs::kSpanEnter);
+  EXPECT_EQ(box.events[3].name, "plain.span");
+  EXPECT_EQ(box.events[4].kind, obs::kSpanExit);
+  EXPECT_EQ(box.events[4].name, "plain.span");
+  EXPECT_TRUE(box.open_spans.empty());
+  std::remove(path.c_str());
+}
 
 // Hot-path overhead guard: the budget is deliberately enormous (tens of
 // microseconds per event vs the tens-of-nanoseconds reality) so it only

@@ -242,8 +242,7 @@ TEST(PmuSpans, EnrichmentAttachesSlotsToEvents) {
 }
 
 TEST(PmuSpans, OutputUnchangedWhenEnrichmentOff) {
-  // PR 2's golden trace_test pins the exact v1 bytes; this guards the
-  // gate from this side: no enrichment => no v2 markers at all.
+  // No enrichment => the sinks carry the schema marker and no PMU rows.
   trace::set_enabled(true);
   trace::reset();
   {
@@ -255,13 +254,13 @@ TEST(PmuSpans, OutputUnchangedWhenEnrichmentOff) {
 
   std::ostringstream json;
   trace::write_metrics_json(json);
-  // The v1 byte stream begins with the counters object, no schema marker.
-  EXPECT_EQ(json.str().rfind("{\"counters\":{", 0), 0u) << json.str();
-  EXPECT_EQ(json.str().find("schema_version"), std::string::npos);
+  EXPECT_EQ(json.str().rfind("{\"schema_version\":2,\"counters\":{", 0), 0u)
+      << json.str();
   EXPECT_EQ(json.str().find("\"pmu\":"), std::string::npos);
   std::ostringstream csv;
   trace::write_metrics_csv(csv);
-  EXPECT_EQ(csv.str().find("schema"), std::string::npos);
+  EXPECT_EQ(csv.str().rfind("kind,name,value\nschema,version,2\n", 0), 0u)
+      << csv.str();
   EXPECT_EQ(csv.str().find("span_pmu_"), std::string::npos);
 
   trace::set_enabled(false);

@@ -23,6 +23,7 @@
 #include "tempest/jobs/chaos.hpp"
 #include "tempest/jobs/queue.hpp"
 #include "tempest/jobs/survey.hpp"
+#include "tempest/obs/metrics.hpp"
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/elastic.hpp"
 #include "tempest/physics/tti.hpp"
@@ -34,6 +35,7 @@
 #include "tempest/trace/trace.hpp"
 
 namespace jb = tempest::jobs;
+namespace ob = tempest::obs;
 namespace ph = tempest::physics;
 namespace rs = tempest::resilience;
 namespace sp = tempest::sparse;
@@ -250,6 +252,25 @@ TEST_F(SurveyRuntime, JitRungRunsEveryShotOnTheCompiledKernel) {
     ASSERT_GT(peak, 0.0);
     EXPECT_LE(diff, 1e-5 * peak);
   }
+}
+
+// run_survey turns the histograms on for itself and must hand the caller's
+// setting back on every exit, a survey that throws included.
+TEST_F(SurveyRuntime, RunSurveyRestoresHistogramSwitchWhenItThrows) {
+  jb::SurveySpec spec;
+  spec.n = 8;
+  spec.nt = 4;
+  spec.n_shots = 1;
+  spec.physics = "no-such-physics";
+  for (const bool before : {false, true}) {
+    TempDir dir;
+    spec.jobs_dir = dir.path();
+    ob::set_enabled(before);
+    EXPECT_THROW(static_cast<void>(jb::run_survey(spec)),
+                 tempest::util::PreconditionError);
+    EXPECT_EQ(ob::enabled(), before);
+  }
+  ob::set_enabled(false);
 }
 
 // --- Journal re-entry: a journal left by a dead process is replayed, the

@@ -14,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -258,6 +259,37 @@ TEST_F(TraceTest, EventsAreSortedByStartAcrossSpans) {
   }
 }
 
+// Chrome timestamps keep the nanosecond far from reset(): a span starting
+// more than a second in reads back its exact ts and dur from the JSON.
+TEST_F(TraceTest, ChromeTraceTimestampsKeepNanosecondsPastOneSecond) {
+  tr::set_enabled(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1001));
+  {
+    tr::ScopedSpan span("late", "test");
+  }
+  const std::vector<tr::Event> ev = tr::events();
+  ASSERT_EQ(ev.size(), 1u);
+  ASSERT_GE(ev[0].ts_ns, 1'000'000'000);
+
+  std::ostringstream os;
+  tr::write_chrome_trace(os);
+  const std::string json = os.str();
+  // "<key>":<integer us>.<three fraction digits>, read back as ns.
+  const auto read_ns = [&json](const std::string& key) -> long long {
+    const std::size_t at = json.find(key);
+    if (at == std::string::npos) return -1;
+    const std::size_t begin = at + key.size();
+    const std::string num =
+        json.substr(begin, json.find_first_of(",}", begin) - begin);
+    const std::size_t dot = num.find('.');
+    if (dot == std::string::npos || num.size() - dot != 4) return -2;
+    return std::stoll(num.substr(0, dot)) * 1000 +
+           std::stoll(num.substr(dot + 1));
+  };
+  EXPECT_EQ(read_ns("\"ts\":"), ev[0].ts_ns) << json;
+  EXPECT_EQ(read_ns("\"dur\":"), ev[0].dur_ns) << json;
+}
+
 TEST_F(TraceTest, CounterNamesAreUniqueAndNonEmpty) {
   std::vector<std::string> names;
   for (int c = 0; c < tr::kNumCounters; ++c) {
@@ -390,13 +422,13 @@ TEST_F(TraceTest, EnabledCounterOverheadIsBounded) {
 // The task-parallel engine records counters and spans from short-lived
 // worker threads (the pool backend spawns a fresh team per band). The trace
 // layer must (a) never lose a retired worker's counts, and (b) produce a
-// v1 metrics sink whose deterministic rows — counters and span counts —
-// are byte-identical whether the instrumented region ran on 1 thread or an
+// metrics sink whose deterministic rows — counters and span counts — are
+// byte-identical whether the instrumented region ran on 1 thread or an
 // oversubscribed 8. span_ms rows are wall-clock and excluded by contract.
 
 namespace {
 
-/// The deterministic subset of the v1 CSV: `counter,...` and
+/// The deterministic subset of the metrics CSV: `counter,...` and
 /// `span_count,...` rows, in sink order.
 std::string deterministic_rows(const std::string& csv) {
   std::istringstream is(csv);
@@ -467,99 +499,6 @@ TEST_F(TraceTest, MetricsV1RowsAreThreadCountInvariant) {
             std::string::npos);
 }
 #endif  // !defined(TEMPEST_TRACE_DISABLED)
-
-// --- Event tap -------------------------------------------------------------
-//
-// The tap is the wiring between the trace layer and the obs flight
-// recorder: span enter/exit and counter deltas flow through the installed
-// callbacks, whether or not the in-memory trace runtime is enabled.
-
-namespace {
-
-struct TapLog {
-  std::vector<std::string> calls;
-  std::int64_t last_arg = 0;
-  long long counter_total = 0;
-};
-
-/// The tap callbacks cannot capture, so the log lives behind a function
-/// static (reset per test).
-TapLog* tap_log() {
-  static TapLog log;
-  return &log;
-}
-
-TapLog& reset_tap_log() {
-  TapLog* log = tap_log();
-  *log = TapLog{};
-  return *log;
-}
-
-const tr::EventTap kTestTap{
-    nullptr,
-    [](void*, const char* name, const char*, std::int64_t arg, bool has) {
-      TapLog* log = tap_log();
-      log->calls.push_back(std::string("enter:") + name);
-      if (has) log->last_arg = arg;
-    },
-    [](void*, const char* name, std::int64_t, std::int64_t dur_ns) {
-      TapLog* log = tap_log();
-      log->calls.push_back(std::string("exit:") + name);
-      EXPECT_GE(dur_ns, 0);
-    },
-    [](void*, tr::Counter, long long delta) {
-      tap_log()->counter_total += delta;
-    }};
-
-}  // namespace
-
-TEST_F(TraceTest, EventTapSeesSpansAndCountersWhileTraceDisabled) {
-  TapLog& log = reset_tap_log();
-  ASSERT_FALSE(tr::enabled());
-  tr::set_event_tap(&kTestTap);
-  EXPECT_EQ(tr::event_tap(), &kTestTap);
-  {
-    tr::ScopedSpan span("tap.span", "test", 11);
-    tr::count(tr::Counter::CellsUpdated, 7);
-  }
-  tr::set_event_tap(nullptr);
-  EXPECT_EQ(tr::event_tap(), nullptr);
-
-  ASSERT_EQ(log.calls.size(), 2u);
-  EXPECT_EQ(log.calls[0], "enter:tap.span");
-  EXPECT_EQ(log.calls[1], "exit:tap.span");
-  EXPECT_EQ(log.last_arg, 11);
-  EXPECT_EQ(log.counter_total, 7);
-  // With a tap installed, counter totals accumulate even while the trace
-  // runtime is off — the exported totals must be real.
-  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 7);
-  // The in-memory event buffer stays untouched (trace was disabled).
-  EXPECT_TRUE(tr::events().empty());
-}
-
-TEST_F(TraceTest, EventTapAndTraceRuntimeComposeWhenBothEnabled) {
-  TapLog& log = reset_tap_log();
-  tr::set_enabled(true);
-  tr::set_event_tap(&kTestTap);
-  {
-    tr::ScopedSpan span("both.span", "test");
-  }
-  tr::set_event_tap(nullptr);
-  EXPECT_EQ(log.calls.size(), 2u);
-  EXPECT_EQ(tr::events().size(), 1u);
-}
-
-TEST_F(TraceTest, UninstalledTapCostsNothingSemantically) {
-  reset_tap_log();
-  ASSERT_EQ(tr::event_tap(), nullptr);
-  ASSERT_FALSE(tr::enabled());
-  tr::count(tr::Counter::CellsUpdated, 99);
-  {
-    tr::ScopedSpan span("no.tap", "test");
-  }
-  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 0);
-  EXPECT_TRUE(tap_log()->calls.empty());
-}
 
 // --- Crash flush -----------------------------------------------------------
 //
