@@ -117,8 +117,9 @@ struct ExecutionOptions {
   /// runtime is absent). 1 always takes the deterministic serial path.
   /// Results are bitwise identical at every value — wavefront/diamond
   /// bands run as dependence-ordered tasks over disjoint tiles, gathers
-  /// reduce in fixed point order at band barriers, and injection is
-  /// color-partitioned — so this is purely a throughput knob.
+  /// reduce in fixed point order at band barriers, injection is
+  /// color-partitioned, and every worker computes under the run's
+  /// floating-point mode — so this is purely a throughput knob.
   int threads = 0;
 
   /// Numerical health monitoring (NaN/Inf and energy blow-up scans).
@@ -207,7 +208,9 @@ class ScheduleExecutor {
   /// Execute timesteps [t_begin, src.nt()). State for steps < t_begin must
   /// already be in the kernel's fields (zeroed for a fresh run, or seeded
   /// from a checkpoint captured at t_begin). A resumed run reproduces the
-  /// uninterrupted one bitwise under the same schedule and options.
+  /// uninterrupted one bitwise under the same schedule and options. The run
+  /// computes under the caller's fp_mode() with util::kFlushSubnormals
+  /// added and leaves the caller's word as it found it.
   RunStats run_from(int t_begin, Schedule sched,
                     const sparse::SparseTimeSeries& src,
                     sparse::SparseTimeSeries* rec,
@@ -227,6 +230,12 @@ class ScheduleExecutor {
     if (rec != nullptr) {
       TEMPEST_REQUIRE(rec->nt() >= nt);
     }
+    // The whole run computes with subnormals flushed to zero, on this
+    // thread and on every worker (each parallel region adopts this word):
+    // the stencil's subnormal tail ahead of the wavefront would otherwise
+    // take a microcode assist per operation. The caller's word comes back
+    // on return and on a throw (DESIGN §6.1).
+    const util::FpModeScope flushed(util::fp_mode() | util::kFlushSubnormals);
 
     resilience::HealthMonitor monitor(opts_.health);
     const grid::Extents3& e = k_.extents();

@@ -54,10 +54,10 @@ double triad_bandwidth_gbps(std::size_t bytes, int repetitions) {
 
 double fma_peak_gflops(int repetitions) {
   TEMPEST_REQUIRE(repetitions > 0);
-  // Wide independent accumulator bank; vectorizes to packed FMAs and keeps
-  // every lane's dependency chain short.
+  // Wide independent accumulator bank that keeps every lane's dependency
+  // chain short. Under -ffp-contract=off each update is a multiply plus an
+  // add, not an FMA: the right ceiling for kernels built the same way.
   constexpr int kLanes = 64;
-  constexpr int kIters = 200000;
   alignas(64) float acc[kLanes];
   alignas(64) float mul[kLanes];
   alignas(64) float add[kLanes];
@@ -72,13 +72,17 @@ double fma_peak_gflops(int repetitions) {
   threads = omp_get_max_threads();
 #endif
 
+  // A sample shorter than ~10 ms measures the parallel region's fork/join
+  // more than the arithmetic: such a sample doubles the iteration count and
+  // is not counted.
+  long iters = 200000;
   double best = 0.0;
   volatile float sink = 0.0f;
-  for (int rep = 0; rep < repetitions; ++rep) {
+  for (int rep = 0; rep < repetitions;) {
     util::Timer t;
 #pragma omp parallel firstprivate(acc)
     {
-      for (int it = 0; it < kIters; ++it) {
+      for (long it = 0; it < iters; ++it) {
 #pragma omp simd aligned(acc, mul, add : 64)
         for (int i = 0; i < kLanes; ++i) acc[i] = acc[i] * mul[i] + add[i];
       }
@@ -87,9 +91,14 @@ double fma_peak_gflops(int repetitions) {
       sink = sink + local;
     }
     const double secs = t.seconds();
+    if (secs < 0.01) {
+      iters *= 2;
+      continue;
+    }
     const double flops =
-        2.0 * kLanes * static_cast<double>(kIters) * threads;
+        2.0 * kLanes * static_cast<double>(iters) * threads;
     best = std::max(best, flops / secs / 1e9);
+    ++rep;
   }
   (void)sink;
   return best;

@@ -25,7 +25,8 @@ struct MachineCeilings {
 [[nodiscard]] double triad_bandwidth_gbps(std::size_t bytes,
                                           int repetitions);
 
-/// Single-precision FMA throughput (GFLOP/s).
+/// Single-precision multiply-add throughput (GFLOP/s), over samples of at
+/// least ~10 ms each.
 [[nodiscard]] double fma_peak_gflops(int repetitions);
 
 /// Stable identifier of the machine the ceilings were measured on: CPU

@@ -12,6 +12,10 @@
 #include <omp.h>
 #endif
 
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
 #include "tempest/util/error.hpp"
 
 namespace tempest::util {
@@ -59,6 +63,14 @@ TaskBackend select_backend(int threads) {
 
 namespace {
 
+void set_fp_mode(unsigned word) {
+#if defined(__SSE__)
+  _mm_setcsr(word);
+#else
+  (void)word;
+#endif
+}
+
 /// First-exception capture shared by the parallel executors: bodies run
 /// under no-throw workers (std::thread would terminate), the first
 /// exception is kept and rethrown on the calling thread after the join.
@@ -86,6 +98,20 @@ class ExceptionSlot {
 
 }  // namespace
 
+unsigned fp_mode() {
+#if defined(__SSE__)
+  return _mm_getcsr();
+#else
+  return 0;
+#endif
+}
+
+FpModeScope::FpModeScope(unsigned word) : saved_(fp_mode()) {
+  set_fp_mode(word);
+}
+
+FpModeScope::~FpModeScope() { set_fp_mode(saved_); }
+
 void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   const int workers = std::min(threads, n);
@@ -94,19 +120,25 @@ void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
     return;
   }
   ExceptionSlot error;
+  const unsigned mode = fp_mode();
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(workers)
-  for (int i = 0; i < n; ++i) {
-    if (error.armed()) continue;
-    try {
-      fn(i);
-    } catch (...) {
-      error.capture();
+#pragma omp parallel num_threads(workers)
+  {
+    const FpModeScope fp(mode);
+#pragma omp for schedule(dynamic)
+    for (int i = 0; i < n; ++i) {
+      if (error.armed()) continue;
+      try {
+        fn(i);
+      } catch (...) {
+        error.capture();
+      }
     }
   }
 #else
   std::atomic<int> next{0};
   auto worker = [&] {
+    const FpModeScope fp(mode);
     for (;;) {
       const int i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n || error.armed()) return;
@@ -185,52 +217,58 @@ void TaskDag::run_omp(int threads, const std::function<void(int)>& body) const {
   std::vector<char> sentinel(static_cast<std::size_t>(n_), 0);
   char* dep = sentinel.data();
   ExceptionSlot error;
+  const unsigned mode = fp_mode();
 #pragma omp parallel num_threads(threads) default(shared)
-#pragma omp single
   {
-    for (int i = 0; i < n_; ++i) {
-      const auto& p = preds_[static_cast<std::size_t>(i)];
-      const int a = p.empty() ? 0 : p[0];
-      const int b = p.size() < 2 ? 0 : p[1];
-      switch (p.size()) {
-        case 0:
+    // Open before the single construct: its closing barrier, where every
+    // task of the region has completed, comes before the scope restores.
+    const FpModeScope fp(mode);
+#pragma omp single
+    {
+      for (int i = 0; i < n_; ++i) {
+        const auto& p = preds_[static_cast<std::size_t>(i)];
+        const int a = p.empty() ? 0 : p[0];
+        const int b = p.size() < 2 ? 0 : p[1];
+        switch (p.size()) {
+          case 0:
 #pragma omp task depend(out : dep[i]) firstprivate(i) default(shared)
-          {
-            if (!error.armed()) {
-              try {
-                body(i);
-              } catch (...) {
-                error.capture();
+            {
+              if (!error.armed()) {
+                try {
+                  body(i);
+                } catch (...) {
+                  error.capture();
+                }
               }
             }
-          }
-          break;
-        case 1:
+            break;
+          case 1:
 #pragma omp task depend(in : dep[a]) depend(out : dep[i]) \
     firstprivate(i, a) default(shared)
-          {
-            if (!error.armed()) {
-              try {
-                body(i);
-              } catch (...) {
-                error.capture();
+            {
+              if (!error.armed()) {
+                try {
+                  body(i);
+                } catch (...) {
+                  error.capture();
+                }
               }
             }
-          }
-          break;
-        default:
+            break;
+          default:
 #pragma omp task depend(in : dep[a], dep[b]) depend(out : dep[i]) \
     firstprivate(i, a, b) default(shared)
-          {
-            if (!error.armed()) {
-              try {
-                body(i);
-              } catch (...) {
-                error.capture();
+            {
+              if (!error.armed()) {
+                try {
+                  body(i);
+                } catch (...) {
+                  error.capture();
+                }
               }
             }
-          }
-          break;
+            break;
+        }
       }
     }
   }
@@ -254,8 +292,10 @@ void TaskDag::run_pool(int threads, const std::function<void(int)>& body) const 
   }
   int remaining = n_;
   ExceptionSlot error;
+  const unsigned mode = fp_mode();
 
   auto worker = [&] {
+    const FpModeScope fp(mode);
     std::unique_lock<std::mutex> lk(m);
     for (;;) {
       cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });

@@ -25,11 +25,41 @@
 //     the code that could actually race — through this pool.
 // Both backends run the same bodies under the same dependence edges, so a
 // race TSan can see in the pool is a race the OpenMP schedule has too.
+//
+// Floating-point mode: every parallel region (parallel_for, TaskDag::run)
+// installs its caller's fp_mode() word in each worker for the whole region
+// and gives the worker its own word back afterwards, so a body computes
+// under the same rounding and subnormal handling on every thread. Without
+// that, a mode set after the OpenMP runtime created its threads would
+// apply to the caller's iterations only, and results would differ between
+// 1 and 2 threads.
 
 #include <functional>
 #include <vector>
 
 namespace tempest::util {
+
+/// The calling thread's floating-point control word: the x86 MXCSR
+/// (rounding mode, exception masks, flush-to-zero, denormals-are-zero).
+/// 0 on a target without SSE, where FpModeScope does nothing.
+[[nodiscard]] unsigned fp_mode();
+
+/// MXCSR flush-to-zero (bit 15) | denormals-are-zero (bit 6): results
+/// below FLT_MIN are written as zero, and subnormal inputs read as zero.
+inline constexpr unsigned kFlushSubnormals = 0x8040u;
+
+/// Installs `word` as the calling thread's fp_mode() and restores the
+/// previous word when the scope ends, a throw included.
+class FpModeScope {
+ public:
+  explicit FpModeScope(unsigned word);
+  ~FpModeScope();
+  FpModeScope(const FpModeScope&) = delete;
+  FpModeScope& operator=(const FpModeScope&) = delete;
+
+ private:
+  unsigned saved_;
+};
 
 /// True when compiled against the OpenMP *runtime* (-fopenmp). The tsan
 /// preset builds with -fopenmp-simd only: simd pragmas still vectorize,
@@ -57,7 +87,8 @@ enum class TaskBackend {
 /// Run fn(i) for every i in [0, n). threads <= 1 runs the serial loop in
 /// ascending order; otherwise the iterations execute concurrently (OpenMP
 /// parallel-for or a transient std::thread team) and fn must be race-free
-/// across iterations. Exceptions from fn are rethrown (first one wins).
+/// across iterations, each worker under the caller's fp_mode(). Exceptions
+/// from fn are rethrown (first one wins).
 void parallel_for(int n, int threads, const std::function<void(int)>& fn);
 
 /// A static task DAG executed under the selected backend. Nodes are dense
@@ -84,9 +115,10 @@ class TaskDag {
   /// (fixed-arity depend clauses; the engine's generators guarantee it).
   [[nodiscard]] int max_preds() const;
 
-  /// Execute body(node) for every node honoring every edge. threads <= 1:
-  /// serial ascending order. Exceptions are rethrown after the graph
-  /// drains (remaining bodies are skipped, first exception wins).
+  /// Execute body(node) for every node honoring every edge, each worker
+  /// under the caller's fp_mode(). threads <= 1: serial ascending order.
+  /// Exceptions are rethrown after the graph drains (remaining bodies are
+  /// skipped, first exception wins).
   void run(int threads, const std::function<void(int)>& body) const;
 
  private:

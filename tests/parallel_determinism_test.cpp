@@ -13,7 +13,9 @@
 //     reduced in ascending point order at each band barrier, replacing the
 //     order-nondeterministic atomic accumulation;
 //   * source injection scatters layer-by-layer through the ColorSets
-//     partition, reproducing the serial per-grid-point accumulation order.
+//     partition, reproducing the serial per-grid-point accumulation order;
+//   * every worker computes under the run's floating-point mode (the
+//     caller's word with subnormals flushed; the FlushedRun cases).
 // Float addition does not commute bitwise, so EXPECT_EQ (not NEAR) on every
 // artifact is the whole point: a schedule that merely "converges" at 8
 // threads fails this suite.
@@ -23,6 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,6 +37,8 @@
 #include "tempest/physics/elastic.hpp"
 #include "tempest/physics/tti.hpp"
 #include "tempest/physics/vti.hpp"
+#include "tempest/resilience/fault.hpp"
+#include "tempest/resilience/health.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
 #include "tempest/trace/trace.hpp"
@@ -45,6 +52,7 @@ namespace tc = tempest::core;
 namespace tr = tempest::trace;
 namespace tu = tempest::util;
 namespace obs = tempest::obs;
+namespace rs = tempest::resilience;
 using tempest::real_t;
 
 namespace {
@@ -284,6 +292,121 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, ParallelDeterminism,
                          ::testing::ValuesIn(cases()), case_name);
+
+namespace {
+
+/// One shot shaped like a survey shot (jobs/survey.cpp): SO 8, 10-point
+/// sponge, six-layer 1.5–4.0 km/s model, one off-the-grid Ricker source at
+/// a quarter of the line, a 16x8 receiver carpet and a health scan every 8
+/// steps; smaller, and on tiles that give the blocked schedules several
+/// tasks per band. Long enough that, with gradual underflow, the
+/// stencil's tail ahead of the wavefront leaves subnormal cells in the
+/// live slices.
+struct SurveyShot {
+  static constexpr int kN = 40;
+  static constexpr int kNt = 48;
+
+  ph::AcousticModel model = ph::make_acoustic_layered(
+      ph::Geometry{{kN, kN, kN}, 10.0, /*space_order=*/8, /*nbl=*/10}, 1.5,
+      4.0, 6);
+  sp::SparseTimeSeries src{
+      {{0.25 * (kN - 1) + 0.37, 0.5 * (kN - 1) + 0.61, 0.1 * (kN - 1) + 0.43}},
+      kNt};
+  sp::SparseTimeSeries rec{sp::receiver_carpet(model.geom.extents, 16, 8),
+                           kNt};
+
+  SurveyShot() {
+    src.broadcast_signature(sp::ricker(kNt, model.critical_dt(), 0.008));
+  }
+
+  [[nodiscard]] ph::PropagatorOptions options(int threads) const {
+    ph::PropagatorOptions opts;
+    opts.tiles = tc::TileSpec{4, 16, 16, 8, 8};
+    opts.threads = threads;
+    opts.health.check_every = 8;
+    return opts;
+  }
+};
+
+std::size_t count_subnormal(const std::vector<real_t>& v) {
+  std::size_t count = 0;
+  for (const real_t x : v) count += std::fpclassify(x) == FP_SUBNORMAL ? 1 : 0;
+  return count;
+}
+
+std::vector<real_t> cells(const tg::Grid3<real_t>& g) {
+  return {g.raw(), g.raw() + g.padded_size()};
+}
+
+bool same_bits(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+}
+
+std::vector<real_t> samples(const sp::SparseTimeSeries& s) {
+  std::vector<real_t> out;
+  for (int t = 0; t < s.nt(); ++t) {
+    out.insert(out.end(), s.step(t).begin(), s.step(t).end());
+  }
+  return out;
+}
+
+}  // namespace
+
+// Every run computes with subnormals flushed (FTZ|DAZ on every thread,
+// DESIGN §6.1): no live cell and no gather sample is subnormal under any
+// schedule or thread count, the runs stay bitwise equal, and the caller's
+// floating-point mode is the same after run() as before it.
+TEST(FlushedRun, NoSubnormalsAnyScheduleAndCallerModeKept) {
+  const SurveyShot shot;
+  std::vector<real_t> first_u;
+  for (const ph::Schedule sched :
+       {ph::Schedule::Reference, ph::Schedule::SpaceBlocked,
+        ph::Schedule::Wavefront, ph::Schedule::Diamond}) {
+    std::vector<real_t> first_rec;
+    for (const int threads : {1, 2}) {
+      ph::AcousticPropagator prop(shot.model, shot.options(threads));
+      sp::SparseTimeSeries rec = shot.rec;
+      const unsigned mode = tu::fp_mode();
+      prop.run(sched, shot.src, &rec);
+      EXPECT_EQ(tu::fp_mode(), mode) << schedule_name(sched);
+
+      const std::string where = std::string(schedule_name(sched)) + " at " +
+                                std::to_string(threads) + " threads";
+      const rs::CheckpointView live = prop.state_view(SurveyShot::kNt, 0);
+      for (const tg::Grid3<real_t>* slice : live.slots) {
+        EXPECT_EQ(count_subnormal(cells(*slice)), 0u)
+            << "live slice, " << where;
+      }
+      const std::vector<real_t> gather = samples(rec);
+      EXPECT_EQ(count_subnormal(gather), 0u) << "gather, " << where;
+
+      // One source: the wavefield is bit-exact across schedules; gathers
+      // order their reduction per schedule, so they match across threads.
+      const std::vector<real_t> u = cells(prop.wavefield(SurveyShot::kNt));
+      if (first_u.empty()) first_u = u;
+      EXPECT_TRUE(same_bits(u, first_u)) << "wavefield, " << where;
+      if (first_rec.empty()) first_rec = gather;
+      EXPECT_TRUE(same_bits(gather, first_rec)) << "gather, " << where;
+    }
+  }
+}
+
+TEST(FlushedRun, CallerModeKeptWhenTheRunThrows) {
+  const SurveyShot shot;
+  for (const ph::Schedule sched :
+       {ph::Schedule::SpaceBlocked, ph::Schedule::Wavefront}) {
+    // Step 17 ends a wave-front band (tile_t 4 from t = 1), where the
+    // blocked schedule scans; the barrier schedule scans at step 24.
+    rs::fault::plan().poison_wavefield_at_step = 17;
+    ph::AcousticPropagator prop(shot.model, shot.options(2));
+    const unsigned mode = tu::fp_mode();
+    EXPECT_THROW(prop.run(sched, shot.src), rs::NumericalHealthError)
+        << schedule_name(sched);
+    rs::fault::reset();
+    EXPECT_EQ(tu::fp_mode(), mode) << schedule_name(sched);
+  }
+}
 
 // The executor must honour $TEMPEST_THREADS when no explicit count is
 // given, and an explicit request must win over the environment.

@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "tempest/util/align.hpp"
@@ -291,6 +295,67 @@ TEST(TaskDag, PropagatesExceptionFromTaskBody) {
                          }),
                  std::runtime_error)
         << "threads=" << threads;
+  }
+}
+
+namespace {
+
+/// fp_mode() without its status flags (MXCSR bits 0-5), which record what
+/// earlier operations raised: the mode a body computes under.
+unsigned fp_control() { return tu::fp_mode() & ~0x3Fu; }
+
+/// The fp_control() each of 64 bodies of a 4-thread parallel_for and of a
+/// 4-thread TaskDag::run read on entry, and how many threads ran them.
+struct RegionModes {
+  std::vector<unsigned> words;
+  std::size_t threads = 0;
+};
+
+RegionModes modes_in_regions() {
+  constexpr int kBodies = 64;
+  RegionModes out;
+  out.words.assign(2 * kBodies, 0);
+  std::mutex m;
+  std::set<std::thread::id> ids;
+  const auto body = [&](int slot) {
+    out.words[static_cast<std::size_t>(slot)] = fp_control();
+    {
+      const std::lock_guard<std::mutex> lk(m);
+      ids.insert(std::this_thread::get_id());
+    }
+    // Long enough that every worker of the team takes some bodies.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  tu::parallel_for(kBodies, 4, body);
+  tu::TaskDag(kBodies).run(4, [&](int node) { body(kBodies + node); });
+  out.threads = ids.size();
+  return out;
+}
+
+}  // namespace
+
+// Workers compute under their caller's floating-point mode for the whole
+// region and get their own back afterwards. The runtime's threads exist
+// before the caller changes its mode, so only the region can carry it.
+TEST(Threads, WorkersAdoptTheCallersFloatingPointMode) {
+  if (tu::fp_mode() == 0) GTEST_SKIP() << "no floating-point control word";
+  const unsigned deflt = fp_control();
+  for (const unsigned w : modes_in_regions().words) EXPECT_EQ(w, deflt);
+  {
+    constexpr unsigned kRoundTowardZero = 0x6000u;  // MXCSR RC = 0b11
+    const tu::FpModeScope rz(tu::fp_mode() | kRoundTowardZero);
+    const unsigned caller = fp_control();
+    ASSERT_NE(caller, deflt);
+    const RegionModes inside = modes_in_regions();
+    EXPECT_GT(inside.threads, 1u);
+    for (std::size_t i = 0; i < inside.words.size(); ++i) {
+      EXPECT_EQ(inside.words[i], caller) << "body " << i;
+    }
+  }
+  EXPECT_EQ(fp_control(), deflt);
+  const RegionModes after = modes_in_regions();
+  for (std::size_t i = 0; i < after.words.size(); ++i) {
+    EXPECT_EQ(after.words[i], deflt) << "body " << i;
   }
 }
 
