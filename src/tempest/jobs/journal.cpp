@@ -1,11 +1,11 @@
 #include "tempest/jobs/journal.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
-#include "tempest/io/io.hpp"
+#include "tempest/io/record.hpp"
 #include "tempest/util/crc32.hpp"
 #include "tempest/util/error.hpp"
 
@@ -13,82 +13,104 @@ namespace tempest::jobs {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x54504A4Cu;  // "TPJL"
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kMaxPayload = 1u << 20;  // sanity bound per record
+constexpr io::RecordTag kTag{0x54504A4Cu, 1};  // "TPJL", version 1
+/// The largest payload a frame may declare. Writers refuse a bigger record
+/// and replay treats a bigger length as corruption: a torn append cuts a
+/// frame short but never leaves a whole length field that is wrong.
+constexpr std::uint32_t kMaxPayload = 1u << 20;
 
-void put_pod(std::vector<std::uint8_t>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::uint8_t*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-template <typename T>
-void put(std::vector<std::uint8_t>& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put_pod(out, &v, sizeof(T));
-}
-
-std::vector<std::uint8_t> encode(const Record& r) {
+/// Appends the frame of `r` — {u32 payload_len, u32 crc32(payload),
+/// payload} — to `out`.
+void put_frame(std::vector<std::uint8_t>& out, const Record& r) {
   std::vector<std::uint8_t> payload;
-  payload.reserve(40 + r.detail.size());
-  put(payload, static_cast<std::uint32_t>(r.type));
-  put(payload, r.job);
-  put(payload, r.attempt);
-  put(payload, r.level);
-  put(payload, r.fingerprint);
-  put(payload, r.seconds);
-  put(payload, static_cast<std::uint32_t>(r.detail.size()));
-  put_pod(payload, r.detail.data(), r.detail.size());
-  return payload;
+  io::RecordWriter p(payload);
+  p.put(static_cast<std::uint32_t>(r.type));
+  p.put(r.job);
+  p.put(r.attempt);
+  p.put(r.level);
+  p.put(r.fingerprint);
+  p.put(r.seconds);
+  p.put(static_cast<std::uint32_t>(r.detail.size()));
+  p.bytes(r.detail.data(), r.detail.size());
+  TEMPEST_REQUIRE_MSG(p.size() <= kMaxPayload,
+                      "journal record of " + std::to_string(p.size()) +
+                          " bytes exceeds the " +
+                          std::to_string(kMaxPayload) + "-byte frame limit");
+  io::RecordWriter f(out);
+  f.put(static_cast<std::uint32_t>(p.size()));
+  f.put(p.crc());
+  f.bytes(payload.data(), payload.size());
 }
 
-Record decode(const std::string& path, const std::uint8_t* p, std::size_t n) {
-  constexpr std::size_t kFixed = 4 + 4 + 4 + 4 + 8 + 8 + 4;
-  if (n < kFixed) {
-    throw io::CorruptFileError(path, "journal record payload too short (" +
-                                         std::to_string(n) + " bytes)");
-  }
-  Record r;
-  std::uint32_t type = 0;
-  std::uint32_t detail_len = 0;
-  std::size_t off = 0;
-  const auto get = [&](void* dst, std::size_t sz) {
-    std::memcpy(dst, p + off, sz);
-    off += sz;
-  };
-  get(&type, sizeof(type));
-  get(&r.job, sizeof(r.job));
-  get(&r.attempt, sizeof(r.attempt));
-  get(&r.level, sizeof(r.level));
-  get(&r.fingerprint, sizeof(r.fingerprint));
-  get(&r.seconds, sizeof(r.seconds));
-  get(&detail_len, sizeof(detail_len));
+/// The bytes of `records` as frames, after the file tag when `tagged`.
+/// Built whole before any of it is written, so a record over the frame
+/// limit throws before the file is touched.
+std::vector<std::uint8_t> encode(bool tagged,
+                                 const std::vector<Record>& records) {
+  std::vector<std::uint8_t> out;
+  if (tagged) io::RecordWriter(out).tag(kTag);
+  for (const Record& r : records) put_frame(out, r);
+  return out;
+}
+
+Record decode(io::RecordReader r) {
+  Record rec;
+  const auto type = r.get<std::uint32_t>();
+  rec.job = r.get<std::int32_t>();
+  rec.attempt = r.get<std::int32_t>();
+  rec.level = r.get<std::int32_t>();
+  rec.fingerprint = r.get<std::uint64_t>();
+  rec.seconds = r.get<double>();
+  const auto detail_len = r.get<std::uint32_t>();
   if (type < static_cast<std::uint32_t>(RecordType::Plan) ||
       type > static_cast<std::uint32_t>(RecordType::Quarantined)) {
-    throw io::CorruptFileError(
-        path, "journal record type " + std::to_string(type) + " unknown");
+    r.fail("journal record type " + std::to_string(type) + " unknown");
   }
-  r.type = static_cast<RecordType>(type);
-  if (off + detail_len != n) {
-    throw io::CorruptFileError(
-        path, "journal record detail length " + std::to_string(detail_len) +
-                  " disagrees with its frame (" + std::to_string(n - off) +
-                  " bytes remain)");
+  rec.type = static_cast<RecordType>(type);
+  if (detail_len != r.remaining()) {
+    r.fail("journal record detail length " + std::to_string(detail_len) +
+           " disagrees with its frame (" + std::to_string(r.remaining()) +
+           " bytes remain)");
   }
-  r.detail.assign(reinterpret_cast<const char*>(p) + off, detail_len);
-  return r;
+  const std::span<const std::uint8_t> detail = r.take(detail_len);
+  rec.detail.assign(detail.begin(), detail.end());
+  return rec;
 }
 
-void write_frames(std::ofstream& out, const std::vector<Record>& records) {
-  for (const Record& r : records) {
-    const std::vector<std::uint8_t> payload = encode(r);
-    const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
+/// Decodes every frame left in `r` into `records`; true when the last one
+/// is a torn tail. A torn append always ends the file: the frame is cut
+/// short, or its trailing bytes never made it. So a cut frame, or a final
+/// frame that fails its CRC, is a torn tail; a frame that fails its CRC
+/// with more data after it is interior corruption — the history beyond it
+/// cannot be trusted, so refuse rather than resync.
+bool read_frames(io::RecordReader& r, std::vector<Record>& records) {
+  while (r.remaining() != 0) {
+    const std::size_t at = r.offset();
+    if (r.remaining() < 2 * sizeof(std::uint32_t)) return true;
+    const auto len = r.get<std::uint32_t>();
+    const auto crc = r.get<std::uint32_t>();
+    if (len > kMaxPayload) {
+      r.fail("journal record at byte " + std::to_string(at) + " declares " +
+             std::to_string(len) + " payload bytes, over the " +
+             std::to_string(kMaxPayload) + "-byte frame limit");
+    }
+    if (len > r.remaining()) return true;
+    const std::span<const std::uint8_t> payload = r.take(len);
+    if (util::crc32(payload.data(), payload.size()) != crc) {
+      if (r.remaining() != 0) {
+        r.fail("journal record at byte " + std::to_string(at) +
+               " fails its CRC but is not the final record");
+      }
+      return true;
+    }
+    records.push_back(decode(io::RecordReader(r.source(), payload, at + 8)));
   }
+  return false;
+}
+
+void write_bytes(std::ofstream& out, const std::vector<std::uint8_t>& bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 }  // namespace
@@ -99,83 +121,33 @@ bool Journal::exists() const {
 }
 
 void Journal::append(const Record& r) {
-  const bool fresh = !exists();
+  const std::vector<std::uint8_t> bytes = encode(!exists(), {r});
   std::ofstream out(path_, std::ios::binary | std::ios::app);
   TEMPEST_REQUIRE_MSG(out.good(), "cannot open journal '" + path_ +
                                       "' for append");
-  if (fresh) {
-    out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-    out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-  }
-  write_frames(out, {r});
+  write_bytes(out, bytes);
   out.flush();
   TEMPEST_REQUIRE_MSG(out.good(),
                       "journal append to '" + path_ + "' failed (disk full?)");
 }
 
 std::vector<Record> Journal::replay(bool* torn_tail) const {
-  if (torn_tail != nullptr) *torn_tail = false;
   const std::vector<std::uint8_t> buf = io::read_file(path_);
-  if (buf.size() < 8) {
-    throw io::CorruptFileError(path_, "journal shorter than its header (" +
-                                          std::to_string(buf.size()) +
-                                          " bytes)");
-  }
-  std::uint32_t magic = 0;
-  std::uint32_t version = 0;
-  std::memcpy(&magic, buf.data(), sizeof(magic));
-  std::memcpy(&version, buf.data() + 4, sizeof(version));
-  if (magic != kMagic) {
-    throw io::CorruptFileError(path_, "bad journal magic");
-  }
-  if (version != kVersion) {
-    throw io::CorruptFileError(
-        path_, "journal version " + std::to_string(version) +
-                   ", this build reads version " + std::to_string(kVersion));
-  }
-
+  io::RecordReader r(path_, buf);
+  r.tag(kTag, "journal");
   std::vector<Record> records;
-  std::size_t off = 8;
-  while (off < buf.size()) {
-    // A frame cut anywhere — mid-length, mid-crc, mid-payload — or whose
-    // CRC fails is a torn tail if and only if nothing follows it.
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    const bool short_header = off + 8 > buf.size();
-    bool bad = short_header;
-    if (!bad) {
-      std::memcpy(&len, buf.data() + off, sizeof(len));
-      std::memcpy(&crc, buf.data() + off + 4, sizeof(crc));
-      bad = len > kMaxPayload || off + 8 + len > buf.size() ||
-            util::crc32(buf.data() + off + 8, len) != crc;
-    }
-    if (bad) {
-      // A torn append always ends the file: the frame is cut short, or its
-      // trailing bytes never made it. A frame that fails its CRC but has
-      // *more data after it* is interior corruption — the history beyond it
-      // cannot be trusted, so refuse rather than resync.
-      if (!short_header && off + 8 + len < buf.size()) {
-        throw io::CorruptFileError(
-            path_, "journal record at byte " + std::to_string(off) +
-                       " fails its CRC but is not the final record");
-      }
-      if (torn_tail != nullptr) *torn_tail = true;
-      break;
-    }
-    records.push_back(decode(path_, buf.data() + off + 8, len));
-    off += 8 + len;
-  }
+  const bool torn = read_frames(r, records);
+  if (torn_tail != nullptr) *torn_tail = torn;
   return records;
 }
 
 void Journal::rewrite(const std::vector<Record>& records) const {
+  const std::vector<std::uint8_t> bytes = encode(true, records);
   const std::string tmp = path_ + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     TEMPEST_REQUIRE_MSG(out.good(), "cannot open '" + tmp + "' for write");
-    out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-    out.write(reinterpret_cast<const char*>(&kVersion), sizeof(kVersion));
-    write_frames(out, records);
+    write_bytes(out, bytes);
     out.flush();
     TEMPEST_REQUIRE_MSG(out.good(), "journal rewrite to '" + tmp +
                                         "' failed (disk full?)");

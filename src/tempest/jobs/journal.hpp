@@ -46,12 +46,13 @@ struct Record {
 /// Append-only, CRC-framed journal file.
 ///
 /// Layout: an 8-byte header {magic "TPJL", version}, then one frame per
-/// record: {u32 payload_len, u32 crc32(payload), payload}. Every append is
-/// flushed before returning, so the journal never claims a transition that
-/// was not durably recorded. replay() accepts a torn tail — a final frame
-/// cut short or failing its CRC is exactly what a kill mid-append leaves
-/// behind — and reports it so the owner can compact. A corrupted *interior*
-/// frame (bit rot, not a torn write) aborts replay with
+/// record: {u32 payload_len, u32 crc32(payload), payload}, with payloads
+/// of at most 1 MiB. Every append is flushed before returning, so the
+/// journal never claims a transition that was not durably recorded.
+/// replay() accepts a torn tail — a final frame cut short or failing its
+/// CRC is exactly what a kill mid-append leaves behind — and reports it so
+/// the owner can compact. A corrupted *interior* frame (bit rot, not a
+/// torn write) or a length over the limit aborts replay with
 /// io::CorruptFileError: the history after it cannot be trusted.
 class Journal {
  public:
@@ -61,12 +62,14 @@ class Journal {
   [[nodiscard]] bool exists() const;
 
   /// Durably append one record (creates the file + header on first use).
-  /// Throws util::PreconditionError on I/O failure.
+  /// Throws util::PreconditionError on I/O failure, or before writing
+  /// anything when the record is over the payload limit.
   void append(const Record& r);
 
   /// Read every intact record. A torn final frame is tolerated and sets
   /// *torn_tail (may be null); throws io::CorruptFileError on a bad
-  /// header or a corrupt frame that is not the last one.
+  /// header, a corrupt frame that is not the last one, or a frame length
+  /// over the payload limit anywhere.
   [[nodiscard]] std::vector<Record> replay(bool* torn_tail = nullptr) const;
 
   /// Rewrite the journal to contain exactly `records`, via tmp + atomic

@@ -8,7 +8,7 @@
 #include <iterator>
 #include <map>
 
-#include "tempest/io/io.hpp"
+#include "tempest/io/record.hpp"
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/crc32.hpp"
 
@@ -26,8 +26,7 @@ namespace {
 // On-disk layout of a .tfbr v1 file. Every struct below is its wire
 // format: fixed-width little-endian fields at fixed offsets, asserted so a
 // layout drift fails the build instead of corrupting black boxes.
-constexpr std::uint32_t kMagic = 0x52424654u;  // "TFBR" little-endian
-constexpr std::uint32_t kVersion = 1;
+constexpr io::RecordTag kTag{0x52424654u, 1};  // "TFBR" little-endian, v1
 constexpr std::size_t kHeaderBytes = 4096;
 constexpr std::uint32_t kSlotBytes = 64;
 constexpr std::size_t kNameEntryBytes = 64;
@@ -138,8 +137,8 @@ std::unique_ptr<FlightRecorder> FlightRecorder::create(const std::string& path,
   rec->generation_ = 1 + g_generation.fetch_add(1, std::memory_order_relaxed);
 
   Header h{};
-  h.magic = kMagic;
-  h.version = kVersion;
+  h.magic = kTag.magic;
+  h.version = kTag.version;
   h.lanes = g.lanes;
   h.lane_capacity = g.lane_capacity;
   h.slot_bytes = kSlotBytes;
@@ -280,17 +279,13 @@ namespace {
 /// open-span replay. Throws io::CorruptFileError per the header contract.
 BlackboxContents decode(const std::string& path) {
   const std::vector<std::uint8_t> bytes = io::read_file(path);
+  io::RecordReader(path, bytes).tag(kTag, "TFBR");
   if (bytes.size() < kHeaderBytes) {
     throw io::CorruptFileError(path, "black box shorter than its header");
   }
 
   Header h{};
   std::memcpy(&h, bytes.data(), sizeof(h));
-  if (h.magic != kMagic) throw io::CorruptFileError(path, "bad TFBR magic");
-  if (h.version != kVersion) {
-    throw io::CorruptFileError(
-        path, "unsupported TFBR version " + std::to_string(h.version));
-  }
   if (h.header_crc != util::crc32(bytes.data(), kCrcCoveredHeaderBytes)) {
     throw io::CorruptFileError(path, "TFBR header CRC mismatch");
   }
@@ -328,10 +323,14 @@ BlackboxContents decode(const std::string& path) {
     const unsigned char* base =
         bytes.data() + lanes_offset(g) + lane * lane_stride(g);
     for (std::uint32_t i = 0; i < g.lane_capacity; ++i) {
+      const unsigned char* raw = base + kLaneHeaderBytes + i * kSlotBytes;
+      if (std::all_of(raw, raw + kSlotBytes,
+                      [](unsigned char c) { return c == 0; })) {
+        continue;  // never written: the file starts zero-filled
+      }
       Slot s{};
-      std::memcpy(&s, base + kLaneHeaderBytes + i * kSlotBytes, sizeof(s));
-      if (s.seq == 0) continue;  // never written
-      if (s.crc != util::crc32(&s, offsetof(Slot, crc))) {
+      std::memcpy(&s, raw, sizeof(s));
+      if (s.seq == 0 || s.crc != util::crc32(&s, offsetof(Slot, crc))) {
         ++out.torn_slots;  // the record in flight at death
         continue;
       }

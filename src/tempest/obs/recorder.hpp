@@ -31,8 +31,9 @@ namespace tempest::obs {
 /// misinterpreted. Recovery rules, in order:
 ///   * header CRC mismatch or impossible geometry: the file is not a black
 ///     box (io::CorruptFileError);
-///   * a torn slot (bad CRC / zero seq) is skipped; more torn slots than
-///     lanes means interior corruption, and verify_blackbox() fails;
+///   * an all-zero slot was never written; any other slot with a bad CRC
+///     or a zero seq is torn and skipped; more torn slots than lanes means
+///     interior corruption, and verify_blackbox() fails;
 ///   * duplicate sequence numbers among valid slots: interior corruption;
 ///   * `header.seq - valid - torn` records were overwritten by ring wrap —
 ///     expected, reported, never an error.

@@ -102,26 +102,6 @@ struct Checkpoint {
   }
 };
 
-/// Pack a trivially copyable value as an auxiliary-blob payload.
-template <typename T>
-[[nodiscard]] std::vector<std::uint8_t> aux_pack(const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  std::vector<std::uint8_t> b(sizeof(T));
-  std::memcpy(b.data(), &v, sizeof(T));
-  return b;
-}
-
-/// Unpack an auxiliary blob written by aux_pack. Returns nullopt on size
-/// mismatch (e.g. a checkpoint written by an incompatible build).
-template <typename T>
-[[nodiscard]] std::optional<T> aux_unpack(const std::vector<std::uint8_t>& b) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (b.size() != sizeof(T)) return std::nullopt;
-  T v{};
-  std::memcpy(&v, b.data(), sizeof(T));
-  return v;
-}
-
 /// Versioned auxiliary-blob framing: an 8-byte {magic, version} header
 /// prefixes the payload, so a blob written by an incompatible layout (or
 /// truncated by corruption the file-level CRC did not cover because the
@@ -145,7 +125,7 @@ struct AuxView {
                                        std::uint32_t magic,
                                        std::uint32_t version);
 
-/// aux_pack/aux_unpack with the versioned framing. Unpack throws
+/// A trivially copyable value as a versioned blob, and back. Unpack throws
 /// io::CorruptFileError (wrong magic/version/size) instead of guessing.
 template <typename T>
 [[nodiscard]] std::vector<std::uint8_t> aux_pack_versioned(std::uint32_t magic,

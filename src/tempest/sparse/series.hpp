@@ -53,6 +53,14 @@ class SparseTimeSeries {
     return const_cast<SparseTimeSeries*>(this)->step(t);
   }
 
+  /// Every sample, row-major: nt rows of npoints values.
+  [[nodiscard]] std::span<real_t> samples() {
+    return {data_.data(), data_.size()};
+  }
+  [[nodiscard]] std::span<const real_t> samples() const {
+    return {data_.data(), data_.size()};
+  }
+
   /// Assign the same time signature to every point (the benchmark setups
   /// drive all sources with one wavelet).
   void broadcast_signature(std::span<const real_t> wavelet) {

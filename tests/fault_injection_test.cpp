@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +26,7 @@
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
 #include "tempest/trace/trace.hpp"
+#include "tempest/util/crc32.hpp"
 
 namespace at = tempest::autotune;
 namespace cg = tempest::codegen;
@@ -440,6 +442,60 @@ TEST_F(FaultInjection, CorruptNewestCheckpointFallsBackToRotated) {
   std::ofstream(ckpt.previous_path(), std::ios::binary | std::ios::trunc)
       << "junk";
   EXPECT_FALSE(ckpt.try_load(42).has_value());
+}
+
+namespace {
+
+/// A 49-byte TPCK with a valid CRC whose one slice declares 2^20 points per
+/// axis: 2^62 bytes, which no allocator can satisfy, in a file that holds
+/// none of them.
+void write_lying_extents_checkpoint(const std::string& path) {
+  std::vector<std::uint8_t> b;
+  const auto put = [&b](const auto& v) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
+    b.insert(b.end(), p, p + sizeof(v));
+  };
+  put(std::uint32_t{0x5450434Bu});  // "TPCK"
+  put(std::uint32_t{1});
+  put(std::uint64_t{42});                    // fingerprint
+  put(std::int32_t{9});                      // step
+  put(std::int32_t{1});                      // one slice
+  for (int axis = 0; axis < 3; ++axis) put(std::int32_t{1 << 20});
+  put(std::int32_t{0});                      // halo
+  put(std::uint8_t{0});                      // no gather
+  put(std::uint32_t{0});                     // no aux blobs
+  put(tempest::util::crc32(b.data(), b.size()));
+  ASSERT_EQ(b.size(), 49u);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(reinterpret_cast<const char*>(b.data()),
+           static_cast<std::streamsize>(b.size()));
+}
+
+}  // namespace
+
+TEST_F(FaultInjection, LyingExtentsAreCorruptNotAnAllocation) {
+  TempFile file(".tpck");
+  write_lying_extents_checkpoint(file.path());
+  try {
+    (void)rs::Checkpointer(file.path()).load();
+    FAIL() << "a checkpoint declaring more bytes than it holds must throw";
+  } catch (const io::CorruptFileError& err) {
+    EXPECT_NE(std::string(err.what()).find("time slice declares"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST_F(FaultInjection, LyingExtentsFallBackToRotated) {
+  TempFile file(".tpck");
+  rs::Checkpointer ckpt(file.path());
+  ckpt.save(make_checkpoint(5, 42, real_t{1}));
+  ckpt.save(make_checkpoint(9, 42, real_t{2}));  // rotates step 5 to ".1"
+  write_lying_extents_checkpoint(file.path());
+  const auto back = ckpt.try_load(42);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->step, 5);
+  EXPECT_EQ(back->slots[0](1, 2, 3), real_t{1});
 }
 
 TEST_F(FaultInjection, RemoveAllClearsEveryGeneration) {

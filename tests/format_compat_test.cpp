@@ -1,10 +1,10 @@
-// On-disk compatibility of the three CRC-framed formats. tests/data holds a
-// TPCK checkpoint, a TPJL journal and a TFBR black box written by an
-// earlier build (tests/data/README.md lists how). This build must decode
-// each one, and must re-encode the checkpoint and the journal byte for
-// byte: the checkpoint both through save(capture(...)) and through the
-// zero-copy state_view() path. Together these pin every format — framing,
-// field order and CRC values — against silent drift.
+// On-disk compatibility of the four binary formats. tests/data holds a
+// TPCK checkpoint, a TPJL journal, a TFBR black box and a TPG1 gather
+// written by an earlier build (tests/data/README.md lists how). This build
+// must decode each one, and must re-encode the checkpoint, the journal and
+// the gather byte for byte: the checkpoint both through save(capture(...))
+// and through the zero-copy state_view() path. Together these pin every
+// format — framing, field order and CRC values — against silent drift.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -185,6 +185,25 @@ TEST(FormatCompat, BlackboxFixtureDecodes) {
   EXPECT_EQ(box.events[7].name, "u");
   EXPECT_EQ(box.events[7].b, 16);
   EXPECT_TRUE(box.open_spans.empty());
+}
+
+TEST(FormatCompat, GatherFixtureDecodesAndReencodesByteForByte) {
+  const std::string path = fixture("shot_gather.tpg");
+  const sp::SparseTimeSeries g = io::load_gather(path);
+  ASSERT_EQ(g.nt(), 5);
+  ASSERT_EQ(g.npoints(), 3);
+  EXPECT_EQ(g.coords(), (sp::CoordList{{0.1, 2.2, 3.3},
+                                       {1.0 / 3.0, 4.7, 0.45},
+                                       {5.55, 0.01, 2.9}}));
+  for (int t = 0; t < g.nt(); ++t) {
+    for (int r = 0; r < g.npoints(); ++r) {
+      EXPECT_EQ(g.at(t, r), static_cast<real_t>(0.1 * (t + 1) - 0.25 * r))
+          << "t=" << t << " r=" << r;
+    }
+  }
+  TempFile out(".tpg");
+  io::save_gather(out.path(), g);
+  EXPECT_EQ(io::read_file(out.path()), io::read_file(path));
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "tempest/io/io.hpp"
+#include "tempest/resilience/checkpoint.hpp"
 #include "tempest/util/rng.hpp"
 
 namespace io = tempest::io;
@@ -51,106 +52,6 @@ tg::Grid3<real_t> random_field(tg::Extents3 e, int halo,
 
 }  // namespace
 
-TEST(IoField, RoundTripIsBitExact) {
-  TempFile file(".tpf");
-  const auto original = random_field({7, 5, 9}, 3, 42);
-  io::save_field(file.path(), original);
-  const auto loaded = io::load_field(file.path());
-  ASSERT_EQ(loaded.extents(), original.extents());
-  ASSERT_EQ(loaded.halo(), original.halo());
-  ASSERT_EQ(loaded.padded_size(), original.padded_size());
-  for (std::size_t i = 0; i < original.padded_size(); ++i) {
-    ASSERT_EQ(loaded.raw()[i], original.raw()[i]) << "byte offset " << i;
-  }
-}
-
-TEST(IoField, RejectsWrongMagicAndTruncation) {
-  TempFile file(".tpf");
-  {
-    std::ofstream os(file.path(), std::ios::binary);
-    os << "garbage data, definitely not a field";
-  }
-  EXPECT_THROW((void)io::load_field(file.path()),
-               tempest::util::PreconditionError);
-
-  // Valid header, truncated payload.
-  const auto f = random_field({8, 8, 8}, 2, 7);
-  io::save_field(file.path(), f);
-  {
-    std::ifstream is(file.path(), std::ios::binary);
-    std::string content((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>());
-    content.resize(content.size() / 2);
-    std::ofstream os(file.path(), std::ios::binary | std::ios::trunc);
-    os << content;
-  }
-  EXPECT_THROW((void)io::load_field(file.path()),
-               tempest::util::PreconditionError);
-}
-
-TEST(IoField, CorruptionReportsTypedDescriptiveErrors) {
-  TempFile file(".tpf");
-  const auto f = random_field({8, 8, 8}, 2, 7);
-  io::save_field(file.path(), f);
-
-  // Truncated payload: the declared size no longer matches the file.
-  std::string bytes;
-  {
-    std::ifstream is(file.path(), std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(is)),
-                 std::istreambuf_iterator<char>());
-  }
-  {
-    std::ofstream os(file.path(), std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 64));
-  }
-  try {
-    (void)io::load_field(file.path());
-    FAIL() << "truncated field must be rejected";
-  } catch (const io::CorruptFileError& err) {
-    const std::string msg = err.what();
-    EXPECT_EQ(err.path(), file.path());
-    EXPECT_NE(msg.find(file.path()), std::string::npos) << msg;
-    EXPECT_NE(msg.find("declares"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("truncated or corrupted"), std::string::npos) << msg;
-  }
-
-  // Wrong magic names the format, not just "bad file".
-  {
-    std::ofstream os(file.path(), std::ios::binary | std::ios::trunc);
-    os << "XXXXgarbage that is long enough to clear the header check......";
-  }
-  try {
-    (void)io::load_field(file.path());
-    FAIL() << "bad magic must be rejected";
-  } catch (const io::CorruptFileError& err) {
-    EXPECT_NE(std::string(err.what()).find("bad magic"), std::string::npos);
-  }
-}
-
-TEST(IoField, ImplausibleHeaderRejectedBeforeAllocation) {
-  TempFile file(".tpf");
-  // Hand-craft a header declaring absurd extents; without the sanity bound
-  // this would attempt a terabyte allocation before any size check.
-  {
-    std::ofstream os(file.path(), std::ios::binary);
-    const std::uint32_t magic = 0x54504631;  // "TPF1"
-    const std::int32_t nx = 1 << 24, ny = 1 << 24, nz = 1 << 24, halo = 2;
-    os.write(reinterpret_cast<const char*>(&magic), 4);
-    os.write(reinterpret_cast<const char*>(&nx), 4);
-    os.write(reinterpret_cast<const char*>(&ny), 4);
-    os.write(reinterpret_cast<const char*>(&nz), 4);
-    os.write(reinterpret_cast<const char*>(&halo), 4);
-  }
-  try {
-    (void)io::load_field(file.path());
-    FAIL() << "implausible header must be rejected";
-  } catch (const io::CorruptFileError& err) {
-    EXPECT_NE(std::string(err.what()).find("implausible field header"),
-              std::string::npos);
-  }
-}
-
 TEST(IoGather, SizeMismatchAndCorruptErrorsAreTyped) {
   TempFile file(".tpg");
   sp::SparseTimeSeries g({{1.5, 2.25, 3.125}, {9.75, 8.5, 7.0625}}, 6);
@@ -177,12 +78,12 @@ TEST(IoGather, NonFiniteCoordinateIsCorrupt) {
   EXPECT_THROW((void)io::load_gather(file.path()), io::CorruptFileError);
 }
 
-TEST(IoField, RejectsUnwritablePath) {
-  const auto f = random_field({4, 4, 4}, 1, 3);
-  EXPECT_THROW(io::save_field("/nonexistent-dir/x.tpf", f),
+TEST(IoGather, RejectsUnwritablePath) {
+  const sp::SparseTimeSeries g({{1, 1, 1}}, 2);
+  EXPECT_THROW(io::save_gather("/nonexistent-dir/x.tpg", g),
                tempest::util::PreconditionError);
-  EXPECT_THROW((void)io::load_field("/nonexistent-dir/x.tpf"),
-               tempest::util::PreconditionError);
+  EXPECT_THROW((void)io::load_gather("/nonexistent-dir/x.tpg"),
+               io::CorruptFileError);
 }
 
 TEST(IoGather, RoundTripPreservesCoordsAndData) {
@@ -205,18 +106,53 @@ TEST(IoGather, RoundTripPreservesCoordsAndData) {
   }
 }
 
-TEST(IoGather, FieldAndGatherFormatsAreDistinct) {
-  TempFile ffile(".tpf");
-  const auto f = random_field({4, 4, 4}, 0, 1);
-  io::save_field(ffile.path(), f);
-  EXPECT_THROW((void)io::load_gather(ffile.path()),
-               tempest::util::PreconditionError);
+TEST(IoGather, GatherAndCheckpointFormatsAreDistinct) {
+  // The gather section is the same bytes in both formats; the magic (and
+  // the checkpoint's CRC trailer) keep either file from decoding as the
+  // other.
+  sp::SparseTimeSeries g({{1.5, 2.25, 3.125}}, 2);
+  TempFile ckfile(".tpck");
+  tempest::resilience::Checkpoint ck;
+  ck.slots.push_back(random_field({4, 4, 4}, 1, 1));
+  ck.has_rec = true;
+  ck.rec = g;
+  tempest::resilience::Checkpointer(ckfile.path()).save(ck);
+  try {
+    (void)io::load_gather(ckfile.path());
+    FAIL() << "a checkpoint must not load as a gather";
+  } catch (const io::CorruptFileError& err) {
+    EXPECT_NE(std::string(err.what()).find("bad gather magic"),
+              std::string::npos)
+        << err.what();
+  }
 
   TempFile gfile(".tpg");
-  sp::SparseTimeSeries g({{1, 1, 1}}, 2);
   io::save_gather(gfile.path(), g);
-  EXPECT_THROW((void)io::load_field(gfile.path()),
-               tempest::util::PreconditionError);
+  EXPECT_THROW((void)tempest::resilience::Checkpointer(gfile.path()).load(),
+               io::CorruptFileError);
+}
+
+TEST(IoGather, DeclaredCountsAreCheckedBeforeAllocation) {
+  // A 12-byte header declaring 2^30 points over nt 2^30: allocating first
+  // would ask for 4 EiB of samples.
+  TempFile file(".tpg");
+  {
+    std::ofstream os(file.path(), std::ios::binary);
+    const std::uint32_t magic = 0x54504731;  // "TPG1"
+    const std::int32_t nt = 1 << 30, npoints = 1 << 30;
+    os.write(reinterpret_cast<const char*>(&magic), 4);
+    os.write(reinterpret_cast<const char*>(&nt), 4);
+    os.write(reinterpret_cast<const char*>(&npoints), 4);
+  }
+  try {
+    (void)io::load_gather(file.path());
+    FAIL() << "a lying point count must be rejected";
+  } catch (const io::CorruptFileError& err) {
+    EXPECT_EQ(err.path(), file.path());
+    EXPECT_NE(std::string(err.what()).find("gather coordinates declares"),
+              std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(IoCsv, GatherCsvShape) {

@@ -8,8 +8,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -219,6 +221,58 @@ TEST(Journal, RewriteCompacts) {
   EXPECT_FALSE(j.exists());
 }
 
+namespace {
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is),
+          std::istreambuf_iterator<char>()};
+}
+
+/// A Plan, Started, Done journal whose second frame declares a payload
+/// with bit 31 set: a whole length field no writer emits.
+void write_oversized_length_journal(const std::string& path) {
+  {
+    jb::JobQueue q(path, 42, 1);
+    q.mark_started(0, 1, 0);
+    q.mark_done(0, 1.0, 0, false, "ok");
+  }
+  std::vector<char> bytes = file_bytes(path);
+  std::uint32_t first_len = 0;
+  std::memcpy(&first_len, bytes.data() + 8, sizeof(first_len));
+  const std::size_t second = 8 + 8 + first_len;
+  bytes[second + 3] = static_cast<char>(bytes[second + 3] ^ 0x80);
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+}  // namespace
+
+TEST(Journal, OversizedLengthIsCorruptionNotATornTail) {
+  TempPath file(".tpj");
+  write_oversized_length_journal(file.path());
+  try {
+    (void)jb::Journal(file.path()).replay();
+    FAIL() << "a length over the frame limit must not read as a torn tail";
+  } catch (const io::CorruptFileError& err) {
+    EXPECT_NE(std::string(err.what()).find("frame limit"), std::string::npos)
+        << err.what();
+  }
+}
+
+TEST(Journal, AppendRefusesARecordOverTheFrameLimit) {
+  TempPath file(".tpj");
+  jb::Journal j(file.path());
+  j.append(started(0, 1, 0));
+  const std::vector<char> before = file_bytes(file.path());
+  jb::Record big = started(1, 1, 0);
+  big.detail.assign(std::size_t{1} << 20, 'x');
+  EXPECT_THROW(j.append(big), ut::PreconditionError);
+  EXPECT_THROW(j.rewrite({started(0, 1, 0), big}), ut::PreconditionError);
+  EXPECT_EQ(file_bytes(file.path()), before);
+  EXPECT_EQ(j.replay(), std::vector<jb::Record>{started(0, 1, 0)});
+}
+
 // --- JobQueue ------------------------------------------------------------
 
 TEST(JobQueue, FreshQueueStartsAllPending) {
@@ -313,6 +367,16 @@ TEST(JobQueue, TornTailIsHealedOnRecovery) {
   bool torn = true;
   (void)jb::Journal(file.path()).replay(&torn);
   EXPECT_FALSE(torn);
+}
+
+TEST(JobQueue, OversizedLengthLeavesTheJournalUntouched) {
+  TempPath file(".tpj");
+  write_oversized_length_journal(file.path());
+  const std::vector<char> before = file_bytes(file.path());
+  // Compacting would erase the Started and Done records behind the bad
+  // length; the queue must refuse instead.
+  EXPECT_THROW(jb::JobQueue(file.path(), 42, 1), io::CorruptFileError);
+  EXPECT_EQ(file_bytes(file.path()), before);
 }
 
 // --- classify ------------------------------------------------------------
