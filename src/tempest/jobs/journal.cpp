@@ -1,5 +1,6 @@
 #include "tempest/jobs/journal.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,9 @@ constexpr io::RecordTag kTag{0x54504A4Cu, 1};  // "TPJL", version 1
 /// and replay treats a bigger length as corruption: a torn append cuts a
 /// frame short but never leaves a whole length field that is wrong.
 constexpr std::uint32_t kMaxPayload = 1u << 20;
+/// The fixed fields every payload starts with (type, job, attempt, level,
+/// fingerprint, seconds, detail_len): no writer emits a shorter payload.
+constexpr std::uint32_t kMinPayload = 36;
 
 /// Appends the frame of `r` — {u32 payload_len, u32 crc32(payload),
 /// payload} — to `out`.
@@ -79,10 +83,13 @@ Record decode(io::RecordReader r) {
 
 /// Decodes every frame left in `r` into `records`; true when the last one
 /// is a torn tail. A torn append always ends the file: the frame is cut
-/// short, or its trailing bytes never made it. So a cut frame, or a final
-/// frame that fails its CRC, is a torn tail; a frame that fails its CRC
-/// with more data after it is interior corruption — the history beyond it
-/// cannot be trusted, so refuse rather than resync.
+/// short, its trailing bytes never made it, or the file was extended with
+/// zeros its data never filled. So a cut frame, a final frame that fails
+/// its CRC, or a frame declaring under kMinPayload bytes whose every byte
+/// to EOF is zero, is a torn tail. A frame that fails its CRC with more
+/// data after it, or declares under kMinPayload bytes anywhere else, is
+/// corruption — the history beyond it cannot be trusted, so refuse rather
+/// than resync.
 bool read_frames(io::RecordReader& r, std::vector<Record>& records) {
   while (r.remaining() != 0) {
     const std::size_t at = r.offset();
@@ -93,6 +100,17 @@ bool read_frames(io::RecordReader& r, std::vector<Record>& records) {
       r.fail("journal record at byte " + std::to_string(at) + " declares " +
              std::to_string(len) + " payload bytes, over the " +
              std::to_string(kMaxPayload) + "-byte frame limit");
+    }
+    if (len < kMinPayload) {
+      const std::span<const std::uint8_t> rest = r.take(r.remaining());
+      if (len == 0 && crc == 0 &&
+          std::all_of(rest.begin(), rest.end(),
+                      [](std::uint8_t b) { return b == 0; })) {
+        return true;
+      }
+      r.fail("journal record at byte " + std::to_string(at) + " declares " +
+             std::to_string(len) + " payload bytes, under the " +
+             std::to_string(kMinPayload) + " of its fixed fields");
     }
     if (len > r.remaining()) return true;
     const std::span<const std::uint8_t> payload = r.take(len);

@@ -108,13 +108,17 @@ void Checkpointer::save(const CheckpointView& ck) const {
                         "checkpoint write failed: " + tmp);
   }
 
-  // Rotate: the fully-written previous checkpoint becomes the fallback
-  // copy *before* the new file takes the live name. A kill between the two
-  // renames leaves the old file under previous_path() and the new complete
-  // file under .tmp — resume falls back to the rotated copy, so no crash
-  // instant can strand the run with zero usable checkpoints.
+  // Rotate: drop the oldest generation, then the fully-written previous
+  // checkpoint becomes the fallback copy *before* the new file takes the
+  // live name. A kill after the unlink leaves the previous checkpoint live;
+  // one between the two renames leaves it under previous_path() and the new
+  // complete file under .tmp. Either way resume finds one complete
+  // generation, so no crash instant strands the run without a checkpoint.
+  // Unlinking first means no rename ever replaces a file, which ext4
+  // (auto_da_alloc) answers by flushing the renamed file's data at once.
   std::error_code rot_ec;
   if (std::filesystem::exists(path_, rot_ec)) {
+    std::remove(previous_path().c_str());
     if (std::rename(path_.c_str(), previous_path().c_str()) != 0) {
       util::warn("cannot rotate previous checkpoint to " + previous_path() +
                  "; continuing with a single generation");

@@ -157,8 +157,9 @@ template <typename T>
 /// Layout (host-endian): magic "TPCK" + version, fingerprint, step, slice
 /// geometry, slice payloads, optional gather, auxiliary blobs, and a
 /// trailing CRC-32 over everything before it. save() streams to
-/// `path + ".tmp"`, rotates the previous good file to `path + ".1"`, and
-/// rename(2)s the new one into place, so a kill at any instant leaves at
+/// `path + ".tmp"`, unlinks the oldest generation `path + ".1"`, rotates
+/// the previous good file there, and rename(2)s the new one into place —
+/// no rename replaces a file — so a kill at any instant leaves at
 /// least one complete checkpoint on disk — never only a half-written file
 /// under the live name, and never *zero* usable checkpoints because the
 /// crash landed mid-write. load() validates magic, header sanity, the

@@ -215,7 +215,7 @@ void TaskDag::run_omp(int threads, const std::function<void(int)>& body) const {
   // values. All tasks bound to the parallel region complete at the implicit
   // barrier ending the single construct, so the vector outlives them.
   std::vector<char> sentinel(static_cast<std::size_t>(n_), 0);
-  char* dep = sentinel.data();
+  [[maybe_unused]] char* dep = sentinel.data();  // named only by depend()
   ExceptionSlot error;
   const unsigned mode = fp_mode();
 #pragma omp parallel num_threads(threads) default(shared)

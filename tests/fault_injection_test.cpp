@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +31,8 @@
 #include "tempest/sparse/wavelet.hpp"
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/crc32.hpp"
+#include "tempest/util/rng.hpp"
+#include "tempest/util/threads.hpp"
 
 namespace at = tempest::autotune;
 namespace cg = tempest::codegen;
@@ -316,6 +322,160 @@ TEST_F(FaultInjection, WavefrontScansAtBandBoundaries) {
   }
 }
 
+// --- The health scan: one vector max per row against the scalar walk. ---
+
+namespace {
+
+/// The scalar walk HealthMonitor::check made before it took one vector max
+/// per row — the oracle for max|u| and for the first non-finite point.
+struct ScalarScan {
+  double max_abs = 0.0;
+  int bad_x = -1, bad_y = -1, bad_z = -1;
+  double bad_v = 0.0;
+};
+
+ScalarScan scalar_scan(const tg::Grid3<real_t>& field) {
+  const auto& e = field.extents();
+  ScalarScan s;
+  for (int x = 0; x < e.nx && s.bad_x < 0; ++x) {
+    for (int y = 0; y < e.ny && s.bad_x < 0; ++y) {
+      for (int z = 0; z < e.nz; ++z) {
+        const double v = static_cast<double>(field(x, y, z));
+        if (!std::isfinite(v)) {
+          s.bad_x = x;
+          s.bad_y = y;
+          s.bad_z = z;
+          s.bad_v = v;
+          break;
+        }
+        const double a = std::fabs(v);
+        if (a > s.max_abs) s.max_abs = a;
+      }
+    }
+  }
+  return s;
+}
+
+/// The scalar walk's message for its first non-finite point.
+std::string non_finite_message(const ScalarScan& s, int step) {
+  std::ostringstream os;
+  os << "numerical health check failed: non-finite value ("
+     << (std::isnan(s.bad_v) ? "nan" : "inf") << ") in field 'u' at timestep "
+     << step << ", first at grid point (" << s.bad_x << ", " << s.bad_y
+     << ", " << s.bad_z
+     << ") — the wavefield is corrupt; check dt against the CFL limit and "
+        "the source amplitudes";
+  return os.str();
+}
+
+/// A seeded interior of ±0, subnormals, ordinary values and values near
+/// FLT_MAX (only ±0 and subnormals when `tiny`), inside a NaN halo the scan
+/// must never read.
+tg::Grid3<real_t> seeded_field(tg::Extents3 e, std::uint64_t seed, bool tiny) {
+  tempest::util::SplitMix64 rng(seed);
+  tg::Grid3<real_t> g(e, 2, std::numeric_limits<real_t>::quiet_NaN());
+  for (int x = 0; x < e.nx; ++x) {
+    for (int y = 0; y < e.ny; ++y) {
+      for (int z = 0; z < e.nz; ++z) {
+        const std::uint64_t r = rng.next();
+        const std::uint32_t sign = (r & 1u) != 0 ? 0x80000000u : 0u;
+        std::uint32_t mag = 0;
+        switch ((r >> 1) % (tiny ? 2 : 4)) {
+          case 0: mag = 0; break;
+          case 1: mag = 1 + static_cast<std::uint32_t>((r >> 8) % 0x7FFFFFu);
+            break;  // subnormal
+          case 2: mag = 0x3F800000u - static_cast<std::uint32_t>(
+                            (r >> 8) % 0x01000000u);
+            break;  // ordinary, below 1
+          default: mag = 0x7F7FFFFFu - static_cast<std::uint32_t>(
+                             (r >> 8) % 4096u);  // near FLT_MAX
+        }
+        g(x, y, z) = std::bit_cast<real_t>(sign | mag);
+      }
+    }
+  }
+  return g;
+}
+
+/// No amplitude limit and no history, so check() only measures.
+rs::HealthPolicy measure_only() {
+  rs::HealthPolicy p;
+  p.check_every = 1;
+  p.absolute_limit = std::numeric_limits<double>::infinity();
+  return p;
+}
+
+// 37 z points: a vector body and a remainder at every SIMD width up to 16.
+const tg::Extents3 kScanExtents[] = {{1, 1, 1}, {3, 2, 16}, {4, 3, 37},
+                                     {2, 5, 64}};
+
+}  // namespace
+
+TEST(HealthScan, MaxMatchesTheScalarWalkBitForBit) {
+  const unsigned caller = tempest::util::fp_mode();
+  for (const unsigned mode : {caller, caller | tempest::util::kFlushSubnormals}) {
+    const tempest::util::FpModeScope scope(mode);
+    for (const tg::Extents3& e : kScanExtents) {
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        for (const bool tiny : {false, true}) {
+          const tg::Grid3<real_t> field = seeded_field(e, seed, tiny);
+          const ScalarScan want = scalar_scan(field);
+          rs::HealthMonitor monitor(measure_only());
+          monitor.check(field, "u", 1);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(monitor.last_max()),
+                    std::bit_cast<std::uint64_t>(want.max_abs))
+              << "mode " << std::hex << mode << std::dec << ", extents "
+              << e.nx << "x" << e.ny << "x" << e.nz << ", seed " << seed
+              << (tiny ? ", subnormals only" : "") << ": " << monitor.last_max()
+              << " vs " << want.max_abs;
+        }
+      }
+    }
+  }
+}
+
+TEST(HealthScan, FirstNonFinitePointAndMessageMatchTheScalarWalk) {
+  struct Plant {
+    int x, y, z;
+    real_t v;
+  };
+  const real_t nan = std::numeric_limits<real_t>::quiet_NaN();
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const tg::Extents3 e{4, 3, 37};
+  const std::vector<std::vector<Plant>> cases = {
+      {{1, 2, 0, nan}},                  // first z of a row
+      {{1, 2, 36, inf}},                 // last z of a row
+      {{2, 0, 33, -inf}},                // the vector remainder
+      {{0, 0, 0, -nan}},                 // the very first point
+      {{3, 1, 5, nan}, {0, 2, 20, inf}},  // two rows: the earlier one
+      {{2, 1, 30, nan}, {2, 1, 10, inf}},  // one row: the lower z
+  };
+  const unsigned caller = tempest::util::fp_mode();
+  for (const unsigned mode : {caller, caller | tempest::util::kFlushSubnormals}) {
+    const tempest::util::FpModeScope scope(mode);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      tg::Grid3<real_t> field = seeded_field(e, 40 + c, false);
+      rs::HealthMonitor monitor(measure_only());
+      monitor.check(field, "u", 3);
+      const double before = monitor.last_max();
+      for (const Plant& p : cases[c]) field(p.x, p.y, p.z) = p.v;
+      const ScalarScan want = scalar_scan(field);
+      ASSERT_GE(want.bad_x, 0);
+      try {
+        monitor.check(field, "u", 7);
+        ADD_FAILURE() << "case " << c << ": a non-finite value went unseen";
+      } catch (const rs::NumericalHealthError& err) {
+        EXPECT_EQ(std::string(err.what()), non_finite_message(want, 7))
+            << "case " << c << ", mode " << std::hex << mode;
+        EXPECT_EQ(err.step(), 7);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(monitor.last_max()),
+                std::bit_cast<std::uint64_t>(before))
+          << "case " << c << ": a failed check must keep the history";
+    }
+  }
+}
+
 // --- Checkpoint atomicity and validation. ---
 
 TEST_F(FaultInjection, TornWriteLeavesPreviousCheckpointIntact) {
@@ -334,6 +494,80 @@ TEST_F(FaultInjection, TornWriteLeavesPreviousCheckpointIntact) {
   EXPECT_EQ(survivor.step, 5);
   ASSERT_EQ(survivor.slots.size(), 3u);
   EXPECT_EQ(survivor.slots[0](1, 2, 3), real_t{1.5});
+}
+
+namespace {
+
+/// The suffixes of every file in `path`'s directory whose name begins with
+/// `path`'s ("" for `path` itself), sorted.
+std::vector<std::string> files_named_after(const std::string& path) {
+  const std::filesystem::path p(path);
+  const std::string base = p.filename().string();
+  std::vector<std::string> out;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(base, 0) == 0) out.push_back(name.substr(base.size()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A complete checkpoint of `step` left under `path`.tmp, as a save leaves
+/// it just before its renames.
+void leave_complete_tmp(const std::string& path, int step) {
+  rs::Checkpointer(path + ".tmp").save(make_checkpoint(step, 42, real_t{9}));
+}
+
+}  // namespace
+
+// save() writes .tmp, unlinks .1, renames the live file to .1 and renames
+// .tmp into place. A kill after the unlink leaves the live file and a
+// complete .tmp; a kill between the renames leaves .1 and a complete .tmp.
+// Each state must resume from the generation it still holds, and the next
+// save must restore two generations.
+TEST_F(FaultInjection, RotationCrashWindowsKeepOneCompleteGeneration) {
+  for (const bool between_renames : {false, true}) {
+    SCOPED_TRACE(between_renames ? "killed between the renames"
+                                 : "killed after the unlink");
+    TempFile file(".tpck");
+    rs::Checkpointer ckpt(file.path());
+    ckpt.save(make_checkpoint(4, 42, real_t{1}));
+    if (between_renames) {
+      ASSERT_EQ(std::rename(file.path().c_str(),
+                            ckpt.previous_path().c_str()),
+                0);
+    }
+    leave_complete_tmp(file.path(), 8);
+    EXPECT_EQ(files_named_after(file.path()),
+              (std::vector<std::string>{between_renames ? ".1" : "",
+                                        ".tmp"}));
+
+    const auto back = ckpt.try_load(42);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->step, 4);
+    EXPECT_EQ(back->slots[0](1, 2, 3), real_t{1});
+
+    ckpt.save(make_checkpoint(12, 42, real_t{3}));
+    EXPECT_EQ(files_named_after(file.path()),
+              (std::vector<std::string>{"", ".1"}));
+    EXPECT_EQ(ckpt.load().step, 12);
+    EXPECT_EQ(rs::Checkpointer(ckpt.previous_path()).load().step, 4);
+  }
+}
+
+TEST_F(FaultInjection, ThreeSavesLeaveExactlyTwoGenerations) {
+  TempFile file(".tpck");
+  rs::Checkpointer ckpt(file.path());
+  for (const int step : {16, 32, 48}) {
+    ckpt.save(make_checkpoint(step, 42, static_cast<real_t>(step)));
+  }
+  EXPECT_EQ(files_named_after(file.path()),
+            (std::vector<std::string>{"", ".1"}));
+  EXPECT_EQ(ckpt.load().step, 48);
+  const rs::Checkpoint prev = rs::Checkpointer(ckpt.previous_path()).load();
+  EXPECT_EQ(prev.step, 32);
+  EXPECT_EQ(prev.slots[0](1, 2, 3), real_t{32});
 }
 
 #if !defined(TEMPEST_TRACE_DISABLED)

@@ -113,7 +113,9 @@ TEST(PmuReal, ReadsAreMonotonicAndDeltasNonNegative) {
   const pmu::Sample d = b - a;
   for (int i = 0; i < pmu::kNumEvents; ++i) {
     const auto e = static_cast<pmu::Event>(i);
-    if (d.valid(e)) EXPECT_GE(d[e], 0) << pmu::to_string(e);
+    if (d.valid(e)) {
+      EXPECT_GE(d[e], 0) << pmu::to_string(e);
+    }
   }
 }
 

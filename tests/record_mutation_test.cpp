@@ -3,13 +3,15 @@
 // at every offset, has single bits flipped (every bit of its headers plus a
 // seeded sample elsewhere) and has its length and count fields replaced by
 // lies re-sealed under a valid CRC; whole journal frames are duplicated and
-// reordered, and a black-box slot is duplicated. Every mutant must end in
-// io::CorruptFileError, in JournalMismatchError (a well-framed journal whose
-// first record is not the plan), or in the format's documented recovery:
+// reordered, zeros are appended to the journal, and a black-box slot is
+// duplicated. Every mutant must end in io::CorruptFileError, in
+// JournalMismatchError (a well-framed journal whose first record is not the
+// plan), or in the format's documented recovery:
 //   * TPCK: load() refuses, and try_load() serves the intact predecessor;
-//   * TPJL: a torn tail yields exactly the frames wholly before the damage,
-//     and a whole frame duplicated or moved is well-framed history that
-//     replays as it lies (v1 frames carry no sequence number);
+//   * TPJL: a torn tail, a zero-filled one included, yields exactly the
+//     frames wholly before the damage, and a whole frame duplicated or
+//     moved is well-framed history that replays as it lies (v1 frames
+//     carry no sequence number);
 //   * TFBR: a flipped slot is one torn slot, and the bytes no CRC covers
 //     (the cursors, the header padding, the name table) decode as data;
 //   * TPG1 and aux payloads carry no checksum: a flipped payload bit loads
@@ -521,6 +523,47 @@ TEST(RecordMutation, JournalLyingLengthsUnderAValidCrc) {
           << label;
     }
   }
+}
+
+// A filesystem that extends a file before its data lands can leave an
+// append as zeros. No writer emits a payload under the 36 bytes of fixed
+// record fields, so a frame declaring fewer is a torn tail when every byte
+// from its header to EOF is zero, and corruption otherwise.
+TEST(RecordMutation, JournalZeroFilledTailIsTorn) {
+  JournalHarness h;
+  const auto with_tail = [&](const Bytes& tail) {
+    Bytes m = h.intact();
+    m.insert(m.end(), tail.begin(), tail.end());
+    return m;
+  };
+  for (const std::size_t zeros : {std::size_t{8}, std::size_t{9},
+                                  std::size_t{44}, std::size_t{4096}}) {
+    const std::string label =
+        "TPJL + " + std::to_string(zeros) + " zero bytes";
+    const JournalHarness::Replay r =
+        h.replay(with_tail(Bytes(zeros, 0)), label);
+    EXPECT_EQ(r.outcome, Outcome::Loaded) << label;
+    EXPECT_TRUE(r.torn) << label;
+    EXPECT_EQ(r.records, h.records()) << label;
+  }
+
+  // Anything but zeros after a short length is damage, not a torn append.
+  Bytes trailing(64, 0);
+  trailing.back() = 1;
+  EXPECT_EQ(h.replay(with_tail(trailing), "zero run ending in 0x01").outcome,
+            Outcome::Corrupt);
+  Bytes short_frame(8 + 4, 0);  // a sealed 4-byte payload of zeros
+  poke(short_frame, 0, std::uint32_t{4});
+  poke(short_frame, 4, tempest::util::crc32(short_frame.data() + 8, 4));
+  EXPECT_EQ(h.replay(with_tail(short_frame), "sealed 4-byte frame").outcome,
+            Outcome::Corrupt);
+
+  // Zeros between intact frames are interior damage.
+  const Frame& last = h.frames().back();
+  Bytes m = h.intact();
+  m.insert(m.begin() + static_cast<std::ptrdiff_t>(last.offset), 8, 0);
+  EXPECT_EQ(h.replay(m, "8 zero bytes before the last frame").outcome,
+            Outcome::Corrupt);
 }
 
 TEST(RecordMutation, JournalDuplicatedAndReorderedFrames) {

@@ -400,6 +400,77 @@ TEST(Crc32, EmptyInputIsZero) {
   EXPECT_EQ(c.value(), 0u);
 }
 
+namespace {
+
+enum class CrcPath { Slicing, Fold };
+
+/// The running state advanced over `n` bytes on one path alone: slicing-by-16
+/// throughout, or the carry-less fold over the 16-byte multiple of a run of
+/// at least kCrc32FoldMin bytes and slicing for the rest, as update() splits
+/// a run when the CPU has PCLMULQDQ.
+std::uint32_t crc_on(CrcPath path, std::uint32_t state, const unsigned char* p,
+                     std::size_t n) {
+  if (path == CrcPath::Fold && n >= tu::detail::kCrc32FoldMin) {
+    const std::size_t body = n & ~std::size_t{15};
+    state = tu::detail::crc32_fold(state, p, body);
+    p += body;
+    n -= body;
+  }
+  return tu::detail::crc32_slice16(state, p, n);
+}
+
+std::uint32_t crc_on(CrcPath path, const unsigned char* p, std::size_t n) {
+  return crc_on(path, 0xFFFFFFFFu, p, n) ^ 0xFFFFFFFFu;
+}
+
+/// One path against the bytewise reference on the check value, every length
+/// 0..300 at every start offset 0..15, a 300-byte stream updated in two
+/// pieces cut at every point, and a buffer the size of a survey checkpoint.
+void expect_path_matches_reference(CrcPath path) {
+  EXPECT_EQ(crc_on(path, reinterpret_cast<const unsigned char*>("123456789"),
+                   9),
+            0xCBF43926u);
+
+  tu::SplitMix64 rng(crc_property_seed());
+  std::vector<unsigned char> buf(300 + 16);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      ASSERT_EQ(crc_on(path, buf.data() + off, len),
+                crc32_bytewise(buf.data() + off, len))
+          << "len=" << len << " off=" << off;
+    }
+  }
+  const std::uint32_t whole = crc32_bytewise(buf.data(), 300);
+  for (std::size_t cut = 0; cut <= 300; ++cut) {
+    const std::uint32_t head = crc_on(path, 0xFFFFFFFFu, buf.data(), cut);
+    ASSERT_EQ(crc_on(path, head, buf.data() + cut, 300 - cut) ^ 0xFFFFFFFFu,
+              whole)
+        << "cut at " << cut;
+  }
+
+  // 12.9 MiB, the size of one survey-ckpt checkpoint, and not a multiple of
+  // 16, so the fold hands a tail to slicing.
+  std::vector<unsigned char> big(13526631);
+  for (unsigned char& b : big) b = static_cast<unsigned char>(rng.next());
+  EXPECT_EQ(crc_on(path, big.data(), big.size()),
+            crc32_bytewise(big.data(), big.size()));
+}
+
+}  // namespace
+
+TEST(Crc32, SlicingPathMatchesBytewiseReference) {
+  expect_path_matches_reference(CrcPath::Slicing);
+}
+
+TEST(Crc32, FoldPathMatchesBytewiseReference) {
+  if (!tu::detail::crc32_fold_available()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ, so the carry-less fold never "
+                    "runs here; slicing-by-16 serves every input";
+  }
+  expect_path_matches_reference(CrcPath::Fold);
+}
+
 // Every length 0..4096 at a random start offset 0..15 (all sixteen offsets
 // up to 64 bytes, where the 16-byte body and the tail meet), fed through
 // up to three random update() splits, must equal the bytewise reference.
