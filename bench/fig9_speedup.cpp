@@ -13,11 +13,10 @@
 //                     [--json[=BENCH_fig9_speedup.json]]
 //
 // --threads=N runs both schedules task-parallel on N workers (0 = resolve
-// from $TEMPEST_THREADS / the OpenMP default). The resolved count, the
-// engaged task backend and each case's tile shape ride in the JSON so
-// multi-threaded numbers are never mistaken for serial ones —
-// scripts/bench_check.py cross-checks those fields against the env
-// fingerprint.
+// from $TEMPEST_THREADS, else the hardware thread count). The resolved
+// count, the engaged task backend and each case's tile shape ride in the
+// JSON so multi-threaded numbers are never mistaken for serial ones —
+// scripts/bench_check.py cross-checks those fields against each other.
 
 #include <sstream>
 

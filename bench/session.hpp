@@ -37,10 +37,6 @@
 #include <unistd.h>
 #endif
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "tempest/obs/metrics.hpp"
 #include "tempest/obs/openmetrics.hpp"
 #include "tempest/perf/calibrate.hpp"
@@ -52,7 +48,6 @@
 #include "tempest/util/cli.hpp"
 #include "tempest/util/json.hpp"
 #include "tempest/util/log.hpp"
-#include "tempest/util/threads.hpp"
 
 namespace bench {
 
@@ -104,8 +99,8 @@ class Session {
   /// `bench_name` names the driver (fig11_roofline, micro_stencil, ...).
   /// JSON is emitted only when --json was given; bare `--json` selects
   /// BENCH_<bench_name>.json. Construct *early* — before the first
-  /// OpenMP region — so the inherit-scope PMU group observes the worker
-  /// threads too.
+  /// parallel region starts the worker pool — so the inherit-scope PMU
+  /// group observes the worker threads too.
   Session(std::string bench_name, const tempest::util::Cli& cli)
       : name_(std::move(bench_name)),
         group_(tempest::perf::pmu::Scope::Process) {
@@ -211,15 +206,6 @@ class Session {
     w.field("fingerprint", tempest::perf::host_fingerprint());
     w.field("hardware_concurrency",
             static_cast<long long>(std::thread::hardware_concurrency()));
-#ifdef _OPENMP
-    w.field("omp_max_threads", static_cast<long long>(omp_get_max_threads()));
-#else
-    w.field("omp_max_threads", 1);
-#endif
-    // Authoritative runtime probe (the tsan preset compiles with
-    // -fopenmp-simd only: _OPENMP is unset, the pool backend carries the
-    // parallelism, and this field keeps the JSON honest about it).
-    w.field("omp_runtime", tempest::util::openmp_runtime());
 #if defined(__unix__) || defined(__APPLE__)
     w.field("page_size", static_cast<long long>(sysconf(_SC_PAGESIZE)));
 #endif

@@ -279,15 +279,12 @@ def check_fig9_parallel(errors, doc):
     """fig9_speedup documents carry the task-parallel provenance fields.
 
     Every case must be tagged with the worker count and tile shape it ran
-    under, and a multi-threaded document must report a parallel task
-    backend consistent with the environment: a run claiming threads > 1
-    while the binary reports a serial backend — or an "openmp" backend
-    without the OpenMP runtime linked (env.omp_runtime false, the
-    fingerprint's omp=1) — is a serial number masquerading as a parallel
-    one and must not enter the perf record.
+    under, and a multi-threaded document must report the pool backend: a
+    run claiming threads > 1 while the binary reports a serial backend is a
+    serial number masquerading as a parallel one and must not enter the
+    perf record.
     """
     config = doc.get("config") if isinstance(doc.get("config"), dict) else {}
-    env = doc.get("env") if isinstance(doc.get("env"), dict) else {}
     threads_s = config.get("threads")
     if not isinstance(threads_s, str) or not threads_s.isdigit():
         fail(errors, f"config.threads: expected a numeric string, "
@@ -297,7 +294,7 @@ def check_fig9_parallel(errors, doc):
     if threads < 1:
         fail(errors, f"config.threads: {threads} < 1")
     backend = config.get("task_backend")
-    if backend not in ("serial", "openmp", "pool"):
+    if backend not in ("serial", "pool"):
         fail(errors, f"config.task_backend: {backend!r} not a known backend")
 
     for i, case in enumerate(doc.get("cases") or []):
@@ -314,15 +311,10 @@ def check_fig9_parallel(errors, doc):
             fail(errors, f"{where}.tags.tile_shape: expected 'TxXxY' with "
                          f"positive ints, got {shape!r}")
 
-    if threads > 1:
-        if backend == "serial":
-            fail(errors, f"config: threads={threads} but task_backend is "
-                         f"'serial' — multi-thread run without a parallel "
-                         f"substrate")
-        if backend == "openmp" and env.get("omp_runtime") is False:
-            fail(errors, f"config: threads={threads} on the 'openmp' "
-                         f"backend but env.omp_runtime is false (omp=1 in "
-                         f"the fingerprint) — the runtime is not linked")
+    if threads > 1 and backend == "serial":
+        fail(errors, f"config: threads={threads} but task_backend is "
+                     f"'serial' — multi-thread run without a parallel "
+                     f"substrate")
 
 
 METRIC_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")

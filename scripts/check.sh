@@ -34,11 +34,12 @@
 #                the one compile-out switch: the instrumentation macros
 #                expand to nothing, every other code path is the default
 #                build's)
-#   --tsan       the `parallel`-labelled tests under the ThreadSanitizer
-#                preset: no OpenMP runtime (libgomp is opaque to TSan),
-#                task graphs run on the std::thread pool backend with the
-#                same dependence edges, oversubscribed via
-#                TEMPEST_THREADS=8 so races surface on any host
+#   --tsan       the `parallel`-labelled tests (the executor, the
+#                determinism and colouring suites and every physics x
+#                schedule case of schedule_matrix_test) under the
+#                ThreadSanitizer preset, on the same worker pool every
+#                build ships, oversubscribed via TEMPEST_THREADS=8 so
+#                races surface on any host
 #   --analyze    build the schedule-legality verifier and the statics
 #                sweep (tools/ir_lint) and run both as blocking gates:
 #                every physics kernel — hand-written and DSL-lowered — x

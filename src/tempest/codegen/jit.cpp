@@ -20,6 +20,7 @@
 #include "tempest/resilience/fault.hpp"
 #include "tempest/trace/trace.hpp"
 #include "tempest/util/backoff.hpp"
+#include "tempest/util/env.hpp"
 #include "tempest/util/log.hpp"
 
 namespace tempest::codegen {
@@ -76,12 +77,7 @@ std::string compiler_command() {
 /// Compile deadline in milliseconds ($TEMPEST_JIT_TIMEOUT_MS, default 2
 /// minutes): a wedged compiler must not hang the simulation forever.
 int jit_timeout_ms() {
-  const char* env = std::getenv("TEMPEST_JIT_TIMEOUT_MS");
-  if (env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<int>(v);
-  }
-  return 120000;
+  return util::env_int("TEMPEST_JIT_TIMEOUT_MS").value_or(120000);
 }
 
 struct CommandResult {

@@ -113,8 +113,8 @@ struct ExecutionOptions {
   double dt = 0.0;  ///< timestep (ms); 0 selects the model's critical dt
 
   /// Worker threads for the parallel schedules: 0 defers to
-  /// $TEMPEST_THREADS, then to the OpenMP runtime default (1 when the
-  /// runtime is absent). 1 always takes the deterministic serial path.
+  /// $TEMPEST_THREADS, then to std::thread::hardware_concurrency().
+  /// 1 always takes the deterministic serial path.
   /// Results are bitwise identical at every value — wavefront/diamond
   /// bands run as dependence-ordered tasks over disjoint tiles, gathers
   /// reduce in fixed point order at band barriers, injection is

@@ -21,7 +21,8 @@
 //     tile (i', j') after every tile (i, j) with i <= i', j <= j' — and the
 //     staircase generating set {(i-1, j) -> (i, j), (i, j-1) -> (i, j)}
 //     enforces exactly that transitively, with at most two predecessors per
-//     task (what OpenMP 4.5's fixed-arity depend clauses can express);
+//     task — the minimal generating set, so the executor's in-degree walk
+//     touches the fewest edges;
 //   * dependences with dt >= tile_t cross the band barrier (bands are
 //     serial).
 // Diamond bands get the analogous two-predecessor graph: peaks are mutually

@@ -11,8 +11,8 @@ namespace tempest::core {
 /// (paper Section II.B / Table I). A *tile* spans tile_t timesteps and
 /// tile_x × tile_y skewed spatial columns; each timestep slice of a tile is
 /// further cut into block_x × block_y space blocks (the unit handed to the
-/// kernel and to OpenMP). z is never tiled — it is the contiguous SIMD
-/// dimension.
+/// kernel and to the worker pool). z is never tiled — it is the contiguous
+/// SIMD dimension.
 struct TileSpec {
   int tile_t = 8;
   int tile_x = 64;

@@ -7,14 +7,11 @@
 #include <thread>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/json.hpp"
 #include "tempest/util/log.hpp"
+#include "tempest/util/threads.hpp"
 #include "tempest/util/timer.hpp"
 
 namespace tempest::perf {
@@ -26,23 +23,35 @@ double triad_bandwidth_gbps(std::size_t bytes, int repetitions) {
   const float s = 3.0f;
 
   // Small working sets finish one pass below timer resolution: batch enough
-  // passes that each sample spans at least ~10 ms of work.
+  // passes that each sample spans at least ~10 ms of work. A sample is one
+  // parallel region in which every worker streams its own contiguous part
+  // of the arrays `batch` times, so a part stays in its worker's caches and
+  // the sample times the memory system, not one fork/join per pass.
   const std::size_t batch = std::max<std::size_t>(
       1, (64ull * 1024 * 1024) / std::max<std::size_t>(bytes, 1));
+  const int threads = util::resolve_threads();
 
-  auto pass = [&] {
-    float* __restrict pa = a.data();
-    const float* __restrict pb = b.data();
-    const float* __restrict pc = c.data();
-#pragma omp parallel for simd schedule(static)
-    for (std::size_t i = 0; i < n; ++i) pa[i] = pb[i] + s * pc[i];
+  auto sample = [&](std::size_t passes) {
+    util::parallel_for(threads, threads, [&](int part) {
+      const std::size_t begin = n * static_cast<std::size_t>(part) /
+                                static_cast<std::size_t>(threads);
+      const std::size_t end = n * static_cast<std::size_t>(part + 1) /
+                              static_cast<std::size_t>(threads);
+      float* __restrict pa = a.data();
+      const float* __restrict pb = b.data();
+      const float* __restrict pc = c.data();
+      for (std::size_t k = 0; k < passes; ++k) {
+#pragma omp simd
+        for (std::size_t i = begin; i < end; ++i) pa[i] = pb[i] + s * pc[i];
+      }
+    });
   };
 
-  pass();  // warm up (faults pages, loads caches)
+  sample(1);  // warm up (faults pages, loads caches)
   double best = 0.0;
   for (int rep = 0; rep < repetitions; ++rep) {
     util::Timer t;
-    for (std::size_t k = 0; k < batch; ++k) pass();
+    sample(batch);
     const double secs = t.seconds();
     // triad moves 2 reads + 1 write per element.
     const double gbps = 3.0 * static_cast<double>(n) * sizeof(float) *
@@ -67,10 +76,7 @@ double fma_peak_gflops(int repetitions) {
     add[i] = 1e-7f * static_cast<float>(i + 1);
   }
 
-  int threads = 1;
-#ifdef _OPENMP
-  threads = omp_get_max_threads();
-#endif
+  const int threads = util::resolve_threads();
 
   // A sample shorter than ~10 ms measures the parallel region's fork/join
   // more than the arithmetic: such a sample doubles the iteration count and
@@ -78,19 +84,22 @@ double fma_peak_gflops(int repetitions) {
   long iters = 200000;
   double best = 0.0;
   volatile float sink = 0.0f;
+  std::vector<float> sums(static_cast<std::size_t>(threads));
   for (int rep = 0; rep < repetitions;) {
     util::Timer t;
-#pragma omp parallel firstprivate(acc)
-    {
+    util::parallel_for(threads, threads, [&](int part) {
+      alignas(64) float lane[kLanes];
+      std::copy(acc, acc + kLanes, lane);
       for (long it = 0; it < iters; ++it) {
-#pragma omp simd aligned(acc, mul, add : 64)
-        for (int i = 0; i < kLanes; ++i) acc[i] = acc[i] * mul[i] + add[i];
+#pragma omp simd aligned(lane, mul, add : 64)
+        for (int i = 0; i < kLanes; ++i) lane[i] = lane[i] * mul[i] + add[i];
       }
       float local = 0.0f;
-      for (int i = 0; i < kLanes; ++i) local += acc[i];
-      sink = sink + local;
-    }
+      for (int i = 0; i < kLanes; ++i) local += lane[i];
+      sums[static_cast<std::size_t>(part)] = local;
+    });
     const double secs = t.seconds();
+    for (const float v : sums) sink = sink + v;
     if (secs < 0.01) {
       iters *= 2;
       continue;
@@ -165,13 +174,9 @@ bool scan_string(const std::string& text, const std::string& key,
 }  // namespace
 
 std::string host_fingerprint() {
-  int omp_threads = 1;
-#ifdef _OPENMP
-  omp_threads = omp_get_max_threads();
-#endif
   std::ostringstream os;
   os << cpu_model() << " | cpus=" << std::thread::hardware_concurrency()
-     << " | omp=" << omp_threads;
+     << " | threads=" << util::resolve_threads();
   return os.str();
 }
 

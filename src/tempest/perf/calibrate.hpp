@@ -30,7 +30,7 @@ struct MachineCeilings {
 [[nodiscard]] double fma_peak_gflops(int repetitions);
 
 /// Stable identifier of the machine the ceilings were measured on: CPU
-/// model string, logical CPU count, and the OpenMP thread budget (thread
+/// model string, logical CPU count, and util::resolve_threads() (thread
 /// count changes the triad/FMA ceilings, so it keys the cache too).
 [[nodiscard]] std::string host_fingerprint();
 

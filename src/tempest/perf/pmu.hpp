@@ -29,8 +29,8 @@ namespace tempest::perf::pmu {
 /// Counters are opened per *scope*: `Scope::Thread` counts the calling
 /// thread only (what the trace-span enrichment uses, one group per
 /// thread), `Scope::Process` additionally inherits into threads spawned
-/// after the open (open it before the OpenMP pool comes up and a whole
-/// parallel run is counted).
+/// after the open (open it before the first parallel region starts the
+/// worker pool and a whole parallel run is counted).
 
 /// The counter set. Hardware events mirror the quantities the paper's
 /// figures rest on (cycles/instructions for GFLOP/s context, cache

@@ -1,9 +1,10 @@
 #include "tempest/resilience/fault.hpp"
 
 #include <csignal>
-#include <cstdlib>
 
 #include <atomic>
+
+#include "tempest/util/env.hpp"
 
 namespace tempest::resilience::fault {
 
@@ -56,10 +57,9 @@ long progress_count() { return progress.load(std::memory_order_relaxed); }
 void arm_kill_from_env() {
   Plan& p = plan();
   if (p.kill_after_progress >= 0) return;  // programmatic arming wins
-  const char* v = std::getenv("TEMPEST_CHAOS_KILL_AT");
-  if (v == nullptr || *v == '\0') return;
-  const long at = std::strtol(v, nullptr, 10);
-  if (at > 0) p.kill_after_progress = static_cast<int>(at);
+  if (const auto at = util::env_int("TEMPEST_CHAOS_KILL_AT")) {
+    p.kill_after_progress = *at;
+  }
 }
 
 }  // namespace tempest::resilience::fault

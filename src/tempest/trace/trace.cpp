@@ -37,14 +37,14 @@ struct ThreadState {
 /// Registry of every thread that ever recorded. States are shared_ptr so a
 /// thread exiting does not invalidate its (still unread) buffer.
 ///
-/// The task-parallel engine's pool backend spawns short-lived workers (a
-/// fresh team per band when OpenMP is absent), so "every thread that ever
-/// recorded" is unbounded over a long run. Exited threads' buffers are
-/// therefore *merged on flush*: any aggregation pass folds the counters,
-/// events and histograms of dead threads into the `retired` accumulators
-/// and drops their states, keeping the registry bounded by the number of
-/// *live* threads while totals stay exactly thread-count-invariant (a
-/// worker's counts survive its thread).
+/// The worker pool's threads live as long as the process, but any other
+/// thread that records (a caller's own std::thread, a test's) may exit
+/// first, so "every thread that ever recorded" is unbounded over a long
+/// run. Exited threads' buffers are therefore *merged on flush*: any
+/// aggregation pass folds the counters, events and histograms of dead
+/// threads into the `retired` accumulators and drops their states, keeping
+/// the registry bounded by the number of *live* threads while totals stay
+/// exactly thread-count-invariant (a thread's counts survive it).
 struct Registry {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadState>> states;

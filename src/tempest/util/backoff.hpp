@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
+#include "tempest/util/env.hpp"
 #include "tempest/util/rng.hpp"
 
 namespace tempest::util {
@@ -37,9 +37,10 @@ struct BackoffPolicy {
   }
 
   /// Environment-driven override: `<PREFIX>_RETRIES` replaces max_attempts
-  /// (total attempts) and `<PREFIX>_RETRY_BASE_MS` replaces base_ms. Values
-  /// that do not parse to a positive number are ignored, so a typo degrades
-  /// to the compiled-in default instead of disabling retries.
+  /// (total attempts) and `<PREFIX>_RETRY_BASE_MS` replaces base_ms, each
+  /// read by util::env_int / env_double: a value that is not a positive
+  /// number is ignored, so a typo degrades to the compiled-in default
+  /// instead of disabling retries.
   [[nodiscard]] static BackoffPolicy from_env(const std::string& prefix,
                                               BackoffPolicy def);
   [[nodiscard]] static BackoffPolicy from_env(const std::string& prefix) {
@@ -49,19 +50,10 @@ struct BackoffPolicy {
 
 inline BackoffPolicy BackoffPolicy::from_env(const std::string& prefix,
                                              BackoffPolicy def) {
-  const auto read_env = [](const std::string& name) -> double {
-    const char* v = std::getenv(name.c_str());
-    if (v == nullptr || *v == '\0') return 0.0;
-    char* end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    return (end != v && parsed > 0.0) ? parsed : 0.0;
-  };
-  if (const double n = read_env(prefix + "_RETRIES"); n > 0.0) {
-    def.max_attempts = static_cast<int>(n);
-  }
-  if (const double ms = read_env(prefix + "_RETRY_BASE_MS"); ms > 0.0) {
-    def.base_ms = ms;
-  }
+  def.max_attempts =
+      env_int((prefix + "_RETRIES").c_str()).value_or(def.max_attempts);
+  def.base_ms =
+      env_double((prefix + "_RETRY_BASE_MS").c_str()).value_or(def.base_ms);
   return def;
 }
 

@@ -3,62 +3,34 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #if defined(__SSE__)
 #include <xmmintrin.h>
 #endif
 
+#include "tempest/util/env.hpp"
 #include "tempest/util/error.hpp"
 
 namespace tempest::util {
 
-bool openmp_runtime() {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
-}
-
-int env_threads() {
-  const char* env = std::getenv("TEMPEST_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  if (v < 1) return 0;
-  return static_cast<int>(v);
-}
+int env_threads() { return env_int("TEMPEST_THREADS").value_or(0); }
 
 int resolve_threads(int requested) {
   if (requested >= 1) return requested;
-  const int env = env_threads();
-  if (env >= 1) return env;
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
+  if (const int env = env_threads(); env >= 1) return env;
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 const char* to_string(TaskBackend b) {
-  switch (b) {
-    case TaskBackend::Serial: return "serial";
-    case TaskBackend::OpenMP: return "openmp";
-    case TaskBackend::Pool: return "pool";
-  }
-  return "?";
+  return b == TaskBackend::Serial ? "serial" : "pool";
 }
 
 TaskBackend select_backend(int threads) {
-  if (threads <= 1) return TaskBackend::Serial;
-  return openmp_runtime() ? TaskBackend::OpenMP : TaskBackend::Pool;
+  return threads <= 1 ? TaskBackend::Serial : TaskBackend::Pool;
 }
 
 namespace {
@@ -71,29 +43,103 @@ void set_fp_mode(unsigned word) {
 #endif
 }
 
-/// First-exception capture shared by the parallel executors: bodies run
-/// under no-throw workers (std::thread would terminate), the first
-/// exception is kept and rethrown on the calling thread after the join.
-class ExceptionSlot {
+/// True while this thread runs a region's participant loop: a region it
+/// starts then runs serially, on this thread.
+thread_local bool t_in_region = false;
+
+/// The process's worker threads (see the header for the contract).
+class Pool {
  public:
-  void capture() {
-    if (armed_.exchange(true, std::memory_order_acq_rel)) return;
-    ptr_ = std::current_exception();
-    ready_.store(true, std::memory_order_release);
+  static Pool& get() {
+    static Pool* const pool = new Pool;  // never destroyed
+    return *pool;
   }
-  [[nodiscard]] bool armed() const {
-    return armed_.load(std::memory_order_acquire);
-  }
-  void rethrow() {
-    if (!armed_.load(std::memory_order_acquire)) return;
-    while (!ready_.load(std::memory_order_acquire)) std::this_thread::yield();
-    std::rethrow_exception(ptr_);
+
+  /// Runs job() on the calling thread and on `helpers` workers; returns once
+  /// every one of them has returned.
+  void run(int helpers, const std::function<void()>& job) {
+    const std::lock_guard<std::mutex> one_region_at_a_time(region_);
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      for (int w = static_cast<int>(workers_.size()); w < helpers; ++w) {
+        workers_.emplace_back(&Pool::park, this, w);
+      }
+      job_ = &job;
+      helpers_ = helpers;
+      busy_ = helpers;
+      ++generation_;
+    }
+    wake_.notify_all();
+    job();
+    std::unique_lock<std::mutex> lk(mu_);
+    done_.wait(lk, [&] { return busy_ == 0; });
   }
 
  private:
-  std::atomic<bool> armed_{false};
-  std::atomic<bool> ready_{false};
-  std::exception_ptr ptr_;
+  /// Worker `index`: waits for each region that asks for more than `index`
+  /// helpers, runs its job, and reports back.
+  void park(int index) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      wake_.wait(lk, [&] { return generation_ != seen && index < helpers_; });
+      seen = generation_;
+      const std::function<void()>& job = *job_;
+      lk.unlock();
+      job();
+      lk.lock();
+      if (--busy_ == 0) done_.notify_one();
+    }
+  }
+
+  std::mutex region_;             ///< held for the whole of one region
+  std::mutex mu_;                 ///< guards every field below
+  std::condition_variable wake_;  ///< workers park here between regions
+  std::condition_variable done_;  ///< the region's caller waits here
+  std::vector<std::thread> workers_;  ///< never joined: the pool never dies
+  const std::function<void()>* job_ = nullptr;
+  std::uint64_t generation_ = 0;  ///< regions started so far
+  int helpers_ = 0;               ///< workers the current region runs on
+  int busy_ = 0;                  ///< of those, the ones not done yet
+};
+
+/// Participants a region over n items runs on: min(threads, n), or 1 on a
+/// thread that is already running a region body.
+int participants(int threads, int n) {
+  return t_in_region ? 1 : std::min(threads, n);
+}
+
+/// One parallel region: every participant runs the same loop under the
+/// caller's fp_mode(), and the first exception a body throws is rethrown
+/// on the caller once all have returned.
+class Region {
+ public:
+  void run(int team, const std::function<void()>& loop) {
+    const unsigned mode = fp_mode();
+    Pool::get().run(team - 1, [&]() noexcept {
+      const FpModeScope fp(mode);
+      t_in_region = true;
+      loop();
+      t_in_region = false;
+    });
+    if (failed()) std::rethrow_exception(error_);
+  }
+
+  /// body(i), unless a body of this region has already thrown.
+  void call(const std::function<void(int)>& body, int i) {
+    if (failed()) return;
+    try {
+      body(i);
+    } catch (...) {
+      if (!failed_.exchange(true)) error_ = std::current_exception();
+    }
+  }
+
+  [[nodiscard]] bool failed() const { return failed_.load(); }
+
+ private:
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;  ///< written once, by the first thrower
 };
 
 }  // namespace
@@ -113,49 +159,18 @@ FpModeScope::FpModeScope(unsigned word) : saved_(fp_mode()) {
 FpModeScope::~FpModeScope() { set_fp_mode(saved_); }
 
 void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  const int workers = std::min(threads, n);
-  if (workers <= 1) {
+  const int team = participants(threads, n);
+  if (team <= 1) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  ExceptionSlot error;
-  const unsigned mode = fp_mode();
-#ifdef _OPENMP
-#pragma omp parallel num_threads(workers)
-  {
-    const FpModeScope fp(mode);
-#pragma omp for schedule(dynamic)
-    for (int i = 0; i < n; ++i) {
-      if (error.armed()) continue;
-      try {
-        fn(i);
-      } catch (...) {
-        error.capture();
-      }
-    }
-  }
-#else
   std::atomic<int> next{0};
-  auto worker = [&] {
-    const FpModeScope fp(mode);
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || error.armed()) return;
-      try {
-        fn(i);
-      } catch (...) {
-        error.capture();
-      }
+  Region region;
+  region.run(team, [&] {
+    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      region.call(fn, i);
     }
-  };
-  std::vector<std::thread> team;
-  team.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int w = 1; w < workers; ++w) team.emplace_back(worker);
-  worker();
-  for (std::thread& t : team) t.join();
-#endif
-  error.rethrow();
+  });
 }
 
 TaskDag::TaskDag(int n) : n_(n) {
@@ -183,119 +198,28 @@ const std::vector<int>& TaskDag::preds(int node) const {
   return preds_[static_cast<std::size_t>(node)];
 }
 
-int TaskDag::max_preds() const {
-  std::size_t m = 0;
-  for (const auto& p : preds_) m = std::max(m, p.size());
-  return static_cast<int>(m);
-}
-
 void TaskDag::run(int threads, const std::function<void(int)>& body) const {
-  if (n_ == 0) return;
-  const int workers = std::min(threads, n_);
-  switch (select_backend(workers)) {
-    case TaskBackend::Serial:
-      for (int i = 0; i < n_; ++i) body(i);
-      return;
-    case TaskBackend::OpenMP:
-      run_omp(workers, body);
-      return;
-    case TaskBackend::Pool:
-      run_pool(workers, body);
-      return;
+  const int team = participants(threads, n_);
+  if (team <= 1) {
+    for (int i = 0; i < n_; ++i) body(i);
+    return;
   }
-}
-
-void TaskDag::run_omp(int threads, const std::function<void(int)>& body) const {
-#ifdef _OPENMP
-  TEMPEST_REQUIRE_MSG(max_preds() <= 2,
-                      "the OpenMP task backend expresses at most two "
-                      "predecessors per node (fixed-arity depend clauses); "
-                      "generate a staircase-reduced graph");
-  // One sentinel byte per node: tasks depend on the *addresses*, never the
-  // values. All tasks bound to the parallel region complete at the implicit
-  // barrier ending the single construct, so the vector outlives them.
-  std::vector<char> sentinel(static_cast<std::size_t>(n_), 0);
-  [[maybe_unused]] char* dep = sentinel.data();  // named only by depend()
-  ExceptionSlot error;
-  const unsigned mode = fp_mode();
-#pragma omp parallel num_threads(threads) default(shared)
-  {
-    // Open before the single construct: its closing barrier, where every
-    // task of the region has completed, comes before the scope restores.
-    const FpModeScope fp(mode);
-#pragma omp single
-    {
-      for (int i = 0; i < n_; ++i) {
-        const auto& p = preds_[static_cast<std::size_t>(i)];
-        const int a = p.empty() ? 0 : p[0];
-        const int b = p.size() < 2 ? 0 : p[1];
-        switch (p.size()) {
-          case 0:
-#pragma omp task depend(out : dep[i]) firstprivate(i) default(shared)
-            {
-              if (!error.armed()) {
-                try {
-                  body(i);
-                } catch (...) {
-                  error.capture();
-                }
-              }
-            }
-            break;
-          case 1:
-#pragma omp task depend(in : dep[a]) depend(out : dep[i]) \
-    firstprivate(i, a) default(shared)
-            {
-              if (!error.armed()) {
-                try {
-                  body(i);
-                } catch (...) {
-                  error.capture();
-                }
-              }
-            }
-            break;
-          default:
-#pragma omp task depend(in : dep[a], dep[b]) depend(out : dep[i]) \
-    firstprivate(i, a, b) default(shared)
-            {
-              if (!error.armed()) {
-                try {
-                  body(i);
-                } catch (...) {
-                  error.capture();
-                }
-              }
-            }
-            break;
-        }
-      }
-    }
-  }
-  error.rethrow();
-#else
-  run_pool(threads, body);
-#endif
-}
-
-void TaskDag::run_pool(int threads, const std::function<void(int)>& body) const {
-  std::vector<int> indeg(static_cast<std::size_t>(n_), 0);
-  for (int i = 0; i < n_; ++i) {
-    indeg[static_cast<std::size_t>(i)] =
-        static_cast<int>(preds_[static_cast<std::size_t>(i)].size());
-  }
-  std::mutex m;
-  std::condition_variable cv;
+  // The in-degree walk: a node becomes ready when its last predecessor
+  // completes. `ready` never holds more than every node, so no push_back
+  // allocates inside the region.
+  std::vector<int> indeg(static_cast<std::size_t>(n_));
   std::vector<int> ready;
+  ready.reserve(static_cast<std::size_t>(n_));
   for (int i = 0; i < n_; ++i) {
-    if (indeg[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+    const std::size_t k = static_cast<std::size_t>(i);
+    indeg[k] = static_cast<int>(preds_[k].size());
+    if (indeg[k] == 0) ready.push_back(i);
   }
   int remaining = n_;
-  ExceptionSlot error;
-  const unsigned mode = fp_mode();
-
-  auto worker = [&] {
-    const FpModeScope fp(mode);
+  std::mutex m;
+  std::condition_variable cv;
+  Region region;
+  region.run(team, [&] {
     std::unique_lock<std::mutex> lk(m);
     for (;;) {
       cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });
@@ -303,13 +227,7 @@ void TaskDag::run_pool(int threads, const std::function<void(int)>& body) const 
       const int task = ready.back();
       ready.pop_back();
       lk.unlock();
-      if (!error.armed()) {
-        try {
-          body(task);
-        } catch (...) {
-          error.capture();
-        }
-      }
+      region.call(body, task);
       lk.lock();
       --remaining;
       for (const int s : succs_[static_cast<std::size_t>(task)]) {
@@ -317,14 +235,7 @@ void TaskDag::run_pool(int threads, const std::function<void(int)>& body) const 
       }
       if (remaining == 0 || !ready.empty()) cv.notify_all();
     }
-  };
-
-  std::vector<std::thread> team;
-  team.reserve(static_cast<std::size_t>(threads) - 1);
-  for (int w = 1; w < threads; ++w) team.emplace_back(worker);
-  worker();
-  for (std::thread& t : team) t.join();
-  error.rethrow();
+  });
 }
 
 }  // namespace tempest::util

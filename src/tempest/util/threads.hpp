@@ -1,38 +1,35 @@
 #pragma once
 
-// Thread-count policy and the task-graph execution substrate shared by the
-// parallel schedules.
+// Thread-count policy and the one executor every parallel region runs on.
 //
 // Thread policy: one knob, `TEMPEST_THREADS`. An explicit request (CLI flag,
 // ExecutionOptions::threads) wins; otherwise the environment variable;
-// otherwise the OpenMP default when the runtime is linked, else 1. A
-// resolved count of 1 always means the deterministic serial path — no
-// parallel runtime is entered at all.
+// otherwise std::thread::hardware_concurrency(). A resolved count of 1
+// always means the deterministic serial path: no other thread takes part.
 //
-// Execution substrate: TaskDag is a static DAG of coarse tasks (wavefront
-// tiles, diamond triangles, color layers) with two parallel backends that
-// honor exactly the same edges:
-//   * OpenMP tasks with `depend` clauses (the default when the OpenMP
-//     runtime is present). Nodes carry at most two predecessors — the
-//     engine's tile graphs are generated so the staircase set suffices —
-//     which maps onto fixed-arity OpenMP 4.5 depend lists;
-//   * a portable std::thread topological pool using only standard C++
-//     synchronization. This is the backend the ThreadSanitizer preset
-//     exercises: GCC's libgomp is not TSan-instrumented (its barriers are
-//     invisible to the race detector, drowning real reports in false
-//     positives), so the tsan build compiles without the OpenMP runtime
-//     (keeping -fopenmp-simd) and proves race-freedom of the task bodies —
-//     the code that could actually race — through this pool.
-// Both backends run the same bodies under the same dependence edges, so a
-// race TSan can see in the pool is a race the OpenMP schedule has too.
+// Executor: parallel_for and TaskDag::run both run on one process-wide pool
+// of std::thread workers, so every build — the ThreadSanitizer preset
+// included — runs the same executor:
+//   * the pool starts on the first region with more than one thread and
+//     grows to the largest worker count any region has asked for; between
+//     regions its workers park on a condition variable (no spinning). It is
+//     never destroyed, so no worker's thread_local state is torn down
+//     during static destruction;
+//   * a region runs on exactly min(threads, n) participants, the caller
+//     included; surplus workers stay parked;
+//   * regions started from different threads run one after another, and a
+//     region started inside a region body runs serially on the calling
+//     thread;
+//   * a fork() child must not start a region with more than one thread:
+//     the child has none of the pool's workers and would wait for them
+//     forever.
 //
-// Floating-point mode: every parallel region (parallel_for, TaskDag::run)
-// installs its caller's fp_mode() word in each worker for the whole region
-// and gives the worker its own word back afterwards, so a body computes
-// under the same rounding and subnormal handling on every thread. Without
-// that, a mode set after the OpenMP runtime created its threads would
-// apply to the caller's iterations only, and results would differ between
-// 1 and 2 threads.
+// Floating-point mode: every participant computes under the caller's
+// fp_mode() word for the whole region and gets its own word back
+// afterwards, so a body computes under the same rounding and subnormal
+// handling on every thread. Without that, a mode set after the pool's
+// workers started would apply to the caller's iterations only, and results
+// would differ between 1 and 2 threads.
 
 #include <functional>
 #include <vector>
@@ -61,40 +58,36 @@ class FpModeScope {
   unsigned saved_;
 };
 
-/// True when compiled against the OpenMP *runtime* (-fopenmp). The tsan
-/// preset builds with -fopenmp-simd only: simd pragmas still vectorize,
-/// but this returns false and the pool backend takes over.
-[[nodiscard]] bool openmp_runtime();
-
-/// $TEMPEST_THREADS parsed (clamped to >= 1), or 0 when unset/invalid.
+/// $TEMPEST_THREADS as util::env_int reads it, or 0 when unset or invalid.
 [[nodiscard]] int env_threads();
 
 /// The worker count a parallel region should use: `requested` when >= 1,
-/// else $TEMPEST_THREADS, else the OpenMP runtime default, else 1.
+/// else $TEMPEST_THREADS, else std::thread::hardware_concurrency() (1 when
+/// that is unknown).
 [[nodiscard]] int resolve_threads(int requested = 0);
 
 /// Which substrate a TaskDag/parallel_for invocation will use for a given
 /// resolved worker count.
 enum class TaskBackend {
-  Serial,  ///< threads == 1: plain loops, bitwise-reference order
-  OpenMP,  ///< OpenMP tasks / parallel-for (runtime present)
-  Pool,    ///< std::thread topological pool (OpenMP runtime absent)
+  Serial,  ///< threads <= 1: plain loops, bitwise-reference order
+  Pool,    ///< the process's persistent worker pool
 };
 
 [[nodiscard]] const char* to_string(TaskBackend b);
 [[nodiscard]] TaskBackend select_backend(int threads);
 
 /// Run fn(i) for every i in [0, n). threads <= 1 runs the serial loop in
-/// ascending order; otherwise the iterations execute concurrently (OpenMP
-/// parallel-for or a transient std::thread team) and fn must be race-free
-/// across iterations, each worker under the caller's fp_mode(). Exceptions
-/// from fn are rethrown (first one wins).
+/// ascending order; otherwise the iterations execute concurrently on the
+/// pool, each participant taking the next unclaimed index, and fn must be
+/// race-free across iterations. Exceptions from fn are rethrown (first one
+/// wins; no new iteration starts after it).
 void parallel_for(int n, int threads, const std::function<void(int)>& fn);
 
-/// A static task DAG executed under the selected backend. Nodes are dense
-/// ints [0, size); edges always point from a lower to a higher node id, so
-/// ascending node order is a topological order and the serial backend is
-/// simply `for (i) body(i)` — the bitwise-deterministic reference schedule.
+/// A static task DAG. Nodes are dense ints [0, size); edges always point
+/// from a lower to a higher node id, so ascending node order is a
+/// topological order and the serial path is simply `for (i) body(i)` — the
+/// bitwise-deterministic reference schedule. A node may have any number of
+/// predecessors.
 class TaskDag {
  public:
   TaskDag() = default;
@@ -111,20 +104,13 @@ class TaskDag {
   [[nodiscard]] int size() const { return n_; }
   [[nodiscard]] const std::vector<int>& preds(int node) const;
 
-  /// Largest predecessor-list length — the OpenMP backend requires <= 2
-  /// (fixed-arity depend clauses; the engine's generators guarantee it).
-  [[nodiscard]] int max_preds() const;
-
-  /// Execute body(node) for every node honoring every edge, each worker
-  /// under the caller's fp_mode(). threads <= 1: serial ascending order.
-  /// Exceptions are rethrown after the graph drains (remaining bodies are
-  /// skipped, first exception wins).
+  /// Execute body(node) for every node honoring every edge. threads <= 1:
+  /// serial ascending order; otherwise the pool's participants take ready
+  /// nodes off one shared list. Exceptions are rethrown after the graph
+  /// drains (remaining bodies are skipped, first exception wins).
   void run(int threads, const std::function<void(int)>& body) const;
 
  private:
-  void run_omp(int threads, const std::function<void(int)>& body) const;
-  void run_pool(int threads, const std::function<void(int)>& body) const;
-
   int n_ = 0;
   std::vector<std::vector<int>> preds_;
   std::vector<std::vector<int>> succs_;

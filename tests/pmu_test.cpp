@@ -395,7 +395,7 @@ TEST(CalibrateCache, HitsOnMatchingFingerprintMissesOnMismatch) {
   // must not serve a full request — covered by the flag logic; here we
   // exercise the cheap-side: fingerprint mismatch forces recalibration
   // and rewrites the file under the real fingerprint.
-  write_cache("some other machine | cpus=64 | omp=64", /*quick=*/0);
+  write_cache("some other machine | cpus=64 | threads=64", /*quick=*/0);
   const pf::MachineCeilings miss =
       pf::load_or_calibrate(/*quick=*/true, /*force=*/false, path);
   EXPECT_GT(miss.peak_gflops, 0.0);

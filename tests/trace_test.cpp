@@ -470,12 +470,12 @@ std::string metrics_csv_of_workload(int threads) {
 
 TEST_F(TraceTest, CountersSurviveWorkerThreadExit) {
   tr::set_enabled(true);
-  // Pool workers are joined before run() returns; their thread_local
-  // buffers may be destroyed any time after. Totals must include them.
+  // Pool workers outlive run() and keep their thread_local buffers between
+  // regions. Totals must include what they recorded.
   tempest::util::TaskDag dag(16);
   dag.run(/*threads=*/4, [](int) { TEMPEST_TRACE_COUNT(CellsUpdated, 5); });
   EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 16 * 5);
-  // A second team after the first one's threads retired must still add up.
+  // A second region on the same workers must add to the first, not replace.
   dag.run(/*threads=*/4, [](int) { TEMPEST_TRACE_COUNT(CellsUpdated, 5); });
   EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 2 * 16 * 5);
 }
@@ -484,7 +484,26 @@ TEST_F(TraceTest, SpansSurviveWorkerThreadExit) {
   tr::set_enabled(true);
   traced_workload(/*threads=*/8);
   EXPECT_EQ(tr::events().size(), 10u)
-      << "spans recorded on exited pool threads were dropped";
+      << "spans recorded on pool workers were dropped";
+}
+
+TEST_F(TraceTest, ExitedThreadIsMergedOnFlush) {
+  tr::set_enabled(true);
+  // A thread of the caller's own that records and exits before the flush:
+  // its thread_local buffer is gone, and the registry must have folded its
+  // counters and spans into the retired totals.
+  std::thread t([] {
+    TEMPEST_TRACE_SPAN_ARG("exited.thread", "test", 1);
+    TEMPEST_TRACE_COUNT(CellsUpdated, 7);
+  });
+  t.join();
+  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 7);
+  const std::vector<tr::Event> events = tr::events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "exited.thread");
+  // A second aggregation reads the merged totals, not a second copy.
+  EXPECT_EQ(tr::value(tr::Counter::CellsUpdated), 7);
+  EXPECT_EQ(tr::events().size(), 1u);
 }
 
 TEST_F(TraceTest, MetricsV1RowsAreThreadCountInvariant) {

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "tempest/util/align.hpp"
+#include "tempest/util/backoff.hpp"
 #include "tempest/util/cli.hpp"
 #include "tempest/util/crc32.hpp"
+#include "tempest/util/env.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/rng.hpp"
 #include "tempest/util/stats.hpp"
@@ -192,18 +194,74 @@ TEST(Table, RejectsWrongArity) {
   EXPECT_THROW(t.add_row({"only-one"}), tu::PreconditionError);
 }
 
+// --- Environment knobs ----------------------------------------------------
+//
+// None of these starts a thread: the knobs are read, never used.
+
+namespace {
+
+/// The malformed values every integer knob must read as unset.
+constexpr std::array<const char*, 8> kNotAPositiveInt = {
+    "", "0", "-3", "3x", "99999999999", "1e10", " 4", "+4"};
+
+}  // namespace
+
+TEST(Env, IntegerKnobsAcceptOnlyWholePositiveDecimals) {
+  const char* name = "TEMPEST_TEST_ENV_INT";
+  ASSERT_EQ(::setenv(name, "4", 1), 0);
+  EXPECT_EQ(tu::env_int(name).value_or(0), 4);
+  ASSERT_EQ(::setenv(name, "2147483647", 1), 0);
+  EXPECT_EQ(tu::env_int(name).value_or(0), 2147483647);
+  for (const char* bad : kNotAPositiveInt) {
+    ASSERT_EQ(::setenv(name, bad, 1), 0);
+    EXPECT_FALSE(tu::env_int(name).has_value()) << '"' << bad << '"';
+  }
+  ASSERT_EQ(::unsetenv(name), 0);
+  EXPECT_FALSE(tu::env_int(name).has_value());
+}
+
+TEST(Env, RealKnobsAcceptOnlyWholePositiveFiniteNumbers) {
+  const char* name = "TEMPEST_TEST_ENV_REAL";
+  ASSERT_EQ(::setenv(name, "12.5", 1), 0);
+  EXPECT_DOUBLE_EQ(tu::env_double(name).value_or(0.0), 12.5);
+  for (const char* bad : {"", "0", "-1", "inf", "nan", "1e999", "2x", " 3"}) {
+    ASSERT_EQ(::setenv(name, bad, 1), 0);
+    EXPECT_FALSE(tu::env_double(name).has_value()) << '"' << bad << '"';
+  }
+  ASSERT_EQ(::unsetenv(name), 0);
+  EXPECT_FALSE(tu::env_double(name).has_value());
+}
+
+TEST(Env, ThreadAndRetryKnobsFallBackOnMalformedValues) {
+  ASSERT_EQ(::setenv("TEMPEST_THREADS", "4", 1), 0);
+  ASSERT_EQ(::setenv("TEMPEST_TEST_RETRIES", "4", 1), 0);
+  EXPECT_EQ(tu::env_threads(), 4);
+  EXPECT_EQ(tu::resolve_threads(0), 4);
+  EXPECT_EQ(tu::BackoffPolicy::from_env("TEMPEST_TEST").max_attempts, 4);
+  tu::BackoffPolicy def;
+  def.max_attempts = 2;
+  for (const char* bad : kNotAPositiveInt) {
+    ASSERT_EQ(::setenv("TEMPEST_THREADS", bad, 1), 0);
+    ASSERT_EQ(::setenv("TEMPEST_TEST_RETRIES", bad, 1), 0);
+    EXPECT_EQ(tu::env_threads(), 0) << '"' << bad << '"';
+    EXPECT_GE(tu::resolve_threads(0), 1) << '"' << bad << '"';
+    EXPECT_EQ(tu::BackoffPolicy::from_env("TEMPEST_TEST", def).max_attempts,
+              2)
+        << '"' << bad << '"';
+  }
+  ASSERT_EQ(::unsetenv("TEMPEST_THREADS"), 0);
+  ASSERT_EQ(::unsetenv("TEMPEST_TEST_RETRIES"), 0);
+}
+
 // --- Thread policy + task-graph substrate --------------------------------
 
 TEST(Threads, SelectBackendMatchesRuntime) {
   EXPECT_EQ(tu::select_backend(1), tu::TaskBackend::Serial);
   EXPECT_EQ(tu::select_backend(0), tu::TaskBackend::Serial);
-  const tu::TaskBackend multi = tu::select_backend(4);
-  if (tu::openmp_runtime()) {
-    EXPECT_EQ(multi, tu::TaskBackend::OpenMP);
-  } else {
-    EXPECT_EQ(multi, tu::TaskBackend::Pool);
-  }
-  EXPECT_STRNE(tu::to_string(multi), tu::to_string(tu::TaskBackend::Serial));
+  EXPECT_EQ(tu::select_backend(2), tu::TaskBackend::Pool);
+  EXPECT_EQ(tu::select_backend(4), tu::TaskBackend::Pool);
+  EXPECT_STREQ(tu::to_string(tu::TaskBackend::Serial), "serial");
+  EXPECT_STREQ(tu::to_string(tu::TaskBackend::Pool), "pool");
 }
 
 TEST(Threads, ParallelForCoversEveryIndexExactlyOnce) {
@@ -233,8 +291,7 @@ TEST(Threads, ParallelForPropagatesException) {
 namespace {
 
 /// A staircase DAG matching the engine's wavefront tile graphs: node
-/// (ix, iy) on an ni x nj grid depends on (ix-1, iy) and (ix, iy-1) —
-/// the worst-case two-predecessor shape the OpenMP backend supports.
+/// (ix, iy) on an ni x nj grid depends on (ix-1, iy) and (ix, iy-1).
 tu::TaskDag staircase(int ni, int nj) {
   tu::TaskDag dag(ni * nj);
   for (int ix = 0; ix < ni; ++ix) {
@@ -252,7 +309,6 @@ tu::TaskDag staircase(int ni, int nj) {
 TEST(TaskDag, HonorsStaircaseEdgesAtEveryThreadCount) {
   const int ni = 5, nj = 4;
   const tu::TaskDag dag = staircase(ni, nj);
-  EXPECT_EQ(dag.max_preds(), 2);
   for (const int threads : {1, 2, 8}) {
     std::vector<std::atomic<int>> done(static_cast<std::size_t>(ni * nj));
     std::atomic<bool> violated{false};
@@ -295,6 +351,127 @@ TEST(TaskDag, PropagatesExceptionFromTaskBody) {
                          }),
                  std::runtime_error)
         << "threads=" << threads;
+  }
+}
+
+TEST(TaskDag, HonorsFourPredecessorsAtEveryThreadCount) {
+  // Node 4 waits for all of 0..3 and node 5 for 4: more predecessors than
+  // the staircase ever needs, which the executor must honour all the same.
+  tu::TaskDag dag(6);
+  for (int p = 0; p < 4; ++p) dag.add_edge(p, 4);
+  dag.add_edge(4, 5);
+  ASSERT_EQ(dag.preds(4).size(), 4u);
+  for (const int threads : {1, 2, 8}) {
+    std::vector<std::atomic<int>> done(6);
+    std::atomic<bool> violated{false};
+    dag.run(threads, [&](int node) {
+      // Long enough that a missing edge would let node 4 overtake one.
+      if (node < 4) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      for (const int p : dag.preds(node)) {
+        if (done[static_cast<std::size_t>(p)].load() == 0) violated = true;
+      }
+      done[static_cast<std::size_t>(node)].store(1);
+    });
+    EXPECT_FALSE(violated.load()) << "threads=" << threads;
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(done[static_cast<std::size_t>(i)].load(), 1)
+          << "node " << i << " threads=" << threads;
+    }
+  }
+}
+
+// --- The worker pool ------------------------------------------------------
+
+namespace {
+
+/// The distinct threads that ran the bodies of one region.
+class ThreadIds {
+ public:
+  void note() {
+    const std::lock_guard<std::mutex> lk(m_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  [[nodiscard]] std::size_t count() const { return ids_.size(); }
+
+ private:
+  std::mutex m_;
+  std::set<std::thread::id> ids_;
+};
+
+void nap() { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }
+
+}  // namespace
+
+TEST(Pool, SurplusWorkersStayParked) {
+  ThreadIds wide;
+  tu::parallel_for(64, 8, [&](int) {
+    wide.note();
+    nap();
+  });
+  EXPECT_GT(wide.count(), 1u);
+
+  ThreadIds loop;
+  tu::parallel_for(64, 2, [&](int) {
+    loop.note();
+    nap();
+  });
+  EXPECT_LE(loop.count(), 2u);
+
+  ThreadIds graph;
+  tu::TaskDag(64).run(2, [&](int) {
+    graph.note();
+    nap();
+  });
+  EXPECT_LE(graph.count(), 2u);
+}
+
+TEST(Pool, NestedRegionsRunSeriallyOnTheCallingThread) {
+  const auto nested = [](const char* where) {
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<int> order;
+    std::atomic<bool> moved{false};
+    tu::parallel_for(16, 8, [&](int i) {
+      if (std::this_thread::get_id() != self) moved = true;
+      order.push_back(i);  // unsynchronized: only safe when serial
+    });
+    EXPECT_FALSE(moved.load()) << where;
+    ASSERT_EQ(order.size(), 16u) << where;
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(order[static_cast<std::size_t>(i)], i) << where;
+    }
+  };
+  tu::TaskDag(8).run(4, [&](int) { nested("in a TaskDag body"); });
+  tu::parallel_for(8, 4, [&](int) { nested("in a parallel_for body"); });
+}
+
+TEST(Pool, RegionAfterAThrowingRegionCoversEveryIndex) {
+  for (const int threads : {2, 8}) {
+    EXPECT_THROW(tu::parallel_for(64, threads,
+                                  [](int i) {
+                                    if (i == 3) throw std::runtime_error("x");
+                                  }),
+                 std::runtime_error);
+    EXPECT_THROW(staircase(4, 4).run(threads,
+                                     [](int node) {
+                                       if (node == 2) {
+                                         throw std::runtime_error("x");
+                                       }
+                                     }),
+                 std::runtime_error);
+    std::vector<std::atomic<int>> hits(97);
+    tu::parallel_for(97, threads,
+                     [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+    for (int i = 0; i < 97; ++i) {
+      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+          << "i=" << i << " threads=" << threads;
+    }
+    std::vector<std::atomic<int>> nodes(16);
+    staircase(4, 4).run(threads,
+                        [&](int n) { nodes[static_cast<std::size_t>(n)]++; });
+    for (int n = 0; n < 16; ++n) {
+      EXPECT_EQ(nodes[static_cast<std::size_t>(n)].load(), 1)
+          << "node " << n << " threads=" << threads;
+    }
   }
 }
 
