@@ -38,8 +38,11 @@
 // --schedule selects the execution schedule of the two modelling passes
 // (any schedule is legal for any physics; wavefront is the default, diamond
 // the alternative temporal-blocking family). The snapshotting forward pass
-// and the imaging adjoint pass need a per-step callback and therefore stay
-// on the space-blocked barrier schedule.
+// and the imaging adjoint pass stay space-blocked: under temporal blocking
+// the step callback runs only at band ends, and the imaging condition
+// pairs forward step nt-1-tau with adjoint step tau, so the band ends of
+// the two passes land on such a pair only when tile_t divides nt-3
+// (acoustic's first step is 1). Imaging on --schedule needs its own design.
 //
 // With --checkpoint the adjoint/imaging pass — the long tail of the run —
 // checkpoints its wavefield state and the partial image every --ckpt-every

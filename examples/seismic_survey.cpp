@@ -4,11 +4,12 @@
 //
 // Every shot is a journaled job: its state transitions are appended to a
 // CRC-framed write-ahead journal under --jobs-dir before they are acted
-// on, barrier-schedule shots checkpoint their full propagation state every
-// --ckpt-every steps (two rotated generations), and a killed run restarted
-// with the same flags resumes exactly where it died — finished shots are
-// skipped, the in-flight shot re-enters mid-run from its checkpoint, and
-// the final gathers are bit-identical to an uninterrupted run.
+// on, every shot checkpoints its full propagation state every --ckpt-every
+// steps (two rotated generations; under wavefront and diamond at the first
+// band end past each multiple), and a killed run restarted with the same
+// flags resumes exactly where it died — finished shots are skipped, the
+// in-flight shot re-enters mid-run from its checkpoint on any schedule,
+// and the final gathers are bit-identical to an uninterrupted run.
 //
 // Failures are classified, not fatal: transient faults (JIT compile
 // hiccups, checkpoint I/O errors) are retried with exponential backoff

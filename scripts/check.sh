@@ -110,10 +110,10 @@ run_chaos() {
   ASAN_OPTIONS="${asan_env}" build-asan/tools/chaos_runner \
     --size=20 --steps=36 --shots=3 --so=4 --schedule=space-blocked \
     --ckpt-every=6 --kills=5 --seed=7 --corrupt --dir=build-asan/chaos_sb
-  echo "==> chaos: 5 seeded kills (wavefront, temporally blocked)"
+  echo "==> chaos: 5 seeded kills + checkpoint corruption (wavefront, temporally blocked)"
   ASAN_OPTIONS="${asan_env}" build-asan/tools/chaos_runner \
     --size=20 --steps=36 --shots=3 --so=4 --schedule=wavefront \
-    --kills=5 --seed=7 --dir=build-asan/chaos_wf
+    --ckpt-every=6 --kills=5 --seed=7 --corrupt --dir=build-asan/chaos_wf
   echo "==> black box: SIGKILL a live survey, decode its flight recorder"
   rm -rf build-asan/chaos_bb
   # TEMPEST_CHAOS_KILL_AT arms resilience::fault::kill_after_progress inside

@@ -99,11 +99,13 @@ struct RunStats {
   }
 };
 
-/// Called after timestep `t_done` is fully computed (stencil + sparse
-/// operators). Only meaningful for schedules with a global time barrier —
-/// under temporal blocking no instant exists at which a whole timestep is
-/// complete (that is the very point of the paper), so passing a callback
-/// with Wavefront/Diamond is rejected.
+/// Called at each instant where every timestep before `t_done` is fully
+/// computed (stencil + sparse operators) and its receiver rows are reduced:
+/// after every step on barrier schedules, after every time band under
+/// wavefront and diamond (`t_done` is then the band end). The live slices
+/// hold u[.. t_done] exactly as a barrier run holds them at `t_done`, so
+/// the callback may snapshot or save them (Checkpointable::state_view)
+/// before it returns; the next step overwrites them.
 using StepCallback = std::function<void(int t_done)>;
 
 /// Propagator tuning knobs shared by all kernels.
@@ -222,11 +224,6 @@ class ScheduleExecutor {
     TEMPEST_REQUIRE(nt >= first + 1);
     TEMPEST_REQUIRE_MSG(t_begin >= first && t_begin < nt,
                         "resume step outside the simulated time range");
-    TEMPEST_REQUIRE_MSG(
-        !on_step ||
-            (sched != Schedule::Wavefront && sched != Schedule::Diamond),
-        "per-timestep callbacks need a schedule with a global time barrier "
-        "(Reference or SpaceBlocked)");
     if (rec != nullptr) {
       TEMPEST_REQUIRE(rec->nt() >= nt);
     }
@@ -245,12 +242,13 @@ class ScheduleExecutor {
       return k_.inject_scale(x, y, z);
     };
 
-    // Post-step resilience hook shared by all schedules: the deterministic
-    // fault-injection site first (tests arm it; disarmed it is one int
-    // compare), then the wavefield health scans. Barrier schedules gate the
-    // scan on the policy cadence; temporally blocked schedules scan at every
-    // band boundary, the only instants a whole timestep exists.
-    auto health_point = [&](int t_done, bool cadence_gated) {
+    // Post-step hook shared by all schedules, run wherever every timestep
+    // before `t_done` is complete: the deterministic fault-injection site
+    // first (tests arm it; disarmed it is one int compare), then the
+    // wavefield health scans, then the caller's step callback. Barrier
+    // schedules gate the scan on the policy cadence; temporally blocked
+    // schedules scan at every band end, the only such instants they have.
+    auto post_step = [&](int t_done, bool cadence_gated) {
       // Chaos kill site: the progress tick is where the fault plan's
       // SIGKILL lands, so a killed run dies between fully-computed
       // timesteps (barrier) or bands (temporal blocking) — the same
@@ -270,6 +268,7 @@ class ScheduleExecutor {
           TEMPEST_OBS_HEALTH(hf.field[i].name, t_done, monitor.last_max());
         }
       }
+      if (on_step) on_step(t_done);
     };
 
     // One block of one substep: the unit every schedule hands to the kernel,
@@ -393,8 +392,8 @@ class ScheduleExecutor {
       // Completed-band hook (serial, after the band's task graph drains):
       // after substep band [.., se), every timestep < se/S is fully
       // computed and the newest slice is fully written. Reduce the staged
-      // gather samples in ascending point-id order, then run the health
-      // scan — the only instants a whole timestep exists under blocking.
+      // gather samples in ascending point-id order, then run the post-step
+      // hook — the only instants a whole timestep exists under blocking.
       int reduced_upto = t_begin;
       auto on_band = [&](int se) {
         const int t_done = se / S;
@@ -407,7 +406,7 @@ class ScheduleExecutor {
         }
         if (has_rec) stage.begin_band(t_done);
         reduced_upto = t_done;
-        health_point(t_done, /*cadence_gated=*/false);
+        post_step(t_done, /*cadence_gated=*/false);
       };
 
       util::Timer timer;
@@ -481,8 +480,7 @@ class ScheduleExecutor {
           sparse::interpolate(k_.gather_field(t), *rec, t, opts_.interp);
         }
       }
-      health_point(t + 1, /*cadence_gated=*/true);
-      if (on_step) on_step(t + 1);
+      post_step(t + 1, /*cadence_gated=*/true);
     }
     stats.seconds = timer.seconds();
     return stats;
@@ -513,19 +511,39 @@ template <typename... Parts>
   return out;
 }
 
-/// The checkpoint surface every propagator shares. `Derived` names its
-/// state once, as a private `template <typename Self> static auto
+/// The run and checkpoint surface every propagator shares. `Derived` names
+/// its state once, as a private `template <typename Self> static auto
 /// state(Self& self)` returning state_slices(...) over its fields, and
 /// befriends this base; `FirstStep` is its kernel's first timestep.
+/// `Derived` supplies run_from(t_begin, sched, src, rec, on_step), which
+/// executes timesteps [t_begin, src.nt()) on state already in its fields.
 template <typename Derived, int FirstStep>
 class Checkpointable {
  public:
+  static constexpr int kFirstStep = FirstStep;
+
+  /// Propagate `src` for src.nt() timesteps from zero state, recording into
+  /// `rec` if non-null (rec->nt() must be >= src.nt()): zeroes `rec` and
+  /// every state slice, then run_from(FirstStep, ...). `on_step` is the
+  /// StepCallback contract. A model passed at construction must outlive
+  /// the propagator.
+  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
+               sparse::SparseTimeSeries* rec = nullptr,
+               const StepCallback& on_step = {}) {
+    auto& self = static_cast<Derived&>(*this);
+    if (rec != nullptr) rec->zero();
+    for (grid::Grid3<real_t>* slice : Derived::state(self)) {
+      slice->fill(real_t{0});
+    }
+    return self.run_from(kFirstStep, sched, src, rec, on_step);
+  }
+
   /// Zero-copy view of the live state after timestep `step` completed: the
   /// kernel's slices, the gather recorded so far (when `rec` is non-null)
   /// and the caller's config fingerprint; add aux blobs, then save() it.
-  /// Call only at a global time barrier — from a StepCallback, which
-  /// wavefront and diamond reject — and save before the callback returns:
-  /// the view reads the slices the next timestep overwrites.
+  /// Call it from a StepCallback with `step` == t_done (any schedule) and
+  /// save before the callback returns: the view reads the slices the next
+  /// timestep overwrites.
   [[nodiscard]] resilience::CheckpointView state_view(
       int step, std::uint64_t fingerprint,
       const sparse::SparseTimeSeries* rec = nullptr) const {

@@ -39,7 +39,8 @@ struct ScheduleOp {
 /// Default no-op for the band-completion hook of core::execute. After a time
 /// band [tt, te) finishes, *every* timestep < te is fully computed — the
 /// only global barrier temporal blocking offers, and therefore the place the
-/// resilience layer runs wavefield health scans.
+/// engine reduces the gather, scans wavefield health and calls the step
+/// callback.
 struct NoBandCallback {
   void operator()(int /*band_end*/) const {}
 };

@@ -266,19 +266,9 @@ DslPropagator::DslPropagator(LoweredKernel lowered,
   require_statics_ok(lowered_, model, bindings_, dt_, opts_.allow_unstable);
 }
 
-physics::RunStats DslPropagator::run(physics::Schedule sched,
-                                     const sparse::SparseTimeSeries& src,
-                                     sparse::SparseTimeSeries* rec,
-                                     const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  u_.fill(real_t{0});
-  return run_from(DslKernel::kFirstStep, sched, src, rec, on_step);
-}
-
-physics::RunStats DslPropagator::run_from(int t_begin, physics::Schedule sched,
-                                          const sparse::SparseTimeSeries& src,
-                                          sparse::SparseTimeSeries* rec,
-                                          const StepCallback& on_step) {
+physics::RunStats DslPropagator::run_from(
+    int t_begin, physics::Schedule sched, const sparse::SparseTimeSeries& src,
+    sparse::SparseTimeSeries* rec, const physics::StepCallback& on_step) {
   DslKernel kernel(lowered_, model_, bindings_, u_, dt_, block_);
   core::engine::ScheduleExecutor executor(kernel, opts_);
   return executor.run_from(t_begin, sched, src, rec, on_step);

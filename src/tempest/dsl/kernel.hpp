@@ -128,23 +128,17 @@ static_assert(core::engine::PhysicsKernel<DslKernel>);
 class DslPropagator : public core::engine::Checkpointable<
                           DslPropagator, DslKernel::kFirstStep> {
  public:
-  using StepCallback = physics::StepCallback;
-
   DslPropagator(const Eq& eq, const physics::AcousticModel& model,
                 physics::PropagatorOptions opts = {},
                 ParamBindings bindings = {}, std::string name = "dsl");
 
-  physics::RunStats run(physics::Schedule sched,
-                        const sparse::SparseTimeSeries& src,
-                        sparse::SparseTimeSeries* rec = nullptr,
-                        const StepCallback& on_step = {});
-
   physics::RunStats run_from(int t_begin, physics::Schedule sched,
                              const sparse::SparseTimeSeries& src,
                              sparse::SparseTimeSeries* rec = nullptr,
-                             const StepCallback& on_step = {});
+                             const physics::StepCallback& on_step = {});
 
-  // state_view() / capture() / restore(): see core::engine::Checkpointable.
+  // run() / state_view() / capture() / restore(): see
+  // core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
     return u_.at(t);

@@ -24,18 +24,4 @@ namespace tempest::grid {
   return blocks;
 }
 
-/// Apply fn(Box3) to every block of an x/y decomposition without
-/// materializing the block list.
-template <typename Fn>
-void for_each_block_xy(const Box3& domain, int bx, int by, Fn&& fn) {
-  TEMPEST_REQUIRE(bx > 0 && by > 0);
-  for (int x0 = domain.x.lo; x0 < domain.x.hi; x0 += bx) {
-    const int x1 = std::min(x0 + bx, domain.x.hi);
-    for (int y0 = domain.y.lo; y0 < domain.y.hi; y0 += by) {
-      const int y1 = std::min(y0 + by, domain.y.hi);
-      fn(Box3{{x0, x1}, {y0, y1}, domain.z});
-    }
-  }
-}
-
 }  // namespace tempest::grid

@@ -15,8 +15,8 @@ namespace tempest::grid {
 /// innermost stencil loop vectorizes. Interior coordinates run over
 /// [0, nx) x [0, ny) x [0, nz); halo points are addressed with coordinates in
 /// [-halo, extent + halo). Halo points are plain storage — the wave
-/// propagators use them as zero-padded Dirichlet boundaries, refreshed by
-/// fill_halo().
+/// propagators use them as zero-padded Dirichlet boundaries: no update
+/// writes the halo, so it keeps the zeros it was filled with.
 template <typename T>
 class Grid3 {
  public:
@@ -81,21 +81,6 @@ class Grid3 {
   [[nodiscard]] std::ptrdiff_t stride_z() const { return stride_z_; }
 
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
-
-  /// Reset all halo points to `value` (used to re-impose the zero Dirichlet
-  /// padding after a grid is loaded with external data).
-  void fill_halo(T value) {
-    const int h = halo_;
-    for (int x = -h; x < extents_.nx + h; ++x) {
-      for (int y = -h; y < extents_.ny + h; ++y) {
-        const bool xy_halo =
-            x < 0 || x >= extents_.nx || y < 0 || y >= extents_.ny;
-        for (int z = -h; z < extents_.nz + h; ++z) {
-          if (xy_halo || z < 0 || z >= extents_.nz) (*this)(x, y, z) = value;
-        }
-      }
-    }
-  }
 
   /// Interior iteration helper: fn(x, y, z) over the whole interior.
   template <typename Fn>

@@ -73,10 +73,6 @@ std::uint64_t shot_fingerprint(std::uint64_t base, int shot,
   return fp.value();
 }
 
-[[nodiscard]] bool is_barrier(Schedule s) {
-  return s == Schedule::Reference || s == Schedule::SpaceBlocked;
-}
-
 /// Arms the flight recorder around one attempt: a fresh (truncated) black
 /// box under the live name, installed as the process-wide black box, with
 /// job-state bookends. Destruction detects how the attempt ended — a
@@ -201,45 +197,44 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
 
   const std::uint64_t fp = shot_fingerprint(base_fp, a.job, rung, a.level);
   resilience::Checkpointer ckpt(shot_ckpt_path(spec, a.job));
-  const bool barrier = is_barrier(rung.sched);
 
-  // Mid-shot resume (barrier rungs only — temporally blocked rungs have no
-  // global barrier to checkpoint at, so an interrupted shot reruns from
-  // scratch; both paths are deterministic, hence bit-identical gathers).
-  int t_start = -1;
-  if (barrier) {
-    try {
-      if (const auto resume = ckpt.try_load(fp)) {
-        const auto* blob = resume->find_aux(kShotAuxName);
-        if (blob == nullptr) {
-          throw io::CorruptFileError(ckpt.path(),
-                                     "shot checkpoint lacks its " +
-                                         std::string(kShotAuxName) +
-                                         " blob");
-        }
-        const auto aux = resilience::aux_unpack_versioned<ShotAux>(
-            ckpt.path(), *blob, kShotAuxMagic, kShotAuxVersion);
-        if (aux.shot == a.job && aux.level == a.level) {
-          prop.restore(*resume);
-          if (resume->has_rec) gather = resume->rec;
-          t_start = resume->step;
-          util::info("shot " + std::to_string(a.job) +
-                     ": resuming from step " + std::to_string(t_start));
-        } else {
-          ckpt.remove_all();  // another attempt's leftovers
-        }
+  // Mid-shot resume, on every rung: the engine calls on_step wherever a
+  // whole timestep exists (every step under a barrier, every band end under
+  // temporal blocking), and a resumed run reproduces the uninterrupted one
+  // bitwise under the rung's schedule.
+  int t_start = Propagator::kFirstStep;
+  bool resumed = false;
+  try {
+    if (const auto resume = ckpt.try_load(fp)) {
+      const auto* blob = resume->find_aux(kShotAuxName);
+      if (blob == nullptr) {
+        throw io::CorruptFileError(ckpt.path(),
+                                   "shot checkpoint lacks its " +
+                                       std::string(kShotAuxName) + " blob");
       }
-    } catch (const resilience::CheckpointMismatchError&) {
-      // A different rung/config wrote it; it cannot seed this attempt.
-      ckpt.remove_all();
-    } catch (const io::CorruptFileError& e) {
-      util::warn(std::string("discarding unusable shot checkpoint: ") +
-                 e.what());
-      ckpt.remove_all();
+      const auto aux = resilience::aux_unpack_versioned<ShotAux>(
+          ckpt.path(), *blob, kShotAuxMagic, kShotAuxVersion);
+      if (aux.shot == a.job && aux.level == a.level) {
+        prop.restore(*resume);
+        if (resume->has_rec) gather = resume->rec;
+        t_start = resume->step;
+        resumed = true;
+        util::info("shot " + std::to_string(a.job) + ": resuming from step " +
+                   std::to_string(t_start));
+      } else {
+        ckpt.remove_all();  // another attempt's leftovers
+      }
     }
+  } catch (const resilience::CheckpointMismatchError&) {
+    // A different rung/config wrote it; it cannot seed this attempt.
+    ckpt.remove_all();
+  } catch (const io::CorruptFileError& e) {
+    util::warn(std::string("discarding unusable shot checkpoint: ") +
+               e.what());
+    ckpt.remove_all();
   }
 
-  Watchdog wd(barrier ? spec.watchdog_ms : 0.0, now_ms);
+  Watchdog wd(spec.watchdog_ms, now_ms);
   ShotAux aux;
   aux.shot = a.job;
   aux.level = a.level;
@@ -248,10 +243,18 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   const resilience::AuxBlob aux_blob{
       kShotAuxName,
       resilience::aux_pack_versioned(kShotAuxMagic, kShotAuxVersion, aux)};
+  // Save at the first callback that reaches the next multiple of
+  // ckpt_every: every multiple on a barrier rung, the first band end at or
+  // past it on a temporally blocked one.
+  const auto next_multiple = [&](int t) {
+    return (t / spec.ckpt_every + 1) * spec.ckpt_every;
+  };
+  int ckpt_due = spec.ckpt_every > 0 ? next_multiple(t_start) : nt;
   const auto on_step = [&](int t) {
     wd.beat(t);
-    if (spec.ckpt_every <= 0 || t % spec.ckpt_every != 0 || t >= nt) return;
-    // Barrier callback: save the live slices and gather, no copy.
+    if (t < ckpt_due || t >= nt) return;
+    ckpt_due = next_multiple(t);
+    // Save the live slices and gather, no copy.
     resilience::CheckpointView ck = prop.state_view(t, fp, &gather);
     ck.aux = {&aux_blob, 1};
     try {
@@ -265,15 +268,10 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
     }
   };
 
-  physics::RunStats stats;
-  wd.start();
-  if (barrier) {
-    stats = t_start >= 0
-                ? prop.run_from(t_start, rung.sched, src, &gather, on_step)
-                : prop.run(rung.sched, src, &gather, on_step);
-  } else {
-    stats = prop.run(rung.sched, src, &gather);
-  }
+  wd.start(t_start);
+  const physics::RunStats stats =
+      resumed ? prop.run_from(t_start, rung.sched, src, &gather, on_step)
+              : prop.run(rung.sched, src, &gather, on_step);
 
   // Commit the gather atomically *before* the Done record is journaled:
   // once the queue says done, the bytes are on disk under their final name.

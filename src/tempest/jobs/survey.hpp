@@ -29,9 +29,14 @@ struct SurveySpec {
   bool use_jit = false;
 
   std::string jobs_dir = "survey_jobs";  ///< journal + checkpoints + gathers
-  int ckpt_every = 20;     ///< checkpoint cadence on barrier rungs (steps)
+  /// Checkpoint cadence (steps, 0 = off): a shot saves at the first step
+  /// callback that reaches each multiple — the multiple itself on barrier
+  /// rungs, the first band end at or past it on temporally blocked ones.
+  int ckpt_every = 20;
   int health_every = 8;    ///< NaN/blow-up scan cadence (0 = off)
-  double watchdog_ms = 0.0;  ///< per-step deadline on barrier rungs (0 = off)
+  /// Watchdog deadline per timestep (0 = off): a beat covering k steps
+  /// (one per barrier step, tile_t per band end) is allowed k × this.
+  double watchdog_ms = 0.0;
 
   /// Shot retry policy; run_survey() applies $TEMPEST_JOB_RETRIES /
   /// $TEMPEST_JOB_RETRY_BASE_MS on top (environment wins).
@@ -70,11 +75,12 @@ struct SurveyRung {
 
 /// Run (or resume) the survey described by `spec`. Creates jobs_dir,
 /// replays its journal when one exists, re-enters interrupted shots from
-/// their mid-shot checkpoints (barrier rungs) or from scratch (temporally
-/// blocked rungs — deterministic, so the gathers still match bitwise), and
-/// drives every shot to Done or Quarantined under the retry/degradation
-/// policy. On full success the journal and checkpoints are removed; the
-/// gathers and the report remain.
+/// their mid-shot checkpoints on every rung (resumed gathers match an
+/// uninterrupted run bitwise), and drives every shot to Done or
+/// Quarantined under the retry/degradation policy. Every rung runs the same
+/// step callback: it beats the watchdog and saves on the ckpt_every rule.
+/// On full success the journal and checkpoints are removed; the gathers
+/// and the report remain.
 ///
 /// Telemetry: every attempt runs under a crash-persistent flight recorder
 /// at <jobs_dir>/blackbox/shot_<k>.tfbr (retained on degrade/quarantine,

@@ -63,18 +63,15 @@ double triad_bandwidth_gbps(std::size_t bytes, int repetitions) {
 
 double fma_peak_gflops(int repetitions) {
   TEMPEST_REQUIRE(repetitions > 0);
-  // Wide independent accumulator bank that keeps every lane's dependency
-  // chain short. Under -ffp-contract=off each update is a multiply plus an
-  // add, not an FMA: the right ceiling for kernels built the same way.
-  constexpr int kLanes = 64;
-  alignas(64) float acc[kLanes];
-  alignas(64) float mul[kLanes];
-  alignas(64) float add[kLanes];
-  for (int i = 0; i < kLanes; ++i) {
-    acc[i] = 0.5f + 1e-6f * static_cast<float>(i);
-    mul[i] = 0.999999f;
-    add[i] = 1e-7f * static_cast<float>(i + 1);
-  }
+  // A bank of 64 independent lanes keeps every lane's dependency chain
+  // short. The lanes live in four 16-float vector variables, which the
+  // compiler keeps in registers across the loop (a lane array indexed
+  // inside the worker lambda goes through the stack every iteration).
+  // Under -ffp-contract=off each update is a multiply plus an add, not an
+  // FMA: the right ceiling for kernels built the same way.
+  using Vec = float __attribute__((vector_size(64)));
+  constexpr int kWidth = static_cast<int>(sizeof(Vec) / sizeof(float));
+  constexpr int kLanes = 4 * kWidth;
 
   const int threads = util::resolve_threads();
 
@@ -88,14 +85,31 @@ double fma_peak_gflops(int repetitions) {
   for (int rep = 0; rep < repetitions;) {
     util::Timer t;
     util::parallel_for(threads, threads, [&](int part) {
-      alignas(64) float lane[kLanes];
-      std::copy(acc, acc + kLanes, lane);
+      Vec a0, a1, a2, a3, d0, d1, d2, d3;
+      Vec mul;
+      for (int i = 0; i < kWidth; ++i) {
+        // Lane l = v * kWidth + i of vector v starts at 0.5 + 1e-6 l and
+        // adds 1e-7 (l + 1) per iteration.
+        const float l = static_cast<float>(i);
+        const float w = static_cast<float>(kWidth);
+        a0[i] = 0.5f + 1e-6f * l;
+        a1[i] = 0.5f + 1e-6f * (l + w);
+        a2[i] = 0.5f + 1e-6f * (l + 2.0f * w);
+        a3[i] = 0.5f + 1e-6f * (l + 3.0f * w);
+        d0[i] = 1e-7f * (l + 1.0f);
+        d1[i] = 1e-7f * (l + w + 1.0f);
+        d2[i] = 1e-7f * (l + 2.0f * w + 1.0f);
+        d3[i] = 1e-7f * (l + 3.0f * w + 1.0f);
+        mul[i] = 0.999999f;
+      }
       for (long it = 0; it < iters; ++it) {
-#pragma omp simd aligned(lane, mul, add : 64)
-        for (int i = 0; i < kLanes; ++i) lane[i] = lane[i] * mul[i] + add[i];
+        a0 = a0 * mul + d0;
+        a1 = a1 * mul + d1;
+        a2 = a2 * mul + d2;
+        a3 = a3 * mul + d3;
       }
       float local = 0.0f;
-      for (int i = 0; i < kLanes; ++i) local += lane[i];
+      for (int i = 0; i < kWidth; ++i) local += a0[i] + a1[i] + a2[i] + a3[i];
       sums[static_cast<std::size_t>(part)] = local;
     });
     const double secs = t.seconds();

@@ -40,23 +40,6 @@ namespace tempest::perf {
   return 9.0 * 3.0 * r + 15.0 + 9.0 * 3.0 * r + 36.0;
 }
 
-/// Minimum per-point DRAM traffic (bytes) of a perfectly cached sweep:
-/// every live field streamed once per timestep. Used as the AI denominator
-/// for the *ideal* roofline position; the cache simulator provides the
-/// measured one.
-[[nodiscard]] constexpr double acoustic_stream_bytes_per_point() {
-  // read u(t), u(t-1), m, damp; write u(t+1): 5 x 4 bytes.
-  return 5.0 * 4.0;
-}
-[[nodiscard]] constexpr double tti_stream_bytes_per_point() {
-  // read p,q (x2 time levels), m, damp, 6 dyad fields, ah, an; write p,q.
-  return (4.0 + 2.0 + 8.0 + 2.0) * 4.0;
-}
-[[nodiscard]] constexpr double elastic_stream_bytes_per_point() {
-  // 9 wavefields read+written, lam, mu, b, damp read.
-  return (9.0 * 2.0 + 4.0) * 4.0;
-}
-
 /// Throughput in giga grid-points per second.
 [[nodiscard]] constexpr double gpoints_per_s(long long points,
                                              double seconds) {

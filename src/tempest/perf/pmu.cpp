@@ -180,22 +180,6 @@ double Sample::ipc() const {
              : 0.0;
 }
 
-double Sample::l1d_miss_ratio() const {
-  if (!valid(Event::L1dLoads) || !valid(Event::L1dMisses)) return 0.0;
-  const long long loads = (*this)[Event::L1dLoads];
-  return loads > 0 ? static_cast<double>((*this)[Event::L1dMisses]) /
-                         static_cast<double>(loads)
-                   : 0.0;
-}
-
-double Sample::llc_miss_ratio() const {
-  if (!valid(Event::LlcLoads) || !valid(Event::LlcMisses)) return 0.0;
-  const long long loads = (*this)[Event::LlcLoads];
-  return loads > 0 ? static_cast<double>((*this)[Event::LlcMisses]) /
-                         static_cast<double>(loads)
-                   : 0.0;
-}
-
 double Sample::l2_bytes(int line_bytes) const {
   if (!valid(Event::L1dMisses)) return 0.0;
   return static_cast<double>((*this)[Event::L1dMisses]) * line_bytes;

@@ -78,9 +78,6 @@ struct Sample {
 
   /// Instructions per cycle; 0 when either event is unmeasured.
   [[nodiscard]] double ipc() const;
-  /// L1d / LLC read miss ratios; 0 when unmeasured.
-  [[nodiscard]] double l1d_miss_ratio() const;
-  [[nodiscard]] double llc_miss_ratio() const;
   /// Measured line traffic at a hierarchy boundary: misses x line size.
   /// l2_bytes approximates L1<->L2 fill traffic, dram_bytes the LLC<->DRAM
   /// fill traffic (write-backs are not counted: a known, documented

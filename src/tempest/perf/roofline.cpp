@@ -25,15 +25,6 @@ double attainable(double peak, double bw, double ai) {
 double Roofline::attainable_dram(double ai) const {
   return attainable(m_.peak_gflops, m_.dram_gbps, ai);
 }
-double Roofline::attainable_l3(double ai) const {
-  return attainable(m_.peak_gflops, m_.l3_gbps, ai);
-}
-double Roofline::attainable_l2(double ai) const {
-  return attainable(m_.peak_gflops, m_.l2_gbps, ai);
-}
-double Roofline::attainable_l1(double ai) const {
-  return attainable(m_.peak_gflops, m_.l1_gbps, ai);
-}
 
 double Roofline::dram_ridge() const {
   TEMPEST_REQUIRE(m_.dram_gbps > 0.0);

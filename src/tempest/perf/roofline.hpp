@@ -18,8 +18,8 @@ struct RooflinePoint {
 };
 
 /// Cache-aware roofline model (paper Fig. 11): bandwidth ceilings per memory
-/// level plus the compute peak. attainable() evaluates
-/// min(peak, ai * bandwidth(level)).
+/// level plus the compute peak. attainable_dram() evaluates
+/// min(peak, ai * DRAM bandwidth).
 class Roofline {
  public:
   explicit Roofline(MachineCeilings ceilings) : m_(ceilings) {}
@@ -27,9 +27,6 @@ class Roofline {
   [[nodiscard]] const MachineCeilings& ceilings() const { return m_; }
 
   [[nodiscard]] double attainable_dram(double ai) const;
-  [[nodiscard]] double attainable_l3(double ai) const;
-  [[nodiscard]] double attainable_l2(double ai) const;
-  [[nodiscard]] double attainable_l1(double ai) const;
 
   /// AI at which the DRAM roof meets the compute peak (the ridge point).
   [[nodiscard]] double dram_ridge() const;

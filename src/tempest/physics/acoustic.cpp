@@ -232,15 +232,6 @@ AcousticPropagator::AcousticPropagator(const AcousticModel& model,
                       "model fields must carry halo == stencil radius");
 }
 
-RunStats AcousticPropagator::run(Schedule sched,
-                                 const sparse::SparseTimeSeries& src,
-                                 sparse::SparseTimeSeries* rec,
-                                 const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  u_.fill(real_t{0});
-  return run_from(AcousticKernel::kFirstStep, sched, src, rec, on_step);
-}
-
 RunStats AcousticPropagator::run_from(int t_begin, Schedule sched,
                                       const sparse::SparseTimeSeries& src,
                                       sparse::SparseTimeSeries* rec,

@@ -43,19 +43,6 @@ class AcousticPropagator
  public:
   AcousticPropagator(const AcousticModel& model, PropagatorOptions opts = {});
 
-  /// Called after timestep `t_done` is fully computed (stencil + sparse
-  /// operators); wavefield(t_done) is then valid. Used by time-stepping
-  /// consumers such as RTM snapshotting. Only meaningful for schedules with
-  /// a global time barrier (see core::engine::StepCallback).
-  using StepCallback = physics::StepCallback;
-
-  /// Propagate `src` for src.nt() timesteps, recording into `rec` if
-  /// non-null (rec->nt() must be >= src.nt()). The model passed at
-  /// construction must outlive the propagator.
-  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
-               sparse::SparseTimeSeries* rec = nullptr,
-               const StepCallback& on_step = {});
-
   /// Resume a run whose timesteps < t_begin are already computed: neither
   /// the wavefield buffer nor `rec` is zeroed, and the time loop starts at
   /// t_begin. Seed the state with restore() from a checkpoint captured at
@@ -67,7 +54,8 @@ class AcousticPropagator
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  // state_view() / capture() / restore(): see core::engine::Checkpointable.
+  // run() / state_view() / capture() / restore(): see
+  // core::engine::Checkpointable.
 
   /// Wavefield at logical timestep t of the last run (only the last three
   /// timesteps are live in the circular buffer).

@@ -351,16 +351,6 @@ ElasticPropagator::ElasticPropagator(const ElasticModel& model,
   TEMPEST_REQUIRE(opts_.tiles.valid());
 }
 
-RunStats ElasticPropagator::run(Schedule sched,
-                                const sparse::SparseTimeSeries& src,
-                                sparse::SparseTimeSeries* rec,
-                                const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  for (auto* g : {&vx_, &vy_, &vz_, &txx_, &tyy_, &tzz_, &txy_, &txz_, &tyz_})
-    g->fill(real_t{0});
-  return run_from(ElasticKernel::kFirstStep, sched, src, rec, on_step);
-}
-
 RunStats ElasticPropagator::run_from(int t_begin, Schedule sched,
                                      const sparse::SparseTimeSeries& src,
                                      sparse::SparseTimeSeries* rec,

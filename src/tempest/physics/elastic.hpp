@@ -37,19 +37,16 @@ class ElasticPropagator
   ElasticPropagator(const ElasticModel& model, PropagatorOptions opts = {});
 
   /// Uniform propagator surface (see AcousticPropagator for the contract):
-  /// all four schedules, per-step callbacks on barrier schedules, and
-  /// checkpoint/resume via run_from()/capture()/restore(). First-order in
-  /// time, so propagation starts at t = 0 and run() is run_from(0, ...).
-  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
-               sparse::SparseTimeSeries* rec = nullptr,
-               const StepCallback& on_step = {});
-
+  /// all four schedules with step callbacks, and checkpoint/resume via
+  /// run_from()/capture()/restore(). First-order in time, so propagation
+  /// starts at t = 0 and run() is run_from(0, ...).
   RunStats run_from(int t_begin, Schedule sched,
                     const sparse::SparseTimeSeries& src,
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  // state_view() / capture() / restore(): see core::engine::Checkpointable.
+  // run() / state_view() / capture() / restore(): see
+  // core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& vx() const { return vx_; }
   [[nodiscard]] const grid::Grid3<real_t>& vy() const { return vy_; }

@@ -335,16 +335,6 @@ TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
   });
 }
 
-RunStats TTIPropagator::run(Schedule sched,
-                            const sparse::SparseTimeSeries& src,
-                            sparse::SparseTimeSeries* rec,
-                            const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  p_.fill(real_t{0});
-  q_.fill(real_t{0});
-  return run_from(TTIKernel::kFirstStep, sched, src, rec, on_step);
-}
-
 RunStats TTIPropagator::run_from(int t_begin, Schedule sched,
                                  const sparse::SparseTimeSeries& src,
                                  sparse::SparseTimeSeries* rec,

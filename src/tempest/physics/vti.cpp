@@ -232,16 +232,6 @@ VTIPropagator::VTIPropagator(const TTIModel& model, PropagatorOptions opts)
   });
 }
 
-RunStats VTIPropagator::run(Schedule sched,
-                            const sparse::SparseTimeSeries& src,
-                            sparse::SparseTimeSeries* rec,
-                            const StepCallback& on_step) {
-  if (rec != nullptr) rec->zero();
-  p_.fill(real_t{0});
-  q_.fill(real_t{0});
-  return run_from(VTIKernel::kFirstStep, sched, src, rec, on_step);
-}
-
 RunStats VTIPropagator::run_from(int t_begin, Schedule sched,
                                  const sparse::SparseTimeSeries& src,
                                  sparse::SparseTimeSeries* rec,

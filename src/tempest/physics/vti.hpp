@@ -33,18 +33,15 @@ class VTIPropagator
   VTIPropagator(const TTIModel& model, PropagatorOptions opts = {});
 
   /// Uniform propagator surface (see AcousticPropagator for the contract):
-  /// all four schedules, per-step callbacks on barrier schedules, and
-  /// checkpoint/resume via run_from()/capture()/restore().
-  RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
-               sparse::SparseTimeSeries* rec = nullptr,
-               const StepCallback& on_step = {});
-
+  /// all four schedules with step callbacks, and checkpoint/resume via
+  /// run_from()/capture()/restore().
   RunStats run_from(int t_begin, Schedule sched,
                     const sparse::SparseTimeSeries& src,
                     sparse::SparseTimeSeries* rec = nullptr,
                     const StepCallback& on_step = {});
 
-  // state_view() / capture() / restore(): see core::engine::Checkpointable.
+  // run() / state_view() / capture() / restore(): see
+  // core::engine::Checkpointable.
 
   [[nodiscard]] const grid::Grid3<real_t>& wavefield_p(int t) const {
     return p_.at(t);

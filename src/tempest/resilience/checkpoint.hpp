@@ -60,7 +60,7 @@ using AuxBlob = std::pair<std::string, std::vector<std::uint8_t>>;
 
 /// Non-owning view of the state a checkpoint persists — what
 /// Checkpointer::save writes from. Propagators hand out views of their live
-/// time slices (`state_view()`), so a save at a global barrier streams the
+/// time slices (`state_view()`), so a save from a step callback streams the
 /// wavefield straight to disk without first copying it; an owning
 /// Checkpoint converts to a view of its own storage. Every pointer must
 /// stay valid, and the slices unmodified, until save() returns.

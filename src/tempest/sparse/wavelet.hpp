@@ -15,10 +15,4 @@ namespace tempest::sparse {
 [[nodiscard]] std::vector<real_t> ricker(int nt, double dt, double f0,
                                          double t0 = -1.0);
 
-/// First derivative of a Gaussian; an alternative wavelet used in tests to
-/// show the pipeline is signature-agnostic.
-[[nodiscard]] std::vector<real_t> gaussian_derivative(int nt, double dt,
-                                                      double f0,
-                                                      double t0 = -1.0);
-
 }  // namespace tempest::sparse

@@ -32,13 +32,6 @@ template <typename T>
   return acc;
 }
 
-/// First derivative along `dim` with centred weights (unit spacing).
-template <typename T>
-[[nodiscard]] double first_deriv(const grid::Grid3<T>& f, const Coeffs& c,
-                                 int dim, int x, int y, int z) {
-  return second_deriv(f, c, dim, x, y, z);  // same gather, different weights
-}
-
 /// Mixed second derivative d²f/(dxi dxj) via the tensor product of two
 /// centred first-derivative stencils (the cross stencil that makes rotated
 /// TTI Laplacians so expensive). Requires i != j.

@@ -25,9 +25,4 @@ double tti_dt(double h, double c_max, int space_order, double max_eps,
   return acoustic_dt(h, c_max, space_order, safety) / aniso;
 }
 
-int steps_for(double time_ms, double dt_ms) {
-  TEMPEST_REQUIRE(time_ms > 0.0 && dt_ms > 0.0);
-  return static_cast<int>(std::ceil(time_ms / dt_ms));
-}
-
 }  // namespace tempest::stencil

@@ -25,7 +25,4 @@ namespace tempest::stencil {
                             double max_eps, double max_delta,
                             double safety = 0.9);
 
-/// Number of steps to propagate `time_ms` milliseconds at timestep dt_ms.
-[[nodiscard]] int steps_for(double time_ms, double dt_ms);
-
 }  // namespace tempest::stencil

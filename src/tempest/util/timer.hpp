@@ -24,12 +24,4 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Run `fn` once and return its wall time in seconds.
-template <typename Fn>
-double timed(Fn&& fn) {
-  Timer t;
-  fn();
-  return t.seconds();
-}
-
 }  // namespace tempest::util

@@ -1,16 +1,20 @@
 // Cross-cutting coverage: edge cases and behaviours that the per-module
-// suites don't reach — snapshot callbacks, anisotropic extents, reflective
-// boundaries, interpreter physics, generated-code variants, IR pass
-// orderings, and trace/cachesim scaling.
+// suites don't reach — step callbacks on every schedule, anisotropic
+// extents, reflective boundaries, interpreter physics, generated-code
+// variants, IR pass orderings, and trace/cachesim scaling.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "tempest/cachesim/instrumented_acoustic.hpp"
 #include "tempest/codegen/jit.hpp"
+#include "tempest/core/tile_plan.hpp"
 #include "tempest/dsl/interpreter.hpp"
 #include "tempest/dsl/operator.hpp"
 #include "tempest/dsl/passes.hpp"
@@ -73,12 +77,50 @@ TEST(Snapshots, CallbackSeesCurrentWavefield) {
   EXPECT_LT(tg::max_abs(snaps.front()), 1e-3 * tg::max_abs(snaps.back()));
 }
 
-TEST(Snapshots, RejectedUnderTemporalBlocking) {
+// Under temporal blocking the callback runs at the band ends of the run's
+// tile plan, in order, ending at nt; there the wavefield is exactly the
+// space-blocked run's wavefield at the same step.
+TEST(Snapshots, CallbackRunsAtBandEndsUnderTemporalBlocking) {
   const auto model = small_model({16, 14, 12});
-  const auto src = center_src(model, 8);
-  ph::AcousticPropagator p(model);
-  EXPECT_THROW(p.run(ph::Schedule::Wavefront, src, nullptr, [](int) {}),
-               tempest::util::PreconditionError);
+  const int nt = 20;
+  const auto src = center_src(model, nt, /*f0=*/0.05);
+  ph::PropagatorOptions opts;
+  opts.tiles = tc::TileSpec{5, 8, 8, 4, 4};
+
+  std::map<int, tg::Grid3<real_t>> want;
+  ph::AcousticPropagator base(model, opts);
+  base.run(ph::Schedule::SpaceBlocked, src, nullptr,
+           [&](int t_done) { want.emplace(t_done, base.wavefield(t_done)); });
+
+  const tg::Extents3 e = model.geom.extents;
+  const int radius = model.geom.radius();
+  tc::DiamondSpec dspec;
+  dspec.height = opts.tiles.tile_t;
+  dspec.width = std::max(opts.tiles.tile_x, 2 * radius * dspec.height);
+  dspec.block_x = opts.tiles.block_x;
+  dspec.block_y = opts.tiles.block_y;
+  for (const ph::Schedule sched :
+       {ph::Schedule::Wavefront, ph::Schedule::Diamond}) {
+    SCOPED_TRACE(ph::to_string(sched));
+    // Acoustic takes one substep per step and starts at step 1.
+    const tc::TilePlan plan =
+        sched == ph::Schedule::Wavefront
+            ? tc::TilePlan::wavefront(e, 1, nt, radius, opts.tiles)
+            : tc::TilePlan::diamond(e, 1, nt, radius, dspec);
+    std::vector<int> band_ends;
+    for (const tc::TileBand& band : plan.bands) band_ends.push_back(band.te);
+    ASSERT_GE(band_ends.size(), 3u);
+    ASSERT_EQ(band_ends.back(), nt);
+
+    ph::AcousticPropagator p(model, opts);
+    std::vector<int> seen;
+    p.run(sched, src, nullptr, [&](int t_done) {
+      seen.push_back(t_done);
+      EXPECT_EQ(tg::max_abs_diff(p.wavefield(t_done), want.at(t_done)), 0.0)
+          << "t_done=" << t_done;
+    });
+    EXPECT_EQ(seen, band_ends);
+  }
 }
 
 TEST(Acoustic, StronglyAnisotropicExtentsUnderAllSchedules) {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "tempest/core/tile_plan.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/physics/acoustic.hpp"
+#include "tempest/physics/elastic.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
 
@@ -175,17 +179,56 @@ TEST(DiamondAcoustic, AutoWidensNarrowTiles) {
   EXPECT_EQ(tg::max_abs_diff(u_base, diam.wavefield(nt)), 0.0);
 }
 
-TEST(DiamondAcoustic, StepCallbackRejectedUnderDiamond) {
-  // Diamond is legal for every physics (schedule_matrix_test covers the
-  // cross-kernel equivalence); what stays illegal is a per-timestep
-  // callback, since no global time barrier exists under temporal blocking.
-  const tg::Extents3 e{16, 16, 16};
+TEST(DiamondElastic, StepCallbackRunsAtBandEnds) {
+  // Two substeps per step: the callback sees the substep plan's band ends
+  // divided by S = 2, in order, ending at nt, and the whole live state
+  // there is the space-blocked run's state at that step, bit for bit.
+  constexpr int S = 2;
+  const tg::Extents3 e{16, 14, 12};
   ph::Geometry g{e, 10.0, 4, 4};
-  const auto model = ph::make_acoustic_layered(g);
-  const int nt = 8;
+  const auto model = ph::make_elastic_layered(g, 1.5, 3.0, 3);
+  const int nt = 14;
   sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), nt);
   src.broadcast_signature(sp::ricker(nt, model.critical_dt(), 0.02));
-  ph::AcousticPropagator p(model);
-  EXPECT_THROW(p.run(ph::Schedule::Diamond, src, nullptr, [](int) {}),
-               tempest::util::PreconditionError);
+  ph::PropagatorOptions opts;
+  opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};
+
+  const auto live = [](const ph::ElasticPropagator& p, int t) {
+    std::vector<tg::Grid3<real_t>> out;
+    for (const tg::Grid3<real_t>* s : p.state_view(t, 0).slots) {
+      out.push_back(*s);
+    }
+    return out;
+  };
+  std::map<int, std::vector<tg::Grid3<real_t>>> want;
+  ph::ElasticPropagator base(model, opts);
+  base.run(ph::Schedule::SpaceBlocked, src, nullptr,
+           [&](int t_done) { want.emplace(t_done, live(base, t_done)); });
+
+  tc::DiamondSpec dspec;
+  dspec.height = S * opts.tiles.tile_t;
+  dspec.width =
+      std::max(opts.tiles.tile_x, 2 * model.geom.radius() * dspec.height);
+  dspec.block_x = opts.tiles.block_x;
+  dspec.block_y = opts.tiles.block_y;
+  const tc::TilePlan plan =
+      tc::TilePlan::diamond(e, 0, S * nt, model.geom.radius(), dspec);
+  std::vector<int> band_ends;
+  for (const tc::TileBand& band : plan.bands) band_ends.push_back(band.te / S);
+  ASSERT_GE(band_ends.size(), 3u);
+  ASSERT_EQ(band_ends.back(), nt);
+
+  ph::ElasticPropagator p(model, opts);
+  std::vector<int> seen;
+  p.run(ph::Schedule::Diamond, src, nullptr, [&](int t_done) {
+    seen.push_back(t_done);
+    const auto got = live(p, t_done);
+    const auto& ref = want.at(t_done);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(tg::max_abs_diff(got[i], ref[i]), 0.0)
+          << "t_done=" << t_done << " slice " << i;
+    }
+  });
+  EXPECT_EQ(seen, band_ends);
 }

@@ -81,17 +81,6 @@ TEST(Grid3, StridesMatchLayout) {
   EXPECT_EQ(g.origin()[1 * g.stride_x() + 2 * g.stride_y() + 3], 9.0f);
 }
 
-TEST(Grid3, FillHaloKeepsInterior) {
-  tg::Grid3<float> g({3, 3, 3}, 2, 1.0f);
-  g.fill(1.0f);
-  g.fill_halo(0.0f);
-  g.for_each_interior(
-      [&](int x, int y, int z) { EXPECT_EQ(g(x, y, z), 1.0f); });
-  EXPECT_EQ(g(-1, 0, 0), 0.0f);
-  EXPECT_EQ(g(0, 4, 0), 0.0f);
-  EXPECT_EQ(g(0, 0, -2), 0.0f);
-}
-
 TEST(Grid3, MaxAbsDiffAndMaxAbs) {
   tg::Grid3<float> a({3, 3, 3}, 0, 1.0f);
   tg::Grid3<float> b({3, 3, 3}, 0, 1.0f);
@@ -142,15 +131,6 @@ TEST(Blocks, CoverageExactNoOverlap) {
   }
   EXPECT_EQ(total, dom.volume());
   EXPECT_EQ(seen.size(), 70u);
-}
-
-TEST(Blocks, ForEachMatchesDecompose) {
-  const tg::Box3 dom{{2, 9}, {1, 8}, {0, 4}};
-  const auto blocks = tg::decompose_xy(dom, 3, 5);
-  std::vector<tg::Box3> streamed;
-  tg::for_each_block_xy(dom, 3, 5,
-                        [&](const tg::Box3& b) { streamed.push_back(b); });
-  EXPECT_EQ(blocks, streamed);
 }
 
 TEST(Blocks, RejectsNonPositive) {

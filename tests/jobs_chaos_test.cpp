@@ -37,11 +37,15 @@ std::string self_path() {
 void expect_bit_identical_recovery(const std::string& schedule,
                                    const std::string& physics,
                                    bool corrupt = false,
-                                   std::uint64_t seed = 7) {
+                                   std::uint64_t seed = 7, int steps = 30) {
   jb::ChaosSpec spec;
   spec.worker_args = {
-      "--size=18",    "--steps=30",          "--shots=3",
-      "--so=4",       "--physics=" + physics, "--schedule=" + schedule,
+      "--size=18",
+      "--steps=" + std::to_string(steps),
+      "--shots=3",
+      "--so=4",
+      "--physics=" + physics,
+      "--schedule=" + schedule,
       "--ckpt-every=6",
   };
   spec.root = "/tmp/tempest_chaos_test_" + std::to_string(::getpid()) + "_" +
@@ -60,10 +64,10 @@ void expect_bit_identical_recovery(const std::string& schedule,
 
 }  // namespace
 
-// --- Every schedule, acoustic. Barrier schedules (reference,
-// space-blocked) resume mid-shot from their checkpoints; temporally
-// blocked schedules (wavefront, diamond) restart the in-flight shot from
-// scratch — both must reproduce the gathers bitwise. ---
+// --- Every schedule, acoustic. Every schedule resumes the in-flight shot
+// from its newest checkpoint: barrier schedules save at each ckpt-every
+// step, temporally blocked ones (wavefront, diamond) at the first band end
+// past it — all must reproduce the gathers bitwise. ---
 
 TEST(JobsChaos, AcousticReference) {
   expect_bit_identical_recovery("reference", "acoustic");
@@ -106,6 +110,16 @@ TEST(JobsChaos, ElasticDiamond) {
 TEST(JobsChaos, CorruptedCheckpointFallsBackToRotatedGeneration) {
   expect_bit_identical_recovery("space-blocked", "acoustic",
                                 /*corrupt=*/true, /*seed=*/11);
+}
+
+// The same on a wave-front rung. A shot ticks once per 8-step band, so 60
+// steps give the seeded kills room past the first band ends, where the
+// shot has saved checkpoints: under seed 10 the restarts resume shot 0
+// from steps 9 and 25, and the bit-flipped step-25 checkpoint sends the
+// next restart to its rotated step-17 predecessor.
+TEST(JobsChaos, CorruptedWavefrontCheckpointFallsBackToRotatedGeneration) {
+  expect_bit_identical_recovery("wavefront", "acoustic", /*corrupt=*/true,
+                                /*seed=*/10, /*steps=*/60);
 }
 
 int main(int argc, char** argv) {

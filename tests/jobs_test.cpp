@@ -410,7 +410,7 @@ TEST(Watchdog, ThrowsWhenAStepExceedsTheDeadline) {
   double now = 0.0;
   jb::Watchdog wd(100.0, [&] { return now; });
   ASSERT_TRUE(wd.enabled());
-  wd.start();
+  wd.start(0);
   now = 50.0;
   EXPECT_NO_THROW(wd.beat(1));
   now = 140.0;  // 90 ms gap: within deadline
@@ -419,11 +419,30 @@ TEST(Watchdog, ThrowsWhenAStepExceedsTheDeadline) {
   EXPECT_THROW(wd.beat(3), jb::WatchdogTimeoutError);
 }
 
+// A temporally blocked run beats once per band: a beat covering k steps
+// is allowed k deadlines, counted from the previous beat or, for the
+// first beat, from the run's first step.
+TEST(Watchdog, BeatCoveringKStepsIsAllowedKDeadlines) {
+  double now = 0.0;
+  jb::Watchdog wd(100.0, [&] { return now; });
+  wd.start(1);      // the run computes steps 1, 2, ...
+  now = 799.0;      // band [1, 9): k = 8, 800 ms allowed
+  EXPECT_NO_THROW(wd.beat(9));
+  now += 801.0;     // band [9, 17): k = 8, 801 ms is just over
+  EXPECT_THROW(wd.beat(17), jb::WatchdogTimeoutError);
+  now += 299.0;     // short last band [17, 20): k = 3, 300 ms allowed
+  EXPECT_NO_THROW(wd.beat(20));
+
+  wd.start(20);     // a resumed run counts from its own first step
+  now += 301.0;
+  EXPECT_THROW(wd.beat(23), jb::WatchdogTimeoutError);
+}
+
 TEST(Watchdog, DisabledWatchdogNeverFires) {
   double now = 0.0;
   jb::Watchdog wd(0.0, [&] { return now; });
   EXPECT_FALSE(wd.enabled());
-  wd.start();
+  wd.start(0);
   now = 1e12;
   EXPECT_NO_THROW(wd.beat(1));
 }

@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -405,6 +406,48 @@ TEST(FlushedRun, CallerModeKeptWhenTheRunThrows) {
         << schedule_name(sched);
     rs::fault::reset();
     EXPECT_EQ(tu::fp_mode(), mode) << schedule_name(sched);
+  }
+}
+
+// A wave-front run killed at a band end and resumed at another thread count
+// continues the uninterrupted serial run bit for bit: at a band end every
+// earlier timestep is complete and its receiver rows are reduced, whichever
+// worker computed each tile.
+TEST(ResumeAcrossThreads, WavefrontKilledAtBandEndResumesAt2Threads) {
+  const SurveyShot shot;
+  ph::AcousticPropagator ref(shot.model, shot.options(1));
+  sp::SparseTimeSeries rec_ref = shot.rec;
+  ref.run(ph::Schedule::Wavefront, shot.src, &rec_ref);
+
+  struct Killed {};
+  std::optional<rs::Checkpoint> saved;
+  {
+    // Killed at the band end at or past step 24 (4-step bands from step 1
+    // end at 5, 9, ..., 25), on an oversubscribed 8-thread pool.
+    ph::AcousticPropagator first(shot.model, shot.options(8));
+    sp::SparseTimeSeries rec = shot.rec;
+    EXPECT_THROW(first.run(ph::Schedule::Wavefront, shot.src, &rec,
+                           [&](int t_done) {
+                             if (t_done < 24) return;
+                             saved.emplace(first.capture(t_done, 0, &rec));
+                             throw Killed{};
+                           }),
+                 Killed);
+  }
+  ASSERT_TRUE(saved.has_value());
+  EXPECT_EQ(saved->step, 25);
+
+  ph::AcousticPropagator resumed(shot.model, shot.options(2));
+  resumed.restore(*saved);
+  sp::SparseTimeSeries rec = saved->rec;
+  resumed.run_from(saved->step, ph::Schedule::Wavefront, shot.src, &rec);
+
+  EXPECT_TRUE(same_bits(samples(rec), samples(rec_ref)));
+  const auto want = ref.state_view(SurveyShot::kNt, 0).slots;
+  const auto got = resumed.state_view(SurveyShot::kNt, 0).slots;
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(same_bits(cells(*want[i]), cells(*got[i]))) << "slice " << i;
   }
 }
 

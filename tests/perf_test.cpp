@@ -33,13 +33,6 @@ TEST(Metrics, ThroughputHelpers) {
   EXPECT_DOUBLE_EQ(pf::gflops(1'000'000'000ll, 50.0, 10.0), 5.0);
 }
 
-TEST(Metrics, StreamBytesSaneOrdering) {
-  EXPECT_LT(pf::acoustic_stream_bytes_per_point(),
-            pf::tti_stream_bytes_per_point());
-  EXPECT_LT(pf::tti_stream_bytes_per_point(),
-            pf::elastic_stream_bytes_per_point());
-}
-
 TEST(Metrics, FlopsPerPointByName) {
   EXPECT_DOUBLE_EQ(pf::flops_per_point("acoustic", 8),
                    pf::acoustic_flops_per_point(8));
@@ -69,8 +62,6 @@ TEST(Roofline, AttainableIsMinOfRoofs) {
   pf::Roofline r(m);
   EXPECT_DOUBLE_EQ(r.attainable_dram(1.0), 20.0);   // bandwidth-bound
   EXPECT_DOUBLE_EQ(r.attainable_dram(10.0), 100.0);  // compute-bound
-  EXPECT_DOUBLE_EQ(r.attainable_l3(0.5), 50.0);
-  EXPECT_DOUBLE_EQ(r.attainable_l1(0.1), 40.0);
   EXPECT_DOUBLE_EQ(r.dram_ridge(), 5.0);
 }
 

@@ -172,8 +172,6 @@ TEST(PmuSample, DerivedRatiosAndTraffic) {
   set(pmu::Event::LlcLoads, 100);
   set(pmu::Event::LlcMisses, 25);
   EXPECT_DOUBLE_EQ(s.ipc(), 2.5);
-  EXPECT_DOUBLE_EQ(s.l1d_miss_ratio(), 0.1);
-  EXPECT_DOUBLE_EQ(s.llc_miss_ratio(), 0.25);
   EXPECT_DOUBLE_EQ(s.l2_bytes(), 80.0 * 64);
   EXPECT_DOUBLE_EQ(s.dram_bytes(), 25.0 * 64);
   EXPECT_TRUE(s.hardware());

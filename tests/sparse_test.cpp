@@ -136,17 +136,6 @@ TEST(Wavelet, RickerZeroMeanAndDecay) {
   EXPECT_NEAR(w.back(), 0.0, 1e-6);  // fully decayed
 }
 
-TEST(Wavelet, GaussianDerivativeAntisymmetricAboutDelay) {
-  const double dt = 0.25, f0 = 0.012;
-  const double t0 = 1.5 / f0;
-  const auto w = sp::gaussian_derivative(2000, dt, f0);
-  const int i0 = static_cast<int>(t0 / dt);
-  for (int d = 1; d < 40; ++d) {
-    EXPECT_NEAR(w[static_cast<std::size_t>(i0 + d)],
-                -w[static_cast<std::size_t>(i0 - d)], 2e-2);
-  }
-}
-
 TEST(Series, LayoutAndBroadcast) {
   sp::SparseTimeSeries s({{1.5, 2.5, 3.5}, {4.5, 5.5, 6.5}}, 4);
   EXPECT_EQ(s.npoints(), 2);

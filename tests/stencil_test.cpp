@@ -221,13 +221,6 @@ TEST(Cfl, ElasticAndTtiTighterThanAcoustic) {
   EXPECT_LT(tti, a);
 }
 
-TEST(Cfl, StepsForCeil) {
-  EXPECT_EQ(ts::steps_for(512.0, 2.0), 256);
-  EXPECT_EQ(ts::steps_for(512.0, 2.25), 228);  // the paper's acoustic count
-  EXPECT_THROW((void)ts::steps_for(0.0, 1.0),
-               tempest::util::PreconditionError);
-}
-
 TEST(Cfl, ScalesWithVelocityAndSpacing) {
   EXPECT_NEAR(ts::acoustic_dt(20.0, 2.0, 4),
               2.0 * ts::acoustic_dt(10.0, 2.0, 4), 1e-12);

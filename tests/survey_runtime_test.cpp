@@ -1,10 +1,11 @@
 // Integration tests for the crash-tolerant survey runtime.
 //
 // The mid-shot kill-and-resume matrix covers all four physics kernels
-// (acoustic, TTI, VTI, elastic): a run killed at a checkpoint mid-shot and
-// resumed in a fresh propagator must reproduce the uninterrupted gather
-// *bitwise* — the property the process-level chaos harness then proves
-// across real SIGKILLs. The survey-level tests exercise the degradation
+// (acoustic, TTI, VTI, elastic) under space-blocked, wavefront and diamond:
+// a run killed at a checkpoint mid-shot and resumed in a fresh propagator
+// must reproduce the uninterrupted gather and final state *bitwise* — the
+// property the process-level chaos harness then proves across real
+// SIGKILLs. The survey-level tests exercise the degradation
 // ladder (an injected persistent JIT fault completes on the AOT rung,
 // reported as degraded — never failed), journal re-entry after a dead
 // process, and watchdog-driven quarantine when every rung is too slow.
@@ -37,6 +38,7 @@
 namespace jb = tempest::jobs;
 namespace ob = tempest::obs;
 namespace ph = tempest::physics;
+namespace tc = tempest::core;
 namespace rs = tempest::resilience;
 namespace sp = tempest::sparse;
 namespace tg = tempest::grid;
@@ -70,20 +72,27 @@ int TempDir::counter_ = 0;
 /// Thrown from a step callback to model the process dying mid-run.
 struct KillSignal {};
 
-/// The S4 contract, uniform across the propagator family: kill a barrier
-/// run at `kill_at` right after saving a checkpoint, resume in a *fresh*
-/// propagator (the restarted process), and require the recorded gather to
-/// match the uninterrupted run bit for bit.
+/// The S4 contract, uniform across the propagator family and the
+/// schedules: kill a run at its first step callback at or past `kill_at`
+/// (that step on space-blocked, the band end at or past it under wavefront
+/// and diamond) right after saving the live state through state_view,
+/// resume in a *fresh* propagator (the restarted process), and require the
+/// recorded gather and the final state to match the uninterrupted run of
+/// the same schedule bit for bit.
 template <typename Propagator, typename Model>
-void expect_kill_resume_bitwise(const Model& model, int nt, int kill_at) {
+void expect_kill_resume_bitwise(const Model& model, int nt, int kill_at,
+                                ph::Schedule sched) {
+  SCOPED_TRACE(ph::to_string(sched));
   const tg::Extents3 e = model.geom.extents;
   sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), nt);
   src.broadcast_signature(sp::ricker(nt, model.critical_dt(), 0.02));
   const sp::SparseTimeSeries rec_proto(sp::receiver_line(e, 4, 0.15, 3), nt);
+  ph::PropagatorOptions opts;
+  opts.tiles = tc::TileSpec{4, 8, 8, 4, 4};  // 4-step bands: >= 4 per run
 
-  Propagator ref(model);
+  Propagator ref(model, opts);
   auto rec_ref = rec_proto;
-  ref.run(ph::Schedule::SpaceBlocked, src, &rec_ref);
+  ref.run(sched, src, &rec_ref);
 
   rs::Fingerprint fp;
   fp.add(e.nx).add(e.ny).add(e.nz).add(model.geom.space_order).add(nt);
@@ -91,28 +100,35 @@ void expect_kill_resume_bitwise(const Model& model, int nt, int kill_at) {
   TempDir dir;
   std::filesystem::create_directories(dir.path());
   rs::Checkpointer ckpt(dir.path() + "/shot.tpck");
+  int killed_at = -1;
   {
-    Propagator first(model);
+    Propagator first(model, opts);
     auto rec = rec_proto;
     EXPECT_THROW(
-        first.run(ph::Schedule::SpaceBlocked, src, &rec,
+        first.run(sched, src, &rec,
                   [&](int t_done) {
-                    if (t_done == kill_at) {
-                      ckpt.save(first.capture(t_done, fp.value(), &rec));
+                    if (t_done >= kill_at) {
+                      ckpt.save(first.state_view(t_done, fp.value(), &rec));
+                      killed_at = t_done;
                       throw KillSignal{};  // the process "dies" here
                     }
                   }),
         KillSignal);
   }
+  ASSERT_GE(killed_at, kill_at);
+  ASSERT_LT(killed_at, nt);  // strictly inside the run
+  if (sched == ph::Schedule::SpaceBlocked) {
+    EXPECT_EQ(killed_at, kill_at);
+  }
 
-  Propagator resumed(model);
+  Propagator resumed(model, opts);
   const auto ck = ckpt.try_load(fp.value());
   ASSERT_TRUE(ck.has_value());
-  EXPECT_EQ(ck->step, kill_at);
+  EXPECT_EQ(ck->step, killed_at);
   ASSERT_TRUE(ck->has_rec);
   resumed.restore(*ck);
   auto rec_resumed = ck->rec;
-  resumed.run_from(ck->step, ph::Schedule::SpaceBlocked, src, &rec_resumed);
+  resumed.run_from(ck->step, sched, src, &rec_resumed);
 
   for (int t = 0; t < nt; ++t) {
     for (int r = 0; r < rec_ref.npoints(); ++r) {
@@ -120,22 +136,39 @@ void expect_kill_resume_bitwise(const Model& model, int nt, int kill_at) {
           << "t=" << t << " r=" << r;
     }
   }
+  const auto want = ref.state_view(nt, 0).slots;
+  const auto got = resumed.state_view(nt, 0).slots;
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(tg::max_abs_diff(*want[i], *got[i]), 0.0) << "slice " << i;
+  }
 }
+
+constexpr ph::Schedule kResumeSchedules[] = {
+    ph::Schedule::SpaceBlocked, ph::Schedule::Wavefront,
+    ph::Schedule::Diamond};
 
 }  // namespace
 
-// --- S4: the kill-and-resume matrix across all four physics kernels. ---
+// --- S4: the kill-and-resume matrix, all four physics kernels x
+// space-blocked, wavefront and diamond. ---
 
 TEST_F(SurveyRuntime, AcousticKillResumeGatherBitwise) {
   ph::Geometry g{{16, 14, 12}, 10.0, 4, /*nbl=*/4};
-  expect_kill_resume_bitwise<ph::AcousticPropagator>(
-      ph::make_acoustic_layered(g, 1.5, 3.0, 3), /*nt=*/20, /*kill_at=*/11);
+  const auto model = ph::make_acoustic_layered(g, 1.5, 3.0, 3);
+  for (const ph::Schedule sched : kResumeSchedules) {
+    expect_kill_resume_bitwise<ph::AcousticPropagator>(
+        model, /*nt=*/20, /*kill_at=*/11, sched);
+  }
 }
 
 TEST_F(SurveyRuntime, TTIKillResumeGatherBitwise) {
   ph::Geometry g{{14, 13, 12}, 20.0, 4, /*nbl=*/4};
-  expect_kill_resume_bitwise<ph::TTIPropagator>(
-      ph::make_tti_layered(g, 1.5, 3.0, 3), /*nt=*/18, /*kill_at=*/9);
+  const auto model = ph::make_tti_layered(g, 1.5, 3.0, 3);
+  for (const ph::Schedule sched : kResumeSchedules) {
+    expect_kill_resume_bitwise<ph::TTIPropagator>(model, /*nt=*/18,
+                                                  /*kill_at=*/9, sched);
+  }
 }
 
 TEST_F(SurveyRuntime, VTIKillResumeGatherBitwise) {
@@ -143,14 +176,19 @@ TEST_F(SurveyRuntime, VTIKillResumeGatherBitwise) {
   ph::TTIModel model = ph::make_tti_layered(g, 1.5, 3.0, 3);
   model.theta.fill(0.0f);  // untilted: a genuine VTI medium
   model.phi.fill(0.0f);
-  expect_kill_resume_bitwise<ph::VTIPropagator>(model, /*nt=*/18,
-                                                /*kill_at=*/10);
+  for (const ph::Schedule sched : kResumeSchedules) {
+    expect_kill_resume_bitwise<ph::VTIPropagator>(model, /*nt=*/18,
+                                                  /*kill_at=*/10, sched);
+  }
 }
 
 TEST_F(SurveyRuntime, ElasticKillResumeGatherBitwise) {
   ph::Geometry g{{14, 12, 10}, 10.0, 4, /*nbl=*/4};
-  expect_kill_resume_bitwise<ph::ElasticPropagator>(
-      ph::make_elastic_layered(g, 1.5, 3.0, 3), /*nt=*/16, /*kill_at=*/7);
+  const auto model = ph::make_elastic_layered(g, 1.5, 3.0, 3);
+  for (const ph::Schedule sched : kResumeSchedules) {
+    expect_kill_resume_bitwise<ph::ElasticPropagator>(model, /*nt=*/16,
+                                                      /*kill_at=*/7, sched);
+  }
 }
 
 // --- Acceptance: an injected persistent JIT fault completes the shot via
@@ -345,5 +383,34 @@ TEST_F(SurveyRuntime, ImpossibleWatchdogDeadlineQuarantines) {
       << report.shots[0].detail;
   // A quarantined survey keeps its journal for the rerun to skip Done
   // shots and preserve the diagnostics.
+  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/journal.tpj"));
+}
+
+// The same deadline on a wave-front rung: the engine beats the watchdog at
+// every band end, so the wave-front rung degrades like the barrier rungs
+// below it and the shot is quarantined once the ladder is exhausted.
+TEST_F(SurveyRuntime, ImpossibleWatchdogDeadlineQuarantinesWavefront) {
+  TempDir dir;
+  jb::SurveySpec spec;
+  spec.n = 14;
+  spec.nt = 8;
+  spec.n_shots = 1;
+  spec.space_order = 4;
+  // Ladder: wavefront, then space-blocked, then reference.
+  spec.schedule = ph::Schedule::Wavefront;
+  spec.jobs_dir = dir.path();
+  spec.ckpt_every = 4;
+  spec.health_every = 0;
+  spec.watchdog_ms = 1e-7;  // no real band can beat this deadline
+  spec.retry.base_ms = 0.1;
+
+  const jb::SurveyReport report = jb::run_survey(spec);
+  EXPECT_EQ(report.done, 0);
+  EXPECT_EQ(report.quarantined, 1);
+  ASSERT_EQ(report.shots.size(), 1u);
+  EXPECT_EQ(report.shots[0].state, "quarantined");
+  EXPECT_NE(report.shots[0].detail.find("ladder exhausted"),
+            std::string::npos)
+      << report.shots[0].detail;
   EXPECT_TRUE(std::filesystem::exists(dir.path() + "/journal.tpj"));
 }

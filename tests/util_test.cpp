@@ -20,7 +20,6 @@
 #include "tempest/util/env.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/rng.hpp"
-#include "tempest/util/stats.hpp"
 #include "tempest/util/table.hpp"
 #include "tempest/util/threads.hpp"
 #include "tempest/util/timer.hpp"
@@ -104,31 +103,6 @@ TEST(Rng, DifferentSeedsDiffer) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += (a.next() == b.next());
   EXPECT_EQ(same, 0);
-}
-
-TEST(Stats, SummaryOfKnownSeries) {
-  const double xs[] = {4.0, 1.0, 3.0, 2.0};
-  const tu::Summary s = tu::summarize(xs);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_NEAR(s.stddev, 1.2909944487358056, 1e-12);
-  EXPECT_EQ(s.count, 4u);
-}
-
-TEST(Stats, OddMedianAndEmpty) {
-  const double xs[] = {5.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(tu::summarize(xs).median, 3.0);
-  const tu::Summary empty = tu::summarize({});
-  EXPECT_EQ(empty.count, 0u);
-  EXPECT_DOUBLE_EQ(empty.mean, 0.0);
-}
-
-TEST(Stats, RelErr) {
-  EXPECT_DOUBLE_EQ(tu::rel_err(1.0, 1.0), 0.0);
-  EXPECT_NEAR(tu::rel_err(1.0, 1.1), 0.1 / 1.1, 1e-12);
-  EXPECT_DOUBLE_EQ(tu::rel_err(0.0, 0.0), 0.0);
 }
 
 TEST(Timer, MeasuresElapsed) {
