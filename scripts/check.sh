@@ -14,11 +14,13 @@
 #                .bench_build and run its bench_smoke ctest, so an API
 #                change that breaks tempest_bench fails here first
 #   --chaos      build the asan preset and run the kill/corrupt/resume
-#                chaos harness (tools/chaos_runner) with a fixed seed:
-#                five SIGKILLs of a 3-shot survey, one checkpoint
-#                bit-flip, final gathers must be bit-identical to an
-#                uninterrupted run (every fired kill must also leave a
-#                CRC-clean flight-recorder black box behind); then
+#                chaos harness (tools/chaos_runner) with a fixed seed on
+#                a space-blocked, a wave-front and a diamond rung: five
+#                SIGKILLs of a 3-shot survey, one checkpoint bit-flip,
+#                final gathers must be bit-identical to an uninterrupted
+#                run (every fired kill must also leave a CRC-clean
+#                flight-recorder black box behind, and some fired kill a
+#                checkpoint to resume from); then
 #                SIGKILL a live survey directly and decode its .tfbr
 #                with tools/blackbox_dump, resume it, and check the
 #                box is recycled; finally run a journaled survey and
@@ -114,6 +116,10 @@ run_chaos() {
   ASAN_OPTIONS="${asan_env}" build-asan/tools/chaos_runner \
     --size=20 --steps=36 --shots=3 --so=4 --schedule=wavefront \
     --ckpt-every=6 --kills=5 --seed=7 --corrupt --dir=build-asan/chaos_wf
+  echo "==> chaos: 5 seeded kills + checkpoint corruption (diamond, temporally blocked)"
+  ASAN_OPTIONS="${asan_env}" build-asan/tools/chaos_runner \
+    --size=20 --steps=36 --shots=3 --so=4 --schedule=diamond \
+    --ckpt-every=6 --kills=5 --seed=7 --corrupt --dir=build-asan/chaos_dm
   echo "==> black box: SIGKILL a live survey, decode its flight recorder"
   rm -rf build-asan/chaos_bb
   # TEMPEST_CHAOS_KILL_AT arms resilience::fault::kill_after_progress inside

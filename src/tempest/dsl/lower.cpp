@@ -39,21 +39,17 @@ struct Ctx {
   std::vector<std::string> params;
 };
 
-/// Second-derivative weight for |offset| k, folded to field precision the
-/// way the physics kernels fold it (cast to real_t, stored back in double —
-/// every real_t is exactly representable, so evaluation casts round-trip).
-double folded_weight(const stencil::Coeffs& c, int r, int k) {
-  return static_cast<double>(
-      static_cast<real_t>(c.weights[static_cast<std::size_t>(r + k)]));
-}
-
 /// The isotropic Laplacian flux: acc = 3*w0*u + sum_k wk*(z∓k + y∓k + x∓k),
 /// scaled by 1/h^2. Operand order and grouping reproduce
-/// physics::update_block exactly.
+/// physics::update_block exactly, and the weights are the ones it folds
+/// (every real_t is exact in double, so evaluation casts round-trip).
 ExprPtr laplace_tree(const Ctx& ctx) {
-  const stencil::Coeffs c = stencil::central(2, ctx.space_order);
+  const std::vector<real_t> w = stencil::folded_central(2, ctx.space_order);
   const int r = stencil::radius_for_order(ctx.space_order);
-  ExprPtr acc = bin('*', bin('*', cnst(3.0), cnst(folded_weight(c, r, 0))),
+  const auto weight = [&w](int k) {
+    return cnst(static_cast<double>(w[static_cast<std::size_t>(k)]));
+  };
+  ExprPtr acc = bin('*', bin('*', cnst(3.0), weight(0)),
                     load(ctx.field, 0, 0, 0, 0));
   for (int k = 1; k <= r; ++k) {
     ExprPtr six =
@@ -62,7 +58,7 @@ ExprPtr laplace_tree(const Ctx& ctx) {
     six = bin('+', six, load(ctx.field, 0, 0, k, 0));
     six = bin('+', six, load(ctx.field, 0, -k, 0, 0));
     six = bin('+', six, load(ctx.field, 0, k, 0, 0));
-    acc = bin('+', acc, bin('*', cnst(folded_weight(c, r, k)), six));
+    acc = bin('+', acc, bin('*', weight(k), six));
   }
   return bin('*', acc, cnst(1.0 / (ctx.spacing * ctx.spacing)));
 }

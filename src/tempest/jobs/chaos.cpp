@@ -141,6 +141,20 @@ std::string check_blackboxes(const std::string& blackbox_dir) {
   return "";
 }
 
+/// True when any shot checkpoint generation (shot_<k>.tpck or .tpck.1)
+/// is on disk in `jobs_dir`.
+bool has_checkpoint(const std::string& jobs_dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(jobs_dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("shot_") &&
+        (name.ends_with(".tpck") || name.ends_with(".tpck.1"))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string run_chaos(const ChaosSpec& spec, const std::string& self) {
@@ -162,15 +176,23 @@ std::string run_chaos(const ChaosSpec& spec, const std::string& self) {
   util::info("chaos: reference run complete, " +
              std::to_string(total_progress) + " progress ticks");
 
-  // 2. Kill the chaos pass `kills` times at seeded points. Kill points are
-  // drawn from the first chunk of the progress range so the survey cannot
-  // finish before the kill budget is spent — every kill lands mid-run.
+  // 2. Kill the chaos pass `kills` times at seeded points, each drawn from
+  // the ticks of one shot. A temporally blocked shot ticks once per band
+  // and saves at band ends, so the range must reach past a shot's first
+  // save for a restart to resume mid-shot; a narrower range (a fraction of
+  // a shot) can land every kill before any checkpoint exists.
   util::SplitMix64 rng(spec.seed);
-  const long chunk = std::max<long>(
-      1, total_progress / static_cast<long>(spec.kills + 2));
+  const long shot_ticks =
+      std::max<long>(1, total_progress / std::max(spec.shots, 1));
+  const bool saves = std::find(spec.worker_args.begin(),
+                               spec.worker_args.end(),
+                               "--ckpt-every=0") == spec.worker_args.end();
+  const std::uint64_t flip_offset = rng.next();
+  bool killed_with_checkpoint = false;
+  bool corrupted = false;
   for (int k = 0; k < spec.kills; ++k) {
-    const long kill_at =
-        1 + static_cast<long>(rng.below(static_cast<std::uint64_t>(chunk)));
+    const long kill_at = 1 + static_cast<long>(rng.below(
+                                 static_cast<std::uint64_t>(shot_ticks)));
     const ChildResult r =
         spawn_worker(self, spec.worker_args, chaos_dir, kill_at);
     if (!r.killed) {
@@ -181,9 +203,12 @@ std::string run_chaos(const ChaosSpec& spec, const std::string& self) {
                  std::to_string(r.exit_code) + ")");
       continue;
     }
+    const bool ckpt = has_checkpoint(chaos_dir);
+    killed_with_checkpoint = killed_with_checkpoint || ckpt;
     util::info("chaos: kill " + std::to_string(k) + " fired at tick " +
                std::to_string(kill_at) + " (signal " +
-               std::to_string(r.signal) + ")");
+               std::to_string(r.signal) + ")" +
+               (ckpt ? ", checkpoint on disk" : ", no checkpoint on disk"));
     // Post-mortem contract: a SIGKILL'd worker must leave its victim
     // shot's flight recorder behind, CRC-verifiable and holding at least
     // one decodable record of the shot's final moments.
@@ -193,14 +218,31 @@ std::string run_chaos(const ChaosSpec& spec, const std::string& self) {
         return "chaos: after kill " + std::to_string(k) + ": " + err;
       }
     }
-    if (spec.corrupt && k == spec.kills / 2) {
-      // Bit-flip the newest checkpoint of shot 0 (if present): recovery
-      // must fall back to the rotated predecessor, not die.
-      const std::string ck = chaos_dir + "/shot_0.tpck";
-      if (flip_byte(ck, rng.next())) {
-        util::info("chaos: corrupted " + ck);
+    if (spec.corrupt && !corrupted && k >= spec.kills / 2) {
+      // From the middle kill on, bit-flip the newest checkpoint of the
+      // first shot that also has a rotated predecessor: recovery must fall
+      // back to that predecessor, not die.
+      for (int s = 0; s < spec.shots && !corrupted; ++s) {
+        const std::string ck =
+            chaos_dir + "/shot_" + std::to_string(s) + ".tpck";
+        std::error_code ec;
+        if (std::filesystem::exists(ck + ".1", ec) &&
+            flip_byte(ck, flip_offset)) {
+          util::info("chaos: corrupted " + ck);
+          corrupted = true;
+        }
       }
     }
+  }
+  if (spec.corrupt && !corrupted) {
+    return "chaos: no kill from the middle on left two checkpoint "
+           "generations to corrupt; the rotation fallback was not exercised";
+  }
+  // A protocol whose kills all land before the first save never exercises
+  // a mid-shot resume, and passing it would prove nothing about one.
+  if (saves && !killed_with_checkpoint) {
+    return "chaos: no fired kill left a checkpoint behind in '" + chaos_dir +
+           "'; no restart resumed mid-shot";
   }
 
   // 3. Final uninterrupted restart must finish the survey...

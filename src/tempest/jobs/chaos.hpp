@@ -48,10 +48,16 @@ bool flip_byte(const std::string& path, std::uint64_t offset);
 ///      kill plan.
 ///   2. Chaos pass in `<root>/chaos`: `kills` times, the worker is spawned
 ///      with $TEMPEST_CHAOS_KILL_AT armed at a seeded-random tick drawn from
-///      the first chunk of the progress range (so every kill lands mid-run),
-///      and SIGKILLs itself there. When `corrupt` is set, the newest .tpck
-///      of shot 0 is bit-flipped after the middle kill to force checkpoint
-///      rotation's CRC fallback.
+///      [1, ticks of one shot] (progress total / shots: the range reaches
+///      past the in-flight shot's first save on every schedule), and
+///      SIGKILLs itself there. When `corrupt` is set, the newest .tpck of a
+///      shot that also has a rotated .tpck.1 is bit-flipped after the
+///      first kill from the middle one on that leaves such a shot, to
+///      force checkpoint rotation's CRC fallback; the protocol fails if no
+///      kill does. Unless the worker args hold --ckpt-every=0, at least
+///      one fired kill must leave a shot checkpoint (shot_<k>.tpck or
+///      .tpck.1) on disk, or the protocol fails: otherwise no restart
+///      resumed mid-shot.
 ///   3. A final unkilled restart must exit 0, and every shot gather must be
 ///      byte-identical to the reference pass.
 struct ChaosSpec {

@@ -20,30 +20,19 @@ analysis::AccessSummary acoustic_access_summary(int space_order) {
 
 namespace {
 
-/// Fold the symmetric second-derivative weights into w[0..R] (centre +
-/// one weight per |offset|), stored in field precision.
-std::vector<real_t> folded_weights(int space_order) {
-  const stencil::Coeffs c = stencil::central(2, space_order);
-  const int r = stencil::radius_for_order(space_order);
-  std::vector<real_t> w(static_cast<std::size_t>(r) + 1);
-  for (int k = 0; k <= r; ++k) {
-    w[static_cast<std::size_t>(k)] =
-        static_cast<real_t>(c.weights[static_cast<std::size_t>(r + k)]);
-  }
-  return w;
-}
-
 /// The hot kernel: damped acoustic update of one space block at one
-/// timestep. Compile-time radius so the neighbour loop fully unrolls inside
-/// the vectorized z loop. Pointers are interior origins; all fields share
-/// one halo and therefore one set of strides.
+/// timestep. R > 0 is the radius at compile time, so the neighbour loop
+/// fully unrolls inside the vectorized z loop; R = 0 reads `radius` (see
+/// stencil::dispatch_radius). Pointers are interior origins; all fields
+/// share one halo and therefore one set of strides.
 template <int R>
 void update_block(real_t* __restrict un, const real_t* __restrict uc,
                   const real_t* __restrict up, const real_t* __restrict m,
                   const real_t* __restrict dmp, std::ptrdiff_t sx,
                   std::ptrdiff_t sy, const grid::Box3& b,
-                  const real_t* __restrict w, real_t inv_h2, real_t idt2,
-                  real_t i2dt) {
+                  const real_t* __restrict w, int radius, real_t inv_h2,
+                  real_t idt2, real_t i2dt) {
+  const int r = R > 0 ? R : radius;
   for (int x = b.x.lo; x < b.x.hi; ++x) {
     for (int y = b.y.lo; y < b.y.hi; ++y) {
       const std::ptrdiff_t row = x * sx + y * sy;
@@ -56,40 +45,7 @@ void update_block(real_t* __restrict un, const real_t* __restrict uc,
       for (int z = b.z.lo; z < b.z.hi; ++z) {
         real_t acc = real_t{3} * w[0] * ucr[z];
 #pragma GCC unroll 8
-        for (int k = 1; k <= R; ++k) {
-          acc += w[k] * (ucr[z - k] + ucr[z + k] + ucr[z - k * sy] +
-                         ucr[z + k * sy] + ucr[z - k * sx] + ucr[z + k * sx]);
-        }
-        const real_t lap = acc * inv_h2;
-        const real_t num = lap + mr[z] * idt2 * (real_t{2} * ucr[z] - upr[z]) +
-                           dr[z] * i2dt * upr[z];
-        unr[z] = num / (mr[z] * idt2 + dr[z] * i2dt);
-      }
-    }
-  }
-}
-
-/// Runtime-radius fallback for space orders without a dedicated
-/// instantiation. Same arithmetic and summation order as the template.
-void update_block_generic(real_t* __restrict un, const real_t* __restrict uc,
-                          const real_t* __restrict up,
-                          const real_t* __restrict m,
-                          const real_t* __restrict dmp, std::ptrdiff_t sx,
-                          std::ptrdiff_t sy, const grid::Box3& b,
-                          const real_t* __restrict w, int radius,
-                          real_t inv_h2, real_t idt2, real_t i2dt) {
-  for (int x = b.x.lo; x < b.x.hi; ++x) {
-    for (int y = b.y.lo; y < b.y.hi; ++y) {
-      const std::ptrdiff_t row = x * sx + y * sy;
-      const real_t* __restrict ucr = uc + row;
-      const real_t* __restrict upr = up + row;
-      const real_t* __restrict mr = m + row;
-      const real_t* __restrict dr = dmp + row;
-      real_t* __restrict unr = un + row;
-#pragma omp simd
-      for (int z = b.z.lo; z < b.z.hi; ++z) {
-        real_t acc = real_t{3} * w[0] * ucr[z];
-        for (int k = 1; k <= radius; ++k) {
+        for (int k = 1; k <= r; ++k) {
           acc += w[k] * (ucr[z - k] + ucr[z + k] + ucr[z - k * sy] +
                          ucr[z + k * sy] + ucr[z - k * sx] + ucr[z + k * sx]);
         }
@@ -115,7 +71,7 @@ class AcousticKernel {
       : model_(model),
         u_(u),
         block_(block),
-        w_(folded_weights(model.geom.space_order)),
+        w_(stencil::folded_central(2, model.geom.space_order)),
         inv_h2_(static_cast<real_t>(
             1.0 / (model.geom.spacing * model.geom.spacing))),
         idt2_(static_cast<real_t>(1.0 / (dt * dt))),
@@ -158,28 +114,10 @@ class AcousticKernel {
              box.y.hi, box.z.lo, box.z.hi, inv_h2_, idt2_, i2dt_);
       return;
     }
-    switch (radius()) {
-      case 1:
-        update_block<1>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      case 2:
-        update_block<2>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      case 4:
-        update_block<4>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      case 6:
-        update_block<6>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      default:
-        update_block_generic(un, uc, up, m, dmp, sx_, sy_, box, w_.data(),
-                             radius(), inv_h2_, idt2_, i2dt_);
-        break;
-    }
+    stencil::dispatch_radius(radius(), [&]<int R>() {
+      update_block<R>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), radius(),
+                      inv_h2_, idt2_, i2dt_);
+    });
   }
 
   [[nodiscard]] real_t inject_scale(int x, int y, int z) const {

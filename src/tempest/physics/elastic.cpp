@@ -54,11 +54,13 @@ struct ElasticFields {
 };
 
 /// Velocity half-update: v += dt * b * div(tau), with the point-local sponge
-/// factor (1 - damp dt) applied multiplicatively.
+/// factor (1 - damp dt) applied multiplicatively. R > 0 is the radius at
+/// compile time; R = 0 reads `radius` (see stencil::dispatch_radius).
 template <int R>
 void v_block(const ElasticFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
-             const grid::Box3& blk, const real_t* __restrict w, real_t inv_h,
-             real_t dt) {
+             const grid::Box3& blk, const real_t* __restrict w, int radius,
+             real_t inv_h, real_t dt) {
+  const int r = R > 0 ? R : radius;
   for (int x = blk.x.lo; x < blk.x.hi; ++x) {
     for (int y = blk.y.lo; y < blk.y.hi; ++y) {
       const std::ptrdiff_t row = x * sx + y * sy;
@@ -69,7 +71,7 @@ void v_block(const ElasticFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
         real_t dyx = 0, dyy = 0, dyz = 0;  // row y
         real_t dzx = 0, dzy = 0, dzz = 0;  // row z
 #pragma GCC unroll 8
-        for (int k = 1; k <= R; ++k) {
+        for (int k = 1; k <= r; ++k) {
           const std::ptrdiff_t kx = k * sx, ky = k * sy;
           const std::ptrdiff_t kx1 = (k - 1) * sx, ky1 = (k - 1) * sy;
           // vx at (i+1/2): D+x txx, D-y txy, D-z txz
@@ -96,10 +98,12 @@ void v_block(const ElasticFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
 }
 
 /// Stress half-update: tau += dt (lam tr(grad v) I + mu (grad v + grad v^T)).
+/// R as for v_block.
 template <int R>
 void tau_block(const ElasticFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
-               const grid::Box3& blk, const real_t* __restrict w,
+               const grid::Box3& blk, const real_t* __restrict w, int radius,
                real_t inv_h, real_t dt) {
+  const int r = R > 0 ? R : radius;
   for (int x = blk.x.lo; x < blk.x.hi; ++x) {
     for (int y = blk.y.lo; y < blk.y.hi; ++y) {
       const std::ptrdiff_t row = x * sx + y * sy;
@@ -110,7 +114,7 @@ void tau_block(const ElasticFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
         real_t vxy = 0, vyx = 0;                 // D+ cross terms
         real_t vxz = 0, vzx = 0, vyz = 0, vzy = 0;
 #pragma GCC unroll 8
-        for (int k = 1; k <= R; ++k) {
+        for (int k = 1; k <= r; ++k) {
           const std::ptrdiff_t kx = k * sx, ky = k * sy;
           const std::ptrdiff_t kx1 = (k - 1) * sx, ky1 = (k - 1) * sy;
           exx += w[k] * (f.vx[i + kx1] - f.vx[i - kx]);
@@ -122,92 +126,6 @@ void tau_block(const ElasticFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
           vzx += w[k] * (f.vz[i + kx] - f.vz[i + sx - kx]);  // D+x vz
           vyz += w[k] * (f.vy[i + k] - f.vy[i + 1 - k]);     // D+z vy
           vzy += w[k] * (f.vz[i + ky] - f.vz[i + sy - ky]);  // D+y vz
-        }
-        const real_t fac = real_t{1} - f.damp[i] * dt;
-        const real_t lam = f.lam[i] * dt * inv_h;
-        const real_t mu2 = real_t{2} * f.mu[i] * dt * inv_h;
-        const real_t mu = f.mu[i] * dt * inv_h;
-        const real_t tr = exx + eyy + ezz;
-        f.txx[i] = f.txx[i] * fac + lam * tr + mu2 * exx;
-        f.tyy[i] = f.tyy[i] * fac + lam * tr + mu2 * eyy;
-        f.tzz[i] = f.tzz[i] * fac + lam * tr + mu2 * ezz;
-        f.txy[i] = f.txy[i] * fac + mu * (vxy + vyx);
-        f.txz[i] = f.txz[i] * fac + mu * (vxz + vzx);
-        f.tyz[i] = f.tyz[i] * fac + mu * (vyz + vzy);
-      }
-    }
-  }
-}
-
-/// Radius dispatch shared by both half-updates.
-template <typename F1, typename F2, typename F4, typename F6, typename FG>
-void dispatch_radius(int radius, F1&& f1, F2&& f2, F4&& f4, F6&& f6,
-                     FG&& fg) {
-  switch (radius) {
-    case 1: f1(); break;
-    case 2: f2(); break;
-    case 4: f4(); break;
-    case 6: f6(); break;
-    default: fg(); break;
-  }
-}
-
-/// Runtime-radius fallbacks reuse the templates with R passed as a loop
-/// bound via a large instantiation guard: define a generic copy instead.
-void v_block_generic(const ElasticFields& f, std::ptrdiff_t sx,
-                     std::ptrdiff_t sy, const grid::Box3& blk,
-                     const real_t* w, int radius, real_t inv_h, real_t dt) {
-  for (int x = blk.x.lo; x < blk.x.hi; ++x) {
-    for (int y = blk.y.lo; y < blk.y.hi; ++y) {
-      const std::ptrdiff_t row = x * sx + y * sy;
-      for (int z = blk.z.lo; z < blk.z.hi; ++z) {
-        const std::ptrdiff_t i = row + z;
-        real_t divx = 0, divy = 0, divz = 0;
-        for (int k = 1; k <= radius; ++k) {
-          const std::ptrdiff_t kx = k * sx, ky = k * sy;
-          const std::ptrdiff_t kx1 = (k - 1) * sx, ky1 = (k - 1) * sy;
-          divx += w[k] * (f.txx[i + kx] - f.txx[i + sx - kx]) +
-                  w[k] * (f.txy[i + ky1] - f.txy[i - ky]) +
-                  w[k] * (f.txz[i + k - 1] - f.txz[i - k]);
-          divy += w[k] * (f.txy[i + kx1] - f.txy[i - kx]) +
-                  w[k] * (f.tyy[i + ky] - f.tyy[i + sy - ky]) +
-                  w[k] * (f.tyz[i + k - 1] - f.tyz[i - k]);
-          divz += w[k] * (f.txz[i + kx1] - f.txz[i - kx]) +
-                  w[k] * (f.tyz[i + ky1] - f.tyz[i - ky]) +
-                  w[k] * (f.tzz[i + k] - f.tzz[i + 1 - k]);
-        }
-        const real_t fac = real_t{1} - f.damp[i] * dt;
-        const real_t bdt = f.b[i] * dt * inv_h;
-        f.vx[i] = f.vx[i] * fac + bdt * divx;
-        f.vy[i] = f.vy[i] * fac + bdt * divy;
-        f.vz[i] = f.vz[i] * fac + bdt * divz;
-      }
-    }
-  }
-}
-
-void tau_block_generic(const ElasticFields& f, std::ptrdiff_t sx,
-                       std::ptrdiff_t sy, const grid::Box3& blk,
-                       const real_t* w, int radius, real_t inv_h, real_t dt) {
-  for (int x = blk.x.lo; x < blk.x.hi; ++x) {
-    for (int y = blk.y.lo; y < blk.y.hi; ++y) {
-      const std::ptrdiff_t row = x * sx + y * sy;
-      for (int z = blk.z.lo; z < blk.z.hi; ++z) {
-        const std::ptrdiff_t i = row + z;
-        real_t exx = 0, eyy = 0, ezz = 0, vxy = 0, vyx = 0, vxz = 0, vzx = 0,
-               vyz = 0, vzy = 0;
-        for (int k = 1; k <= radius; ++k) {
-          const std::ptrdiff_t kx = k * sx, ky = k * sy;
-          const std::ptrdiff_t kx1 = (k - 1) * sx, ky1 = (k - 1) * sy;
-          exx += w[k] * (f.vx[i + kx1] - f.vx[i - kx]);
-          eyy += w[k] * (f.vy[i + ky1] - f.vy[i - ky]);
-          ezz += w[k] * (f.vz[i + k - 1] - f.vz[i - k]);
-          vxy += w[k] * (f.vx[i + ky] - f.vx[i + sy - ky]);
-          vyx += w[k] * (f.vy[i + kx] - f.vy[i + sx - kx]);
-          vxz += w[k] * (f.vx[i + k] - f.vx[i + 1 - k]);
-          vzx += w[k] * (f.vz[i + kx] - f.vz[i + sx - kx]);
-          vyz += w[k] * (f.vy[i + k] - f.vy[i + 1 - k]);
-          vzy += w[k] * (f.vz[i + ky] - f.vz[i + sy - ky]);
         }
         const real_t fac = real_t{1} - f.damp[i] * dt;
         const real_t lam = f.lam[i] * dt * inv_h;
@@ -274,25 +192,13 @@ class ElasticKernel {
   void apply(int h, const grid::Box3& box) {
     const real_t* w = w_.data();
     if ((h & 1) == 0) {
-      dispatch_radius(
-          radius(),
-          [&] { v_block<1>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] { v_block<2>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] { v_block<4>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] { v_block<6>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] {
-            v_block_generic(f_, sx_, sy_, box, w, radius(), inv_h_, dt_);
-          });
+      stencil::dispatch_radius(radius(), [&]<int R>() {
+        v_block<R>(f_, sx_, sy_, box, w, radius(), inv_h_, dt_);
+      });
     } else {
-      dispatch_radius(
-          radius(),
-          [&] { tau_block<1>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] { tau_block<2>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] { tau_block<4>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] { tau_block<6>(f_, sx_, sy_, box, w, inv_h_, dt_); },
-          [&] {
-            tau_block_generic(f_, sx_, sy_, box, w, radius(), inv_h_, dt_);
-          });
+      stencil::dispatch_radius(radius(), [&]<int R>() {
+        tau_block<R>(f_, sx_, sy_, box, w, radius(), inv_h_, dt_);
+      });
     }
   }
 

@@ -20,19 +20,9 @@ analysis::AccessSummary vti_access_summary(int space_order) {
 
 namespace {
 
-std::vector<real_t> folded_w2(int space_order) {
-  const stencil::Coeffs c = stencil::central(2, space_order);
-  const int r = stencil::radius_for_order(space_order);
-  std::vector<real_t> w(static_cast<std::size_t>(r) + 1);
-  for (int k = 0; k <= r; ++k) {
-    w[static_cast<std::size_t>(k)] =
-        static_cast<real_t>(c.weights[static_cast<std::size_t>(r + k)]);
-  }
-  return w;
-}
-
 /// VTI block update: horizontal Laplacian of p, vertical second derivative
-/// of q, coupled through the Thomsen factors.
+/// of q, coupled through the Thomsen factors. R = 0 reads `radius` (see
+/// stencil::dispatch_radius).
 template <int R>
 void update_block(real_t* __restrict pn, const real_t* __restrict pc,
                   const real_t* __restrict pp, real_t* __restrict qn,
@@ -40,8 +30,9 @@ void update_block(real_t* __restrict pn, const real_t* __restrict pc,
                   const real_t* __restrict m, const real_t* __restrict damp,
                   const real_t* __restrict ah, const real_t* __restrict an,
                   std::ptrdiff_t sx, std::ptrdiff_t sy, const grid::Box3& b,
-                  const real_t* __restrict w, real_t inv_h2, real_t idt2,
-                  real_t i2dt) {
+                  const real_t* __restrict w, int radius, real_t inv_h2,
+                  real_t idt2, real_t i2dt) {
+  const int r = R > 0 ? R : radius;
   for (int x = b.x.lo; x < b.x.hi; ++x) {
     for (int y = b.y.lo; y < b.y.hi; ++y) {
       const std::ptrdiff_t row = x * sx + y * sy;
@@ -51,42 +42,7 @@ void update_block(real_t* __restrict pn, const real_t* __restrict pc,
         real_t hp = real_t{2} * w[0] * pc[i];  // d2x + d2y of p
         real_t hz = w[0] * qc[i];              // d2z of q
 #pragma GCC unroll 8
-        for (int k = 1; k <= R; ++k) {
-          hp += w[k] * (pc[i - k * sx] + pc[i + k * sx] + pc[i - k * sy] +
-                        pc[i + k * sy]);
-          hz += w[k] * (qc[i - k] + qc[i + k]);
-        }
-        hp *= inv_h2;
-        hz *= inv_h2;
-        const real_t denom = m[i] * idt2 + damp[i] * i2dt;
-        pn[i] = (ah[i] * hp + an[i] * hz +
-                 m[i] * idt2 * (real_t{2} * pc[i] - pp[i]) +
-                 damp[i] * i2dt * pp[i]) /
-                denom;
-        qn[i] = (an[i] * hp + hz +
-                 m[i] * idt2 * (real_t{2} * qc[i] - qp[i]) +
-                 damp[i] * i2dt * qp[i]) /
-                denom;
-      }
-    }
-  }
-}
-
-void update_block_generic(real_t* pn, const real_t* pc, const real_t* pp,
-                          real_t* qn, const real_t* qc, const real_t* qp,
-                          const real_t* m, const real_t* damp,
-                          const real_t* ah, const real_t* an,
-                          std::ptrdiff_t sx, std::ptrdiff_t sy,
-                          const grid::Box3& b, const real_t* w, int radius,
-                          real_t inv_h2, real_t idt2, real_t i2dt) {
-  for (int x = b.x.lo; x < b.x.hi; ++x) {
-    for (int y = b.y.lo; y < b.y.hi; ++y) {
-      const std::ptrdiff_t row = x * sx + y * sy;
-      for (int z = b.z.lo; z < b.z.hi; ++z) {
-        const std::ptrdiff_t i = row + z;
-        real_t hp = real_t{2} * w[0] * pc[i];
-        real_t hz = w[0] * qc[i];
-        for (int k = 1; k <= radius; ++k) {
+        for (int k = 1; k <= r; ++k) {
           hp += w[k] * (pc[i - k * sx] + pc[i + k * sx] + pc[i - k * sy] +
                         pc[i + k * sy]);
           hz += w[k] * (qc[i - k] + qc[i + k]);
@@ -122,7 +78,7 @@ class VTIKernel {
         q_(q),
         ah_(ah),
         an_(an),
-        w_(folded_w2(model.geom.space_order)),
+        w_(stencil::folded_central(2, model.geom.space_order)),
         inv_h2_(static_cast<real_t>(
             1.0 / (model.geom.spacing * model.geom.spacing))),
         idt2_(static_cast<real_t>(1.0 / (dt * dt))),
@@ -150,33 +106,11 @@ class VTIKernel {
     const real_t* qp = q_.at(t - 1).origin();
     const real_t* m = model_.m.origin();
     const real_t* damp = model_.damp.origin();
-    switch (radius()) {
-      case 1:
-        update_block<1>(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
-                        an_.origin(), sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      case 2:
-        update_block<2>(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
-                        an_.origin(), sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      case 4:
-        update_block<4>(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
-                        an_.origin(), sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      case 6:
-        update_block<6>(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
-                        an_.origin(), sx_, sy_, box, w_.data(), inv_h2_,
-                        idt2_, i2dt_);
-        break;
-      default:
-        update_block_generic(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
-                             an_.origin(), sx_, sy_, box, w_.data(), radius(),
-                             inv_h2_, idt2_, i2dt_);
-        break;
-    }
+    stencil::dispatch_radius(radius(), [&]<int R>() {
+      update_block<R>(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
+                      an_.origin(), sx_, sy_, box, w_.data(), radius(),
+                      inv_h2_, idt2_, i2dt_);
+    });
   }
 
   [[nodiscard]] real_t inject_scale(int x, int y, int z) const {

@@ -207,16 +207,22 @@ std::optional<Checkpoint> Checkpointer::try_load(
   // rot in the newest file) degrades the resume to the previous barrier
   // step instead of a cold start.
   const std::string candidates[] = {path_, previous_path()};
-  bool any_file = false;
+  // Generations that failed to decode. They are deleted once the choice is
+  // made: left in place, the next save would rotate a corrupt live file
+  // over the good predecessor, and every restart would re-read it.
+  std::vector<std::string> unusable;
+  const auto drop_unusable = [&unusable] {
+    for (const std::string& bad : unusable) std::remove(bad.c_str());
+  };
   for (const std::string& candidate : candidates) {
     std::error_code ec;
     if (!std::filesystem::exists(candidate, ec)) continue;
-    any_file = true;
     Checkpoint ck;
     try {
       ck = load_file(candidate);
     } catch (const io::CorruptFileError& e) {
       util::warn(std::string("ignoring unusable checkpoint: ") + e.what());
+      unusable.push_back(candidate);
       continue;
     }
     if (ck.fingerprint != expected_fingerprint) {
@@ -229,16 +235,19 @@ std::optional<Checkpoint> Checkpointer::try_load(
       throw CheckpointMismatchError(os.str());
     }
     if (candidate != path_) {
-      util::warn("newest checkpoint unusable; resuming from the rotated "
-                 "predecessor " +
-                 candidate + " (step " + std::to_string(ck.step) + ")");
+      util::warn(std::string(unusable.empty() ? "no live checkpoint"
+                                              : "newest checkpoint unusable") +
+                 "; resuming from the rotated predecessor " + candidate +
+                 " (step " + std::to_string(ck.step) + ")");
     }
+    drop_unusable();
     return ck;
   }
-  if (any_file) {
+  if (!unusable.empty()) {
     util::warn("no usable checkpoint generation under '" + path_ +
                "'; starting fresh");
   }
+  drop_unusable();
   return std::nullopt;
 }
 

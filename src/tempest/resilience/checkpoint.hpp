@@ -193,7 +193,9 @@ class Checkpointer {
   /// (a crash mid-write must never strand a run with zero checkpoints);
   /// warns and returns nullopt when neither file validates; throws
   /// CheckpointMismatchError when a valid file was written by a different
-  /// configuration.
+  /// configuration. Once it returns, every generation it skipped as
+  /// corrupt is deleted, so the next save() cannot rotate a corrupt file
+  /// over a good predecessor; a mismatch deletes nothing.
   [[nodiscard]] std::optional<Checkpoint> try_load(
       std::uint64_t expected_fingerprint) const;
 

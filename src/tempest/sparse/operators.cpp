@@ -28,21 +28,6 @@ SupportCache::SupportCache(const SparseTimeSeries& series, InterpKind kind,
   }
 }
 
-void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
-                        int t, const SupportCache& cache) {
-  long long applications = 0;
-  for (int r = 0; r < rec.npoints(); ++r) {
-    double acc = 0.0;
-    for (const SupportPoint& p :
-         cache.per_point[static_cast<std::size_t>(r)]) {
-      acc += p.w * static_cast<double>(u(p.x, p.y, p.z));
-      ++applications;
-    }
-    rec.at(t, r) = static_cast<real_t>(acc);
-  }
-  TEMPEST_TRACE_COUNT(ReceiversInterpolated, applications);
-}
-
 ColorSets::ColorSets(const SupportCache& cache, const grid::Extents3& extents) {
   // Layered coloring in site order: color(s) = 1 + max color among earlier
   // sites whose support shares a grid point with s (0 when unconflicted).

@@ -68,10 +68,6 @@ void inject_cached(grid::Grid3<real_t>& u, const SparseTimeSeries& src, int t,
   TEMPEST_TRACE_COUNT(SourcesInjected, updates);
 }
 
-/// interpolate() through a prebuilt cache.
-void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
-                        int t, const SupportCache& cache);
-
 /// Conflict-free color sets over a series' injection sites. Two sites
 /// conflict when their interpolation supports share a grid point — the
 /// scatter race a site-parallel inject would hit (coincident sources, or
@@ -117,10 +113,11 @@ void inject_colored(grid::Grid3<real_t>& u, const SparseTimeSeries& src, int t,
   }
 }
 
-/// interpolate_cached() with the receiver loop parallelized. Receivers are
-/// embarrassingly parallel (each writes only its own trace sample) and the
-/// per-receiver accumulation order is unchanged, so this too is bitwise
-/// equal to the serial operator at any thread count.
+/// interpolate() through a prebuilt cache, the receiver loop run by
+/// `threads` workers. Receivers are embarrassingly parallel (each writes
+/// only its own trace sample) and each keeps interpolate()'s accumulation
+/// order, so the result is bitwise equal to interpolate() at any thread
+/// count.
 void interpolate_cached(const grid::Grid3<real_t>& u, SparseTimeSeries& rec,
                         int t, const SupportCache& cache, int threads);
 

@@ -7,12 +7,13 @@
 
 namespace tempest::stencil {
 
-/// Runtime-radius stencil application helpers.
+/// Runtime-radius stencil application helpers, in double precision.
 ///
-/// These are the *reference* implementations used by tests, the DSL
-/// interpreter and the naive propagator variants. The optimized propagators
-/// in physics/ hand-roll the same arithmetic with compile-time radii; tests
-/// assert both paths agree to rounding.
+/// These are the *reference* implementations used by tests and the DSL
+/// interpreter. The physics/ kernels apply the same operators through one
+/// radius-templated block update each (see dispatch_radius); the one-step
+/// oracle tests in tti_test and elastic_test compare those updates point by
+/// point with second_deriv, cross_deriv and staggered_deriv.
 
 /// d²f/dx_dim² at interior point (x,y,z) with unit-spacing weights `c`
 /// (divide by h² at the call site). dim: 0=x, 1=y, 2=z.

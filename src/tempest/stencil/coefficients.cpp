@@ -104,6 +104,17 @@ Coeffs central(int deriv, int space_order) {
   return c;
 }
 
+std::vector<real_t> folded_central(int deriv, int space_order) {
+  const Coeffs c = central(deriv, space_order);
+  const int r = radius_for_order(space_order);
+  std::vector<real_t> w(static_cast<std::size_t>(r) + 1);
+  for (int k = 0; k <= r; ++k) {
+    w[static_cast<std::size_t>(k)] =
+        static_cast<real_t>(c.weights[static_cast<std::size_t>(r + k)]);
+  }
+  return w;
+}
+
 Coeffs staggered_first(int space_order) {
   TEMPEST_REQUIRE_MSG(space_order >= 2 && space_order % 2 == 0,
                       "space order must be even and >= 2");

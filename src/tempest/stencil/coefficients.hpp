@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "tempest/config.hpp"
+
 namespace tempest::stencil {
 
 /// Finite-difference weights for a 1-D derivative on a line of grid points.
@@ -39,6 +41,29 @@ struct Coeffs {
 /// Stencil radius (points of halo needed per side) for a given space order.
 [[nodiscard]] constexpr int radius_for_order(int space_order) {
   return space_order / 2;
+}
+
+/// central(deriv, space_order) folded to field precision: w[k] is the
+/// weight at offset +k, k = 0..r. The weight at -k is w[k] for deriv 2 and
+/// -w[k] for deriv 1 (whose w[0] is 0). The AOT kernels and the DSL
+/// lowering take their weights from here, so they round them the same way.
+[[nodiscard]] std::vector<real_t> folded_central(int deriv, int space_order);
+
+/// The one radius dispatcher of the AOT kernels: calls
+/// `fn.template operator()<R>()` with R = radius for the compiled radii
+/// {1, 2, 4, 6} (space orders 2, 4, 8 and 12; the paper measures 4, 8 and
+/// 12) and with R = 0 for any other radius. A body templated on R loops to
+/// `R > 0 ? R : radius`, so its unrolled instances and its run-time-radius
+/// instance are the same code and cannot drift apart.
+template <typename Fn>
+decltype(auto) dispatch_radius(int radius, Fn&& fn) {
+  switch (radius) {
+    case 1: return fn.template operator()<1>();
+    case 2: return fn.template operator()<2>();
+    case 4: return fn.template operator()<4>();
+    case 6: return fn.template operator()<6>();
+    default: return fn.template operator()<0>();
+  }
 }
 
 }  // namespace tempest::stencil

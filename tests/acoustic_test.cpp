@@ -127,7 +127,7 @@ TEST_P(AcousticOrderSweep, WavefrontMatchesBaselineAcrossOrders) {
   EXPECT_GT(tg::max_abs(wave.wavefield(s.nt)), 0.0) << "wave must propagate";
 }
 
-// 10 exercises the runtime-radius fallback kernel (radius 5).
+// 10 (radius 5) runs the run-time-radius instance of update_block.
 INSTANTIATE_TEST_SUITE_P(Orders, AcousticOrderSweep,
                          ::testing::Values(2, 4, 8, 10, 12));
 

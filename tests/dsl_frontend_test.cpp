@@ -120,12 +120,18 @@ TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
   }
 }
 
-// Same bar at a different space order: the lowering's FD weights must
-// reproduce the hand-written kernel's folded real_t weights at any order.
-TEST(DslFrontend, AcousticBitIdenticalAtSpaceOrder8) {
-  auto s = make_setup({16, 14, 18}, 8, 18);
+// Same bar at other space orders: the lowering's FD weights must reproduce
+// the hand-written kernel's folded real_t weights at any order. SO 8 runs
+// the kernel's unrolled radius-4 instance; SO 10 its run-time-radius
+// instance, which the tape evaluates independently with the same
+// association.
+class DslFrontendOrder : public ::testing::TestWithParam<int> {};
+
+TEST_P(DslFrontendOrder, AcousticBitIdenticalAtSpaceOrder) {
+  const int so = GetParam();
+  auto s = make_setup({16, 14, 18}, so, 18);
   dsl::Grid g;
-  dsl::TimeFunction u("u", g, 8, 2);
+  dsl::TimeFunction u("u", g, so, 2);
   const dsl::Eq eq = dsl::solve(dsl::param("m") * u.dt2() +
                                     dsl::param("damp") * u.dt() - u.laplace(),
                                 u.forward());
@@ -140,6 +146,9 @@ TEST(DslFrontend, AcousticBitIdenticalAtSpaceOrder8) {
   EXPECT_EQ(tg::max_abs_diff(hand.wavefield(s.nt), dslprop.wavefield(s.nt)),
             0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(SpaceOrders, DslFrontendOrder,
+                         ::testing::Values(8, 10));
 
 // The JIT path: emit_dsl_c + JitDsl produce the same bits as the
 // hand-maintained acoustic emitter — fields and gathers — under every

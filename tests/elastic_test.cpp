@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "tempest/physics/elastic.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
+#include "tempest/stencil/apply.hpp"
+#include "tempest/util/rng.hpp"
 
 namespace ph = tempest::physics;
 namespace sp = tempest::sparse;
@@ -217,3 +223,99 @@ TEST(Elastic, RadialSymmetryOfExplosiveSource) {
   ASSERT_GT(max_v, 1e-12);
   EXPECT_LT(max_asym, 0.05 * max_v);
 }
+
+// One-step oracle: seed all nine fields with random values, advance one
+// step (velocity, then stress) with a silent source, and compare every
+// updated point with a double-precision evaluation built from
+// stencil::staggered_deriv. The stress reference reads the reference
+// velocities, so each half-update is checked against exact inputs of its
+// own. SO 4 runs the unrolled radius-2 instances, SO 10 the
+// run-time-radius instances.
+class ElasticOneStepOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ElasticOneStepOracle, MatchesDoublePrecisionReference) {
+  const int so = GetParam();
+  const tg::Extents3 e{13, 12, 11};
+  ph::Geometry g{e, 10.0, so, /*nbl=*/3};
+  const ph::ElasticModel model = ph::make_elastic_layered(g, 1.5, 3.0, 3);
+  ph::ElasticPropagator prop(model);
+
+  tempest::util::SplitMix64 rng(static_cast<std::uint64_t>(so));
+  tempest::resilience::Checkpoint ck = prop.capture(0, 0);
+  for (tg::Grid3<real_t>& slot : ck.slots) {
+    slot.for_each_interior([&](int x, int y, int z) {
+      slot(x, y, z) = static_cast<real_t>(rng.uniform(-1.0, 1.0));
+    });
+  }
+  prop.restore(ck);
+  // State order: vx vy vz txx tyy tzz txy txz tyz.
+  const std::vector<tg::Grid3<real_t>> in = ck.slots;
+
+  sp::SparseTimeSeries silent(sp::single_center_source(e, 0.4), 1);
+  prop.run_from(0, ph::Schedule::Reference, silent);
+
+  const tempest::stencil::Coeffs c = tempest::stencil::staggered_first(so);
+  // D+ (shift 1) evaluates half a point forward, D- (shift 0) half back.
+  const auto d = [&c](const auto& f, int dim, int shift, int x, int y,
+                      int z) {
+    return tempest::stencil::staggered_deriv(f, c, dim, shift, x, y, z);
+  };
+  const double dt = prop.dt();
+  const double dth = dt / g.spacing;
+  const int halo = g.radius();
+
+  // Velocity half-update: v = v (1 - damp dt) + b dt/h div(tau).
+  std::vector<tg::Grid3<double>> v(3, tg::Grid3<double>(e, halo, 0.0));
+  in[0].for_each_interior([&](int x, int y, int z) {
+    const double fac = 1.0 - model.damp(x, y, z) * dt;
+    const double bdt = model.b(x, y, z) * dth;
+    const auto& [txx, tyy, tzz, txy, txz, tyz] =
+        std::tie(in[3], in[4], in[5], in[6], in[7], in[8]);
+    v[0](x, y, z) = in[0](x, y, z) * fac +
+                    bdt * (d(txx, 0, 1, x, y, z) + d(txy, 1, 0, x, y, z) +
+                           d(txz, 2, 0, x, y, z));
+    v[1](x, y, z) = in[1](x, y, z) * fac +
+                    bdt * (d(txy, 0, 0, x, y, z) + d(tyy, 1, 1, x, y, z) +
+                           d(tyz, 2, 0, x, y, z));
+    v[2](x, y, z) = in[2](x, y, z) * fac +
+                    bdt * (d(txz, 0, 0, x, y, z) + d(tyz, 1, 0, x, y, z) +
+                           d(tzz, 2, 1, x, y, z));
+  });
+
+  // Stress half-update from the velocities just computed.
+  std::vector<tg::Grid3<double>> tau(6, tg::Grid3<double>(e, halo, 0.0));
+  in[0].for_each_interior([&](int x, int y, int z) {
+    const double fac = 1.0 - model.damp(x, y, z) * dt;
+    const double lam = model.lam(x, y, z) * dth;
+    const double mu = model.mu(x, y, z) * dth;
+    const double exx = d(v[0], 0, 0, x, y, z);
+    const double eyy = d(v[1], 1, 0, x, y, z);
+    const double ezz = d(v[2], 2, 0, x, y, z);
+    const double tr = exx + eyy + ezz;
+    tau[0](x, y, z) = in[3](x, y, z) * fac + lam * tr + 2.0 * mu * exx;
+    tau[1](x, y, z) = in[4](x, y, z) * fac + lam * tr + 2.0 * mu * eyy;
+    tau[2](x, y, z) = in[5](x, y, z) * fac + lam * tr + 2.0 * mu * ezz;
+    tau[3](x, y, z) = in[6](x, y, z) * fac +
+                      mu * (d(v[0], 1, 1, x, y, z) + d(v[1], 0, 1, x, y, z));
+    tau[4](x, y, z) = in[7](x, y, z) * fac +
+                      mu * (d(v[0], 2, 1, x, y, z) + d(v[2], 0, 1, x, y, z));
+    tau[5](x, y, z) = in[8](x, y, z) * fac +
+                      mu * (d(v[1], 2, 1, x, y, z) + d(v[2], 1, 1, x, y, z));
+  });
+
+  const tg::Grid3<real_t>* got[9] = {&prop.vx(),  &prop.vy(),  &prop.vz(),
+                                     &prop.txx(), &prop.tyy(), &prop.tzz(),
+                                     &prop.txy(), &prop.txz(), &prop.tyz()};
+  for (int fi = 0; fi < 9; ++fi) {
+    const tg::Grid3<double>& want = fi < 3 ? v[fi] : tau[fi - 3];
+    double err = 0.0, scale = 0.0;
+    want.for_each_interior([&](int x, int y, int z) {
+      err = std::max(err, std::fabs((*got[fi])(x, y, z) - want(x, y, z)));
+      scale = std::max(scale, std::fabs(want(x, y, z)));
+    });
+    EXPECT_LE(err, 2e-6 * scale) << "so=" << so << " field " << fi;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, ElasticOneStepOracle,
+                         ::testing::Values(4, 10));

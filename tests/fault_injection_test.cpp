@@ -672,10 +672,20 @@ TEST_F(FaultInjection, CorruptNewestCheckpointFallsBackToRotated) {
   EXPECT_EQ(back->step, 5);
   EXPECT_EQ(back->slots[0](1, 2, 3), real_t{1});
 
-  // Both generations damaged: a warning and a fresh start, not a crash.
-  std::ofstream(ckpt.previous_path(), std::ios::binary | std::ios::trunc)
-      << "junk";
+  // The resumed run's next save must keep the good step-5 generation as
+  // its fallback, not rotate the corrupt file over it.
+  ckpt.save(make_checkpoint(13, 42, real_t{3}));
+  EXPECT_EQ(ckpt.load().step, 13);
+  EXPECT_EQ(rs::Checkpointer(ckpt.previous_path()).load().step, 5);
+
+  // Both generations damaged: a warning and a fresh start, not a crash,
+  // and no corrupt generation left behind for the next restart to re-read.
+  for (const std::string& gen : {ckpt.path(), ckpt.previous_path()}) {
+    std::ofstream(gen, std::ios::binary | std::ios::trunc) << "junk";
+  }
   EXPECT_FALSE(ckpt.try_load(42).has_value());
+  EXPECT_FALSE(std::filesystem::exists(ckpt.path()));
+  EXPECT_FALSE(std::filesystem::exists(ckpt.previous_path()));
 }
 
 namespace {

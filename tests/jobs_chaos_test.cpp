@@ -112,11 +112,12 @@ TEST(JobsChaos, CorruptedCheckpointFallsBackToRotatedGeneration) {
                                 /*corrupt=*/true, /*seed=*/11);
 }
 
-// The same on a wave-front rung. A shot ticks once per 8-step band, so 60
-// steps give the seeded kills room past the first band ends, where the
-// shot has saved checkpoints: under seed 10 the restarts resume shot 0
-// from steps 9 and 25, and the bit-flipped step-25 checkpoint sends the
-// next restart to its rotated step-17 predecessor.
+// The same on a wave-front rung. A shot ticks once per 8-step band and
+// saves at band ends, so 60 steps give each shot eight ticks and several
+// generations: under seed 10 the restarts resume shot 0 from step 49 and
+// shot 1 from step 25, the bit-flipped step-25 checkpoint sends the next
+// two restarts to its rotated step-17 predecessor (the first deletes the
+// corrupt file), and the last kill resumes shot 1 from step 33.
 TEST(JobsChaos, CorruptedWavefrontCheckpointFallsBackToRotatedGeneration) {
   expect_bit_identical_recovery("wavefront", "acoustic", /*corrupt=*/true,
                                 /*seed=*/10, /*steps=*/60);

@@ -178,7 +178,7 @@ TEST(Operators, CachedMatchesUncached) {
   sp::SparseTimeSeries rec1({{5.5, 5.5, 5.5}}, 3), rec2({{5.5, 5.5, 5.5}}, 3);
   sp::interpolate(a, rec1, 1, sp::InterpKind::Trilinear);
   const sp::SupportCache rcache(rec1, sp::InterpKind::Trilinear, kE);
-  sp::interpolate_cached(a, rec2, 1, rcache);
+  sp::interpolate_cached(a, rec2, 1, rcache, /*threads=*/1);
   EXPECT_EQ(rec1.at(1, 0), rec2.at(1, 0));
 }
 

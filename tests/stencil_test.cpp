@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "tempest/grid/grid3.hpp"
 #include "tempest/stencil/apply.hpp"
@@ -156,6 +157,21 @@ tg::Grid3<float> poly_grid(const tg::Extents3& e, int halo) {
 }
 
 }  // namespace
+
+// The compiled radii run their own instance; every other radius runs
+// instance 0, which reads the radius at run time.
+TEST(Coefficients, DispatchRadiusRunsCompiledOrRunTimeInstance) {
+  for (const int radius : {1, 2, 4, 6, 3, 5, 7, 8}) {
+    const auto [instance, seen] =
+        ts::dispatch_radius(radius, [&]<int R>() {
+          return std::pair{R, R > 0 ? R : radius};
+        });
+    const bool compiled =
+        radius == 1 || radius == 2 || radius == 4 || radius == 6;
+    EXPECT_EQ(instance, compiled ? radius : 0) << "radius " << radius;
+    EXPECT_EQ(seen, radius) << "radius " << radius;
+  }
+}
 
 TEST(Apply, SecondDerivExactOnQuadratic) {
   const tg::Extents3 e{9, 9, 9};

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "tempest/physics/acoustic.hpp"
 #include "tempest/physics/tti.hpp"
 #include "tempest/sparse/survey.hpp"
 #include "tempest/sparse/wavelet.hpp"
+#include "tempest/stencil/apply.hpp"
+#include "tempest/util/rng.hpp"
 
 namespace ph = tempest::physics;
 namespace sp = tempest::sparse;
@@ -194,3 +199,82 @@ TEST(TTI, RejectsShortRuns) {
   EXPECT_THROW(p.run(ph::Schedule::SpaceBlocked, one, nullptr),
                tempest::util::PreconditionError);
 }
+
+// One-step oracle: seed p and q (both time levels) with random values,
+// advance one step with a silent source, and compare every updated point
+// with a double-precision evaluation of the rotated operator built from
+// stencil::second_deriv and stencil::cross_deriv. SO 4 runs the unrolled
+// radius-2 instance of the update, SO 10 its run-time-radius instance.
+class TTIOneStepOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(TTIOneStepOracle, MatchesDoublePrecisionReference) {
+  const int so = GetParam();
+  const tg::Extents3 e{13, 12, 11};
+  ph::Geometry g{e, 20.0, so, /*nbl=*/3};
+  ph::TTIModel model = ph::make_tti_layered(g, 1.5, 3.0, 3);
+  model.theta.for_each_interior([&](int x, int y, int z) {  // tilted axis
+    model.theta(x, y, z) = static_cast<real_t>(0.4 + 0.05 * (x + y - z));
+    model.phi(x, y, z) = static_cast<real_t>(0.9 - 0.04 * (x - 2 * y + z));
+  });
+  ph::TTIPropagator prop(model);
+
+  tempest::util::SplitMix64 rng(static_cast<std::uint64_t>(so));
+  tempest::resilience::Checkpoint ck = prop.capture(1, 0);
+  for (tg::Grid3<real_t>& slot : ck.slots) {  // p slots, then q slots
+    slot.for_each_interior([&](int x, int y, int z) {
+      slot(x, y, z) = static_cast<real_t>(rng.uniform(-1.0, 1.0));
+    });
+  }
+  prop.restore(ck);
+  const tg::Grid3<real_t> p0 = prop.wavefield_p(0), p1 = prop.wavefield_p(1);
+  const tg::Grid3<real_t> q0 = prop.wavefield_q(0), q1 = prop.wavefield_q(1);
+
+  sp::SparseTimeSeries silent(sp::single_center_source(e, 0.4), 2);
+  prop.run_from(1, ph::Schedule::Reference, silent);
+
+  const tempest::stencil::Coeffs c2 = tempest::stencil::central(2, so);
+  const tempest::stencil::Coeffs c1 = tempest::stencil::central(1, so);
+  const double h2 = g.spacing * g.spacing;
+  const double dt = prop.dt();
+  double err_p = 0.0, err_q = 0.0, max_p = 0.0, max_q = 0.0;
+  p1.for_each_interior([&](int x, int y, int z) {
+    const double t = model.theta(x, y, z), f = model.phi(x, y, z);
+    const double n[3] = {std::sin(t) * std::cos(f), std::sin(t) * std::sin(f),
+                         std::cos(t)};
+    // (laplacian, second derivative along n) of one field, times h^2.
+    const auto rotated = [&](const tg::Grid3<real_t>& u) {
+      double lap = 0.0, hz = 0.0;
+      for (int i = 0; i < 3; ++i) {
+        const double d2 = tempest::stencil::second_deriv(u, c2, i, x, y, z);
+        lap += d2;
+        hz += n[i] * n[i] * d2;
+        for (int j = i + 1; j < 3; ++j) {
+          hz += 2.0 * n[i] * n[j] *
+                tempest::stencil::cross_deriv(u, c1, i, j, x, y, z);
+        }
+      }
+      return std::pair{lap, hz};
+    };
+    const auto [lap_p, hz_p] = rotated(p1);
+    const auto hz_q = rotated(q1).second;
+    const double ah = 1.0 + 2.0 * model.epsilon(x, y, z);
+    const double an = std::sqrt(1.0 + 2.0 * model.delta(x, y, z));
+    const double m = model.m(x, y, z) / (dt * dt);
+    const double d = model.damp(x, y, z) / (2.0 * dt);
+    const double hperp = (lap_p - hz_p) / h2;
+    const double want_p = (ah * hperp + an * hz_q / h2 +
+                           m * (2.0 * p1(x, y, z) - p0(x, y, z)) +
+                           d * p0(x, y, z)) / (m + d);
+    const double want_q = (an * hperp + hz_q / h2 +
+                           m * (2.0 * q1(x, y, z) - q0(x, y, z)) +
+                           d * q0(x, y, z)) / (m + d);
+    err_p = std::max(err_p, std::fabs(prop.wavefield_p(2)(x, y, z) - want_p));
+    err_q = std::max(err_q, std::fabs(prop.wavefield_q(2)(x, y, z) - want_q));
+    max_p = std::max(max_p, std::fabs(want_p));
+    max_q = std::max(max_q, std::fabs(want_q));
+  });
+  EXPECT_LE(err_p, 2e-6 * max_p) << "so=" << so;
+  EXPECT_LE(err_q, 2e-6 * max_q) << "so=" << so;
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, TTIOneStepOracle, ::testing::Values(4, 10));

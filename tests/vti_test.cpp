@@ -83,7 +83,9 @@ TEST_P(VTISchedule, WavefrontMatchesBaselineAcrossOrders) {
   EXPECT_GT(tg::max_abs(wave.wavefield_p(nt)), 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Orders, VTISchedule, ::testing::Values(2, 4, 8, 12));
+// 10 (radius 5) runs the run-time-radius instance of the update.
+INSTANTIATE_TEST_SUITE_P(Orders, VTISchedule,
+                         ::testing::Values(2, 4, 8, 10, 12));
 
 TEST(VTI, ReferenceMatchesSpaceBlocked) {
   const auto model = make_vti_model(4);
