@@ -36,9 +36,11 @@
 #                the one compile-out switch: the instrumentation macros
 #                expand to nothing, every other code path is the default
 #                build's)
-#   --tsan       the `parallel`-labelled tests (the executor, the
-#                determinism and colouring suites and every physics x
-#                schedule case of schedule_matrix_test) under the
+#   --tsan       the `parallel`-labelled tests (the executor and its
+#                fork rule, the determinism and colouring suites, every
+#                physics x schedule case of schedule_matrix_test, and the
+#                set-up passes of grid_test and model_test: chunked grid
+#                fills, max_abs and the model builders) under the
 #                ThreadSanitizer preset, on the same worker pool every
 #                build ships, oversubscribed via TEMPEST_THREADS=8 so
 #                races surface on any host

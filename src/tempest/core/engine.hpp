@@ -516,7 +516,8 @@ template <typename... Parts>
 /// state(Self& self)` returning state_slices(...) over its fields, and
 /// befriends this base; `FirstStep` is its kernel's first timestep.
 /// `Derived` supplies run_from(t_begin, sched, src, rec, on_step), which
-/// executes timesteps [t_begin, src.nt()) on state already in its fields.
+/// executes timesteps [t_begin, src.nt()) on state already in its fields,
+/// and options(), its ExecutionOptions.
 template <typename Derived, int FirstStep>
 class Checkpointable {
  public:
@@ -526,14 +527,16 @@ class Checkpointable {
   /// `rec` if non-null (rec->nt() must be >= src.nt()): zeroes `rec` and
   /// every state slice, then run_from(FirstStep, ...). `on_step` is the
   /// StepCallback contract. A model passed at construction must outlive
-  /// the propagator.
+  /// the propagator. The slices are zeroed on the run's own workers
+  /// (options().threads resolved), as the constructor first touched them.
   RunStats run(Schedule sched, const sparse::SparseTimeSeries& src,
                sparse::SparseTimeSeries* rec = nullptr,
                const StepCallback& on_step = {}) {
     auto& self = static_cast<Derived&>(*this);
     if (rec != nullptr) rec->zero();
+    const int threads = util::resolve_threads(self.options().threads);
     for (grid::Grid3<real_t>* slice : Derived::state(self)) {
-      slice->fill(real_t{0});
+      slice->fill(real_t{0}, threads);
     }
     return self.run_from(kFirstStep, sched, src, rec, on_step);
   }

@@ -252,10 +252,13 @@ DslPropagator::DslPropagator(LoweredKernel lowered,
                              ParamBindings bindings, DslBlockFn* block)
     : model_(model),
       opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
+      dt_(opts.dt > 0.0
+              ? opts.dt
+              : model.critical_dt(util::resolve_threads(opts.threads))),
       lowered_(std::move(lowered)),
       bindings_(std::move(bindings)),
-      u_(3, model.geom.extents, model.geom.radius()),
+      u_(3, model.geom.extents, model.geom.radius(), real_t{0},
+         util::resolve_threads(opts.threads)),
       block_(block) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);

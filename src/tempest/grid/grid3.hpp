@@ -1,13 +1,41 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <new>
+#include <type_traits>
+#include <vector>
 
 #include "tempest/grid/extents.hpp"
 #include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
+#include "tempest/util/threads.hpp"
 
 namespace tempest::grid {
+
+/// Storage bytes one chunk of a whole-grid pass covers (first touch, fill,
+/// max_abs, the model builders): enough that a chunk's stores and page
+/// faults dwarf the cost of handing it out, few enough that a grid of one
+/// chunk runs on the caller and wakes no worker.
+inline constexpr std::size_t kChunkBytes = std::size_t{2} << 20;
+
+/// util::AlignedAllocator whose value-less construct() default-initialises,
+/// so a vector of a trivial T allocates without writing: Grid3 touches its
+/// storage first in a parallel pass, on the threads that will stream it.
+/// Constructions with arguments (copies) take allocator_traits' default.
+template <typename T>
+struct UninitAllocator : util::AlignedAllocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
 
 /// Dense 3-D field with a uniform halo on every side.
 ///
@@ -22,19 +50,18 @@ class Grid3 {
  public:
   Grid3() = default;
 
-  Grid3(Extents3 extents, int halo, T init = T{})
-      : extents_(extents),
-        halo_(halo),
-        stride_z_(1),
-        stride_y_(static_cast<std::ptrdiff_t>(extents.nz + 2 * halo)),
-        stride_x_(stride_y_ *
-                  static_cast<std::ptrdiff_t>(extents.ny + 2 * halo)),
-        data_(static_cast<std::size_t>(extents.nx + 2 * halo) *
-                  static_cast<std::size_t>(extents.ny + 2 * halo) *
-                  static_cast<std::size_t>(extents.nz + 2 * halo),
-              init) {
-    TEMPEST_REQUIRE(extents.nx > 0 && extents.ny > 0 && extents.nz > 0);
-    TEMPEST_REQUIRE(halo >= 0);
+  /// Every padded element, halo included, set to `init` by fill(init,
+  /// threads): the storage's first touch runs on the threads that fill it.
+  Grid3(Extents3 extents, int halo, T init = T{}, int threads = 1)
+      : Grid3(extents, halo, Unwritten{}) {
+    fill(init, threads);
+  }
+
+  /// Storage allocated but not written, so no page is touched yet. The
+  /// caller writes every padded element, halo included, before anything
+  /// reads one (the model builders' single pass).
+  [[nodiscard]] static Grid3 uninitialized(Extents3 extents, int halo) {
+    return Grid3(extents, halo, Unwritten{});
   }
 
   [[nodiscard]] const Extents3& extents() const { return extents_; }
@@ -80,7 +107,39 @@ class Grid3 {
   [[nodiscard]] std::ptrdiff_t stride_y() const { return stride_y_; }
   [[nodiscard]] std::ptrdiff_t stride_z() const { return stride_z_; }
 
-  void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
+  /// Whole-grid passes split the padded x-planes into chunks of about
+  /// kChunkBytes (at least one plane each); chunk(c) is chunk c's planes,
+  /// in padded coordinates [-halo, nx + halo).
+  [[nodiscard]] int chunks() const {
+    const int planes = extents_.nx + 2 * halo_;
+    return data_.empty() ? 0 : (planes + chunk_planes() - 1) / chunk_planes();
+  }
+  [[nodiscard]] Range chunk(int c) const {
+    const int lo = -halo_ + c * chunk_planes();
+    return {lo, std::min(lo + chunk_planes(), extents_.nx + halo_)};
+  }
+
+  /// Every padded element set to `value`, chunk by chunk on `threads`
+  /// workers (util::parallel_for; 1 runs on the caller).
+  void fill(T value, int threads = 1) {
+    util::parallel_for(chunks(), threads, [&](int c) {
+      const Range xs = chunk(c);
+      std::fill(data_.data() + (xs.lo + halo_) * stride_x_,
+                data_.data() + (xs.hi + halo_) * stride_x_, value);
+    });
+  }
+
+  /// fn(x, y) for every padded row (x, y) in [-halo, nx + halo) x
+  /// [-halo, ny + halo), x-plane chunk by chunk on `threads` workers: one
+  /// pass that writes a row of several same-shaped grids at a time.
+  template <typename Fn>
+  void for_each_padded_row(int threads, Fn&& fn) const {
+    util::parallel_for(chunks(), threads, [&](int c) {
+      const Range xs = chunk(c);
+      for (int x = xs.lo; x < xs.hi; ++x)
+        for (int y = -halo_; y < extents_.ny + halo_; ++y) fn(x, y);
+    });
+  }
 
   /// Interior iteration helper: fn(x, y, z) over the whole interior.
   template <typename Fn>
@@ -91,6 +150,39 @@ class Grid3 {
   }
 
  private:
+  struct Unwritten {};
+
+  Grid3(Extents3 extents, int halo, Unwritten)
+      : extents_(extents), halo_(halo), data_(checked_size(extents, halo)) {
+    // Only a shape checked_size() accepted reaches here, so the strides
+    // cannot overflow.
+    stride_z_ = 1;
+    stride_y_ = static_cast<std::ptrdiff_t>(extents.nz) + 2 * halo;
+    stride_x_ =
+        stride_y_ * (static_cast<std::ptrdiff_t>(extents.ny) + 2 * halo);
+  }
+
+  /// Padded element count of a valid shape. Throws PreconditionError, before
+  /// anything is allocated, for a non-positive extent, a negative halo or a
+  /// padded size whose bytes do not fit in size_t.
+  static std::size_t checked_size(const Extents3& e, int halo) {
+    TEMPEST_REQUIRE(e.nx > 0 && e.ny > 0 && e.nz > 0);
+    TEMPEST_REQUIRE(halo >= 0);
+    std::size_t bytes = sizeof(T);
+    for (const int n : {e.nx, e.ny, e.nz}) {
+      const std::size_t padded =
+          static_cast<std::size_t>(n) + 2 * static_cast<std::size_t>(halo);
+      TEMPEST_REQUIRE_MSG(!__builtin_mul_overflow(bytes, padded, &bytes),
+                          "grid storage overflows size_t");
+    }
+    return bytes / sizeof(T);
+  }
+
+  [[nodiscard]] int chunk_planes() const {
+    const std::size_t plane = static_cast<std::size_t>(stride_x_) * sizeof(T);
+    return static_cast<int>(std::max<std::size_t>(1, kChunkBytes / plane));
+  }
+
   void check(int x, int y, int z) const {
     TEMPEST_REQUIRE_MSG(x >= -halo_ && x < extents_.nx + halo_ &&
                             y >= -halo_ && y < extents_.ny + halo_ &&
@@ -103,7 +195,7 @@ class Grid3 {
   std::ptrdiff_t stride_z_ = 0;
   std::ptrdiff_t stride_y_ = 0;
   std::ptrdiff_t stride_x_ = 0;
-  util::aligned_vector<T> data_;
+  std::vector<T, UninitAllocator<T>> data_;
 };
 
 /// Max absolute difference over the interiors of two same-shaped grids.
@@ -119,15 +211,11 @@ double max_abs_diff(const Grid3<T>& a, const Grid3<T>& b) {
   return m;
 }
 
-/// Max absolute interior value (stability checks: finite & bounded fields).
+/// Max absolute interior value (stability checks: finite & bounded fields);
+/// NaN is skipped and the halo is not read. One pass, chunk by chunk on
+/// `threads` workers: a max is exact, so every thread count returns the
+/// same value. Instantiated for float and double.
 template <typename T>
-double max_abs(const Grid3<T>& g) {
-  double m = 0.0;
-  g.for_each_interior([&](int x, int y, int z) {
-    const double d = std::abs(static_cast<double>(g(x, y, z)));
-    if (d > m) m = d;
-  });
-  return m;
-}
+double max_abs(const Grid3<T>& g, int threads = 1);
 
 }  // namespace tempest::grid

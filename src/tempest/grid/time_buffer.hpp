@@ -16,10 +16,14 @@ class TimeBuffer {
  public:
   TimeBuffer() = default;
 
-  TimeBuffer(int slots, Extents3 extents, int halo, T init = T{}) {
+  /// `slots` slices filled with `init` on `threads` workers (Grid3).
+  TimeBuffer(int slots, Extents3 extents, int halo, T init = T{},
+             int threads = 1) {
     TEMPEST_REQUIRE(slots >= 1);
     slices_.reserve(static_cast<std::size_t>(slots));
-    for (int i = 0; i < slots; ++i) slices_.emplace_back(extents, halo, init);
+    for (int i = 0; i < slots; ++i) {
+      slices_.emplace_back(extents, halo, init, threads);
+    }
   }
 
   [[nodiscard]] int slots() const { return static_cast<int>(slices_.size()); }

@@ -176,8 +176,13 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   const BlackboxScope blackbox(spec, a);
   const int n = spec.n;
   const int nt = spec.nt;
-  const double dt = model.critical_dt();
-  const auto wavelet = sparse::ricker(nt, dt, 0.008);
+
+  physics::PropagatorOptions opts;
+  opts.tiles = core::TileSpec{8, 64, 64, 8, 8};
+  opts.health.check_every = spec.health_every;
+  Propagator prop = make_propagator<Propagator>(model, opts, spec);
+  // The model's critical dt: the constructor scanned the velocity for it.
+  const auto wavelet = sparse::ricker(nt, prop.dt(), 0.008);
 
   // Shots march along x at 1/4 .. 3/4 of the line, off-the-grid.
   const double fx =
@@ -189,11 +194,6 @@ AttemptResult run_shot(const Model& model, const SurveySpec& spec,
   const sparse::CoordList rec_coords =
       sparse::receiver_carpet(model.geom.extents, 16, 8);
   sparse::SparseTimeSeries gather(rec_coords, nt);
-
-  physics::PropagatorOptions opts;
-  opts.tiles = core::TileSpec{8, 64, 64, 8, 8};
-  opts.health.check_every = spec.health_every;
-  Propagator prop = make_propagator<Propagator>(model, opts, spec);
 
   const std::uint64_t fp = shot_fingerprint(base_fp, a.job, rung, a.level);
   resilience::Checkpointer ckpt(shot_ckpt_path(spec, a.job));

@@ -160,8 +160,11 @@ AcousticPropagator::AcousticPropagator(const AcousticModel& model,
                                        AcousticBlockFn* block)
     : model_(model),
       opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
-      u_(3, model.geom.extents, model.geom.radius()),
+      dt_(opts.dt > 0.0
+              ? opts.dt
+              : model.critical_dt(util::resolve_threads(opts.threads))),
+      u_(3, model.geom.extents, model.geom.radius(), real_t{0},
+         util::resolve_threads(opts.threads)),
       block_(block) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "tempest/config.hpp"
 #include "tempest/grid/grid3.hpp"
@@ -22,35 +22,74 @@ namespace tempest::physics {
                                                double vp_ref = 1.5,
                                                double r0 = 0.001);
 
+/// make_damping's profile as a ramp: entry d is the coefficient d points
+/// from the nearest face (d < g.nbl).
+[[nodiscard]] std::vector<real_t> damping_ramp(const Geometry& g,
+                                               double vp_ref = 1.5,
+                                               double r0 = 0.001);
+
+/// A sponge ramp with make_damping's geometry and d0 scaling: entry d
+/// (d < g.nbl) is coeff(d0, frac) with frac = (L - d) / L, L the layer
+/// depth and d0 = (3 vp_ref / (2 L)) ln(1/r0).
+template <typename Coeff>
+[[nodiscard]] std::vector<real_t> sponge_ramp(const Geometry& g,
+                                              double vp_ref, double r0,
+                                              Coeff&& coeff) {
+  TEMPEST_REQUIRE(g.nbl >= 0 && vp_ref > 0.0 && r0 > 0.0 && r0 < 1.0);
+  std::vector<real_t> ramp(static_cast<std::size_t>(g.nbl));
+  if (g.nbl == 0) return ramp;
+  const double len = g.nbl * g.spacing;                       // depth (m)
+  const double d0 = 1.5 * vp_ref / len * std::log(1.0 / r0);  // 1/ms
+  for (int d = 0; d < g.nbl; ++d) {
+    const double frac = static_cast<double>(g.nbl - d) / g.nbl;
+    ramp[static_cast<std::size_t>(d)] = static_cast<real_t>(coeff(d0, frac));
+  }
+  return ramp;
+}
+
+/// A sponge, row by row: the value at an interior point d < nbl points from
+/// the nearest face is ramp[d], and every other point, the halo included,
+/// is 0. Only the shell is computed: every row at least nbl points from the
+/// x and y faces copies one shared column. A model builder writes it in its
+/// own pass over the rows of its fields.
+class SpongeRows {
+ public:
+  /// `ramp` holds g.nbl values, the outermost first.
+  SpongeRows(const Geometry& g, std::vector<real_t> ramp);
+
+  /// Writes padded row (x, y) of `out`, a grid of g's extents with halo
+  /// g.radius().
+  void write(grid::Grid3<real_t>& out, int x, int y) const;
+
+ private:
+  grid::Extents3 e_;
+  int halo_;
+  std::vector<real_t> ramp_;
+  std::vector<real_t> core_;  ///< padded column of every non-shell row
+};
+
+/// A grid holding the sponge `ramp` alone, written in one pass on
+/// util::resolve_threads() workers.
+[[nodiscard]] grid::Grid3<real_t> make_sponge(const Geometry& g,
+                                              std::vector<real_t> ramp);
+
 /// Generalised sponge profile: same geometry and d0 scaling as
 /// make_damping, but with a configurable power-law ramp
 ///   d(p) = d0 * ((L - dist(p)) / L)^exponent.
-/// exponent = 2 reproduces make_damping's quadratic profile; higher
+/// exponent = 2 gives make_damping's quadratic profile; higher
 /// exponents concentrate the absorption near the outer faces (gentler at
 /// the interior seam, fewer seam reflections), linear (1) ramps hardest.
-/// Header-only so DSL-authored boundary variants — e.g. a sponge equation
-/// binding this grid as its own damping coefficient — extend the physics
-/// layer without touching its translation units.
+/// Its ramp is written in this header, so a DSL-authored boundary variant —
+/// e.g. a sponge equation binding this grid as its own damping
+/// coefficient — extends the physics layer without touching its
+/// translation units.
 [[nodiscard]] inline grid::Grid3<real_t> make_sponge_profile(
     const Geometry& g, double vp_ref = 1.5, double r0 = 0.001,
     int exponent = 2) {
-  TEMPEST_REQUIRE(g.nbl >= 0 && vp_ref > 0.0 && r0 > 0.0 && r0 < 1.0);
   TEMPEST_REQUIRE(exponent >= 1);
-  grid::Grid3<real_t> sponge(g.extents, g.radius(), real_t{0});
-  if (g.nbl == 0) return sponge;
-
-  const double len = g.nbl * g.spacing;                       // depth (m)
-  const double d0 = 1.5 * vp_ref / len * std::log(1.0 / r0);  // 1/ms
-
-  const auto& e = g.extents;
-  sponge.for_each_interior([&](int x, int y, int z) {
-    const int dist = std::min({x, e.nx - 1 - x, y, e.ny - 1 - y, z,
-                               e.nz - 1 - z});
-    if (dist >= g.nbl) return;
-    const double frac = static_cast<double>(g.nbl - dist) / g.nbl;
-    sponge(x, y, z) = static_cast<real_t>(d0 * std::pow(frac, exponent));
-  });
-  return sponge;
+  return make_sponge(g, sponge_ramp(g, vp_ref, r0, [&](double d0, double f) {
+                       return d0 * std::pow(f, exponent);
+                     }));
 }
 
 }  // namespace tempest::physics

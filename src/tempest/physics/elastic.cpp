@@ -236,22 +236,32 @@ static_assert(
                       core::engine::Checkpointable<
                           ElasticPropagator, ElasticKernel::kFirstStep>>);
 
+/// A zeroed field of the model's shape, first touched on the propagator's
+/// workers.
+grid::Grid3<real_t> zero_field(const ElasticModel& model,
+                               const PropagatorOptions& opts) {
+  return {model.geom.extents, model.geom.radius(), real_t{0},
+          util::resolve_threads(opts.threads)};
+}
+
 }  // namespace
 
 ElasticPropagator::ElasticPropagator(const ElasticModel& model,
                                      PropagatorOptions opts)
     : model_(model),
       opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
-      vx_(model.geom.extents, model.geom.radius(), real_t{0}),
-      vy_(model.geom.extents, model.geom.radius(), real_t{0}),
-      vz_(model.geom.extents, model.geom.radius(), real_t{0}),
-      txx_(model.geom.extents, model.geom.radius(), real_t{0}),
-      tyy_(model.geom.extents, model.geom.radius(), real_t{0}),
-      tzz_(model.geom.extents, model.geom.radius(), real_t{0}),
-      txy_(model.geom.extents, model.geom.radius(), real_t{0}),
-      txz_(model.geom.extents, model.geom.radius(), real_t{0}),
-      tyz_(model.geom.extents, model.geom.radius(), real_t{0}) {
+      dt_(opts.dt > 0.0
+              ? opts.dt
+              : model.critical_dt(util::resolve_threads(opts.threads))),
+      vx_(zero_field(model, opts)),
+      vy_(zero_field(model, opts)),
+      vz_(zero_field(model, opts)),
+      txx_(zero_field(model, opts)),
+      tyy_(zero_field(model, opts)),
+      tzz_(zero_field(model, opts)),
+      txy_(zero_field(model, opts)),
+      txz_(zero_field(model, opts)),
+      tyz_(zero_field(model, opts)) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);
   TEMPEST_REQUIRE(opts_.tiles.valid());

@@ -28,9 +28,10 @@ struct AcousticModel {
   grid::Grid3<real_t> m;     ///< squared slowness 1/vp^2
   grid::Grid3<real_t> damp;  ///< sponge coefficient (0 in the interior)
 
-  [[nodiscard]] double vp_max() const;
-  /// CFL-stable timestep (ms).
-  [[nodiscard]] double critical_dt() const;
+  /// Largest |vp| over the interior, scanned on `threads` workers.
+  [[nodiscard]] double vp_max(int threads = 1) const;
+  /// CFL-stable timestep (ms); the same value at every thread count.
+  [[nodiscard]] double critical_dt(int threads = 1) const;
 };
 
 /// Anisotropic (TTI) extension: Thomsen parameters and tilt/azimuth angles,
@@ -45,8 +46,8 @@ struct TTIModel {
   grid::Grid3<real_t> theta;  ///< tilt (radians)
   grid::Grid3<real_t> phi;    ///< azimuth (radians)
 
-  [[nodiscard]] double vp_max() const;
-  [[nodiscard]] double critical_dt() const;
+  [[nodiscard]] double vp_max(int threads = 1) const;
+  [[nodiscard]] double critical_dt(int threads = 1) const;
 };
 
 /// Isotropic elastic model: Lamé parameters and buoyancy derived from
@@ -61,13 +62,17 @@ struct ElasticModel {
   grid::Grid3<real_t> b;    ///< buoyancy 1/rho
   grid::Grid3<real_t> damp;
 
-  [[nodiscard]] double vp_max() const;
-  [[nodiscard]] double critical_dt() const;
+  [[nodiscard]] double vp_max(int threads = 1) const;
+  [[nodiscard]] double critical_dt(int threads = 1) const;
 };
 
 /// Velocity-profile builders. `layered` produces the classic
 /// velocity-increasing-with-depth stack (n layers between v_top and
 /// v_bottom); `homogeneous` a constant medium.
+///
+/// Every builder writes each of its fields exactly once, halo included, in
+/// one pass over their rows on util::resolve_threads() workers; the values
+/// do not depend on the thread count.
 [[nodiscard]] AcousticModel make_acoustic_homogeneous(const Geometry& g,
                                                       double vp = 1.5);
 [[nodiscard]] AcousticModel make_acoustic_layered(const Geometry& g,

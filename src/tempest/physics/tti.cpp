@@ -204,9 +204,13 @@ static_assert(
 TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
     : model_(model),
       opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
-      p_(3, model.geom.extents, model.geom.radius()),
-      q_(3, model.geom.extents, model.geom.radius()),
+      dt_(opts.dt > 0.0
+              ? opts.dt
+              : model.critical_dt(util::resolve_threads(opts.threads))),
+      p_(3, model.geom.extents, model.geom.radius(), real_t{0},
+         util::resolve_threads(opts.threads)),
+      q_(3, model.geom.extents, model.geom.radius(), real_t{0},
+         util::resolve_threads(opts.threads)),
       cxx_(model.geom.extents, model.geom.radius(), real_t{0}),
       cyy_(model.geom.extents, model.geom.radius(), real_t{0}),
       czz_(model.geom.extents, model.geom.radius(), real_t{0}),

@@ -149,14 +149,19 @@ static_assert(
 VTIPropagator::VTIPropagator(const TTIModel& model, PropagatorOptions opts)
     : model_(model),
       opts_(opts),
-      dt_(opts.dt > 0.0 ? opts.dt : model.critical_dt()),
-      p_(3, model.geom.extents, model.geom.radius()),
-      q_(3, model.geom.extents, model.geom.radius()),
+      dt_(opts.dt > 0.0
+              ? opts.dt
+              : model.critical_dt(util::resolve_threads(opts.threads))),
+      p_(3, model.geom.extents, model.geom.radius(), real_t{0},
+         util::resolve_threads(opts.threads)),
+      q_(3, model.geom.extents, model.geom.radius(), real_t{0},
+         util::resolve_threads(opts.threads)),
       ah_(model.geom.extents, model.geom.radius(), real_t{1}),
       an_(model.geom.extents, model.geom.radius(), real_t{1}) {
   TEMPEST_REQUIRE(opts_.tiles.valid());
-  TEMPEST_REQUIRE_MSG(grid::max_abs(model.theta) == 0.0 &&
-                          grid::max_abs(model.phi) == 0.0,
+  const int threads = util::resolve_threads(opts.threads);
+  TEMPEST_REQUIRE_MSG(grid::max_abs(model.theta, threads) == 0.0 &&
+                          grid::max_abs(model.phi, threads) == 0.0,
                       "VTI requires an untilted model (theta == phi == 0); "
                       "use TTIPropagator for tilted media");
   ah_.for_each_interior([&](int x, int y, int z) {

@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include <pthread.h>
+
 #if defined(__SSE__)
 #include <xmmintrin.h>
 #endif
@@ -46,6 +48,14 @@ void set_fp_mode(unsigned word) {
 /// True while this thread runs a region's participant loop: a region it
 /// starts then runs serially, on this thread.
 thread_local bool t_in_region = false;
+
+/// True in a fork() child: only the forking thread survives a fork, so no
+/// worker of the pool exists there, and a region that waited for one would
+/// wait forever.
+std::atomic<bool> g_forked{false};
+
+[[maybe_unused]] const int g_atfork_registered = ::pthread_atfork(
+    nullptr, nullptr, [] { g_forked.store(true, std::memory_order_relaxed); });
 
 /// The process's worker threads (see the header for the contract).
 class Pool {
@@ -104,9 +114,10 @@ class Pool {
 };
 
 /// Participants a region over n items runs on: min(threads, n), or 1 on a
-/// thread that is already running a region body.
+/// thread that is already running a region body or in a fork() child.
 int participants(int threads, int n) {
-  return t_in_region ? 1 : std::min(threads, n);
+  if (t_in_region || g_forked.load(std::memory_order_relaxed)) return 1;
+  return std::min(threads, n);
 }
 
 /// One parallel region: every participant runs the same loop under the

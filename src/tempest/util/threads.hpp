@@ -20,9 +20,10 @@
 //   * regions started from different threads run one after another, and a
 //     region started inside a region body runs serially on the calling
 //     thread;
-//   * a fork() child must not start a region with more than one thread:
-//     the child has none of the pool's workers and would wait for them
-//     forever.
+//   * a region started in a fork() child runs serially on the calling
+//     thread: the child has none of the pool's workers, so a
+//     pthread_atfork child handler marks the process and every later
+//     region there takes the serial path.
 //
 // Floating-point mode: every participant computes under the caller's
 // fp_mode() word for the whole region and gets its own word back

@@ -2,7 +2,7 @@
 // sees exactly TilePlan::ops() of the plan the run's geometry defines, and
 // the pre-run gates (schedule legality, write radius) throw before the
 // first block is computed. A temporally blocked shot allocates no
-// grid-sized precompute buffer.
+// grid-sized precompute buffer, and a model build no field beyond its own.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "tempest/core/engine.hpp"
@@ -113,6 +115,40 @@ void expect_runs_plan(eng::Schedule sched) {
       << " blocks, the plan has " << expected.size();
 }
 
+/// The process's peak resident set so far, in bytes.
+long long peak_bytes() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<long long>(ru.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+/// Runs measure() in a forked child, so the peak resident set it reads is
+/// its own rig's alone, and returns its result; nullopt when the child did
+/// not finish.
+std::optional<long long> in_child(const std::function<long long()>& measure) {
+  int pipe_fds[2];
+  if (::pipe(pipe_fds) != 0) return std::nullopt;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(pipe_fds[0]);
+    const long long value = measure();
+    const bool sent =
+        ::write(pipe_fds[1], &value, sizeof value) == sizeof value;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(pipe_fds[1]);
+  long long value = -1;
+  const bool received =
+      pid > 0 && ::read(pipe_fds[0], &value, sizeof value) == sizeof value;
+  ::close(pipe_fds[0]);
+  int status = 0;
+  if (pid < 0 || ::waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0 || !received) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 TEST(EnginePlan, WavefrontRunsExactlyThePlanOps) {
@@ -147,8 +183,8 @@ TEST(EnginePlan, ScatteredWritesThrowBeforeAnyBlock) {
   }
 }
 
+
 TEST(EngineMemory, WavefrontShotAllocatesNoGridSizedPrecompute) {
-  // A forked child, so the peak resident set it reads is this rig's alone.
   // A small wavefront shot first faults in the code and allocator state
   // the path needs. On the 160^3 rig the space-blocked shot then sets the
   // peak of the fields; the wavefront shot on the same propagator may add
@@ -156,17 +192,7 @@ TEST(EngineMemory, WavefrontShotAllocatesNoGridSizedPrecompute) {
   // no buffer of a byte per grid point. Building the dense probe, SM/SID
   // and RM/RID reference volumes instead grows it by about 13 B per point.
   const tg::Extents3 e{160, 160, 160};
-  int pipe_fds[2];
-  ASSERT_EQ(::pipe(pipe_fds), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(pipe_fds[0]);
-    const auto peak_bytes = [] {
-      rusage ru{};
-      ::getrusage(RUSAGE_SELF, &ru);
-      return static_cast<long long>(ru.ru_maxrss) * 1024;  // KiB on Linux
-    };
+  const std::optional<long long> grown = in_child([&] {
     const auto rig = [](const tg::Extents3& extents) {
       const ph::Geometry g{extents, 10.0, /*space_order=*/4, /*nbl=*/10};
       return ph::make_acoustic_homogeneous(g, 1.5);
@@ -192,22 +218,33 @@ TEST(EngineMemory, WavefrontShotAllocatesNoGridSizedPrecompute) {
     shot(prop, ph::Schedule::SpaceBlocked);
     const long long before = peak_bytes();
     shot(prop, ph::Schedule::Wavefront);
-    const long long grown = peak_bytes() - before;
-    const bool sent =
-        ::write(pipe_fds[1], &grown, sizeof grown) == sizeof grown;
-    ::_exit(sent ? 0 : 1);
-  }
-  ::close(pipe_fds[1]);
-  long long grown = -1;
-  const bool received =
-      ::read(pipe_fds[0], &grown, sizeof grown) == sizeof grown;
-  ::close(pipe_fds[0]);
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0 && received)
-      << "the measuring child did not finish";
-  EXPECT_LT(grown, static_cast<long long>(e.size()))
+    return peak_bytes() - before;
+  });
+  ASSERT_TRUE(grown.has_value()) << "the measuring child did not finish";
+  EXPECT_LT(*grown, static_cast<long long>(e.size()))
       << "the wavefront shot grew the peak RSS by "
-      << static_cast<double>(grown) / static_cast<double>(e.size())
+      << static_cast<double>(*grown) / static_cast<double>(e.size())
       << " B per grid point";
+}
+
+TEST(EngineMemory, ModelBuildPeaksAtItsOwnFields) {
+  // make_acoustic_layered allocates vp, m and damp and writes each once: the
+  // peak grows by three fields. A throwaway m, or a second copy of any
+  // field, would take it to four.
+  const ph::Geometry g{{160, 160, 160}, 10.0, /*space_order=*/4, 10};
+  const std::optional<long long> grown = in_child([&] {
+    // Fault in the builder's code and allocator state on a small model.
+    (void)ph::make_acoustic_layered({{24, 24, 24}, 10.0, 4, 4});
+    const long long before = peak_bytes();
+    const ph::AcousticModel model = ph::make_acoustic_layered(g);
+    return peak_bytes() - before;
+  });
+  ASSERT_TRUE(grown.has_value()) << "the measuring child did not finish";
+  const double field =
+      static_cast<double>(tg::Grid3<real_t>(g.extents, g.radius())
+                              .padded_size() *
+                          sizeof(real_t));
+  EXPECT_LT(static_cast<double>(*grown), 3.5 * field)
+      << "the model build grew the peak RSS by "
+      << static_cast<double>(*grown) / field << " fields";
 }

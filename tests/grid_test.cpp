@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "tempest/grid/blocks.hpp"
@@ -7,8 +10,28 @@
 #include "tempest/grid/grid3.hpp"
 #include "tempest/grid/time_buffer.hpp"
 #include "tempest/util/error.hpp"
+#include "tempest/util/rng.hpp"
 
 namespace tg = tempest::grid;
+
+namespace {
+
+/// A float grid of several chunks: 44 padded x-planes of 254 KiB.
+const tg::Extents3 kChunked{40, 250, 252};
+constexpr int kChunkedHalo = 2;
+
+/// max_abs as a serial interior scan, the reference for the chunked pass.
+template <typename T>
+double serial_max_abs(const tg::Grid3<T>& g) {
+  double m = 0.0;
+  g.for_each_interior([&](int x, int y, int z) {
+    const double d = std::abs(static_cast<double>(g(x, y, z)));
+    if (d > m) m = d;
+  });
+  return m;
+}
+
+}  // namespace
 
 TEST(Extents, SizeAndContains) {
   const tg::Extents3 e{4, 5, 6};
@@ -94,6 +117,107 @@ TEST(Grid3, RejectsBadConstruction) {
   EXPECT_THROW(tg::Grid3<float>({0, 3, 3}, 1), tempest::util::PreconditionError);
   EXPECT_THROW(tg::Grid3<float>({3, 3, 3}, -1),
                tempest::util::PreconditionError);
+}
+
+TEST(Grid3, RejectsBadShapesBeforeAllocating) {
+  using tempest::util::PreconditionError;
+  // Checked after allocating, a negative extent sizes a vector of wrapped
+  // length (std::length_error), and a padded size past size_t wraps to a
+  // small allocation that every access overruns.
+  EXPECT_THROW(tg::Grid3<float>({-3, 4, 4}, 1), PreconditionError);
+  EXPECT_THROW(tg::Grid3<float>({4, 4, -1}, 0), PreconditionError);
+  EXPECT_THROW(tg::Grid3<float>({4, 4, 4}, -2), PreconditionError);
+  EXPECT_THROW(tg::Grid3<float>({1 << 21, 1 << 21, 1 << 22}, 0),
+               PreconditionError);
+  EXPECT_THROW(tg::Grid3<double>({1 << 20, 1 << 20, 1 << 21}, 1),
+               PreconditionError);
+  EXPECT_THROW(
+      tg::Grid3<float>({1, 1, 1}, std::numeric_limits<int>::max()),
+      PreconditionError);
+  EXPECT_THROW((void)tg::Grid3<float>::uninitialized({4, 0, 4}, 1),
+               PreconditionError);
+  EXPECT_THROW((void)tg::Grid3<float>::uninitialized({4, 4, 4}, -1),
+               PreconditionError);
+  EXPECT_EQ(tg::Grid3<float>::uninitialized({4, 5, 6}, 1).padded_size(),
+            6u * 7u * 8u);
+}
+
+TEST(Grid3, ChunksCoverThePaddedPlanesInOrder) {
+  const tg::Grid3<float> g(kChunked, kChunkedHalo);
+  ASSERT_GE(g.chunks(), 4);
+  int next = -kChunkedHalo;
+  for (int c = 0; c < g.chunks(); ++c) {
+    const tg::Range xs = g.chunk(c);
+    EXPECT_EQ(xs.lo, next) << "chunk " << c;
+    EXPECT_GT(xs.length(), 0) << "chunk " << c;
+    EXPECT_LE(static_cast<std::size_t>(xs.length() * g.stride_x()) *
+                  sizeof(float),
+              tg::kChunkBytes)
+        << "chunk " << c;
+    next = xs.hi;
+  }
+  EXPECT_EQ(next, kChunked.nx + kChunkedHalo);
+  // A plane wider than a chunk is a chunk of its own.
+  static_assert(600 * 600 * sizeof(double) > tg::kChunkBytes);
+  const tg::Grid3<double> wide({3, 600, 600}, 0);
+  EXPECT_EQ(wide.chunks(), 3);
+  // A small grid is one chunk, so its passes run on the caller.
+  EXPECT_EQ(tg::Grid3<float>({8, 8, 8}, 2).chunks(), 1);
+}
+
+TEST(Grid3, FillCoversEveryPaddedByteAtAnyThreadCount) {
+  const auto every_element_is = [](const tg::Grid3<float>& g, float v) {
+    for (std::size_t i = 0; i < g.padded_size(); ++i) {
+      if (std::memcmp(g.raw() + i, &v, sizeof v) != 0) return false;
+    }
+    return true;
+  };
+  for (const int threads : {1, 2, 8}) {
+    tg::Grid3<float> g(kChunked, kChunkedHalo, 1.5f, threads);
+    EXPECT_TRUE(every_element_is(g, 1.5f)) << "threads " << threads;
+    g.fill(-0.0f, threads);
+    EXPECT_TRUE(every_element_is(g, -0.0f)) << "threads " << threads;
+    const tg::TimeBuffer<float> buf(2, kChunked, kChunkedHalo, 0.25f, threads);
+    EXPECT_TRUE(every_element_is(buf.slot(0), 0.25f)) << "threads " << threads;
+    EXPECT_TRUE(every_element_is(buf.slot(1), 0.25f)) << "threads " << threads;
+  }
+}
+
+TEST(Grid3, MaxAbsMatchesTheSerialScan) {
+  tg::Grid3<float> g(kChunked, kChunkedHalo);
+  tempest::util::SplitMix64 rng(7);
+  g.for_each_interior([&](int x, int y, int z) {
+    g(x, y, z) = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+  });
+  // The largest magnitude sits in the last chunk, a larger one in the halo,
+  // and NaN (skipped) in the first chunk.
+  g(kChunked.nx - 1, 7, 9) = -3.25f;
+  g(kChunked.nx, 7, 9) = 100.0f;
+  g(0, 0, -1) = -100.0f;
+  g(1, 2, 3) = std::numeric_limits<float>::quiet_NaN();
+  for (const int threads : {1, 2, 8}) {
+    EXPECT_EQ(tg::max_abs(g, threads), 3.25) << "threads " << threads;
+    EXPECT_EQ(tg::max_abs(g, threads), serial_max_abs(g))
+        << "threads " << threads;
+  }
+
+  // Signed zeros only: +0. NaN only: 0, as the serial scan skips it too.
+  tg::Grid3<float> zeros({4, 4, 4}, 1, -0.0f);
+  zeros(2, 2, 2) = 0.0f;
+  EXPECT_EQ(tg::max_abs(zeros, 2), 0.0);
+  EXPECT_FALSE(std::signbit(tg::max_abs(zeros, 2)));
+  tg::Grid3<double> nan({4, 4, 4}, 1,
+                        std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(tg::max_abs(nan, 2), serial_max_abs(nan));
+  EXPECT_EQ(tg::max_abs(nan, 2), 0.0);
+
+  // Infinity counts; a double grid goes through the same pass.
+  tg::Grid3<double> d(kChunked, kChunkedHalo, 0.5);
+  d(3, 4, 5) = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(tg::max_abs(d, 8), std::numeric_limits<double>::infinity());
+  d(3, 4, 5) = -0.75;
+  EXPECT_EQ(tg::max_abs(d, 8), 0.75);
+  EXPECT_EQ(tg::max_abs(d, 8), serial_max_abs(d));
 }
 
 TEST(TimeBuffer, ModuloSemantics) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
+#include <string>
 
 #include "tempest/physics/damping.hpp"
 #include "tempest/physics/model.hpp"
@@ -11,6 +16,242 @@ using tempest::real_t;
 
 namespace {
 const ph::Geometry kGeom{{24, 20, 18}, 10.0, 4, 6};
+
+/// Each builder's formulas as serial pointwise loops over a zero- or
+/// value-filled grid: the reference every builder must match byte for
+/// byte, halo included, at any thread count.
+namespace pointwise {
+
+real_t layered_velocity(int z, int nz, double v_top, double v_bottom,
+                        int layers) {
+  const int layer = std::min(layers - 1, z * layers / std::max(1, nz));
+  const double f =
+      layers > 1 ? static_cast<double>(layer) / (layers - 1) : 0.0;
+  return static_cast<real_t>(v_top + f * (v_bottom - v_top));
+}
+
+tg::Grid3<real_t> squared_slowness(const tg::Grid3<real_t>& vp, int halo) {
+  tg::Grid3<real_t> m(vp.extents(), halo, real_t{0});
+  vp.for_each_interior([&](int x, int y, int z) {
+    const real_t v = vp(x, y, z);
+    m(x, y, z) = real_t{1} / (v * v);
+  });
+  return m;
+}
+
+template <typename Coeff>
+tg::Grid3<real_t> sponge(const ph::Geometry& g, double vp_ref, double r0,
+                         Coeff coeff) {
+  tg::Grid3<real_t> out(g.extents, g.radius(), real_t{0});
+  if (g.nbl == 0) return out;
+  const double len = g.nbl * g.spacing;
+  const double d0 = 1.5 * vp_ref / len * std::log(1.0 / r0);
+  const auto& e = g.extents;
+  out.for_each_interior([&](int x, int y, int z) {
+    const int dist =
+        std::min({x, e.nx - 1 - x, y, e.ny - 1 - y, z, e.nz - 1 - z});
+    if (dist >= g.nbl) return;
+    const double frac = static_cast<double>(g.nbl - dist) / g.nbl;
+    out(x, y, z) = static_cast<real_t>(coeff(d0, frac));
+  });
+  return out;
+}
+
+tg::Grid3<real_t> damping(const ph::Geometry& g, double vp_ref) {
+  return sponge(g, vp_ref, 0.001,
+                [](double d0, double frac) { return d0 * frac * frac; });
+}
+
+tg::Grid3<real_t> sponge_profile(const ph::Geometry& g, double vp_ref,
+                                 double r0, int exponent) {
+  return sponge(g, vp_ref, r0, [&](double d0, double frac) {
+    return d0 * std::pow(frac, exponent);
+  });
+}
+
+ph::AcousticModel acoustic_homogeneous(const ph::Geometry& g, double vp) {
+  const int h = g.radius();
+  ph::AcousticModel model{
+      g, tg::Grid3<real_t>(g.extents, h, static_cast<real_t>(vp)),
+      tg::Grid3<real_t>(g.extents, h, real_t{0}), damping(g, vp)};
+  model.m = squared_slowness(model.vp, h);
+  model.m.fill(static_cast<real_t>(1.0 / (vp * vp)));
+  return model;
+}
+
+ph::AcousticModel acoustic_layered(const ph::Geometry& g, double v_top,
+                                   double v_bottom, int layers) {
+  const int h = g.radius();
+  ph::AcousticModel model{g, tg::Grid3<real_t>(g.extents, h, real_t{0}),
+                          tg::Grid3<real_t>(g.extents, h, real_t{0}),
+                          damping(g, v_top)};
+  model.vp.for_each_interior([&](int x, int y, int z) {
+    model.vp(x, y, z) =
+        layered_velocity(z, g.extents.nz, v_top, v_bottom, layers);
+  });
+  model.m = squared_slowness(model.vp, h);
+  return model;
+}
+
+ph::TTIModel tti_layered(const ph::Geometry& g, double v_top,
+                         double v_bottom, int layers) {
+  const int h = g.radius();
+  auto zero = [&] { return tg::Grid3<real_t>(g.extents, h, real_t{0}); };
+  ph::TTIModel model{g,      zero(), zero(), damping(g, v_top),
+                     zero(), zero(), zero(), zero()};
+  const auto& e = g.extents;
+  model.vp.for_each_interior([&](int x, int y, int z) {
+    model.vp(x, y, z) = layered_velocity(z, e.nz, v_top, v_bottom, layers);
+    const double fx = static_cast<double>(x) / std::max(1, e.nx - 1);
+    const double fz = static_cast<double>(z) / std::max(1, e.nz - 1);
+    model.epsilon(x, y, z) = static_cast<real_t>(0.10 + 0.15 * fz);
+    model.delta(x, y, z) = static_cast<real_t>(0.05 + 0.10 * fz);
+    model.theta(x, y, z) = static_cast<real_t>(0.5 * fx);
+    model.phi(x, y, z) = static_cast<real_t>(0.3 * fz);
+  });
+  model.m = squared_slowness(model.vp, h);
+  return model;
+}
+
+ph::ElasticModel elastic_layered(const ph::Geometry& g, double vp_top,
+                                 double vp_bottom, int layers) {
+  const int h = g.radius();
+  auto zero = [&] { return tg::Grid3<real_t>(g.extents, h, real_t{0}); };
+  ph::ElasticModel model{g,      zero(), zero(), zero(), zero(),
+                         zero(), zero(), damping(g, vp_top)};
+  const double rho0 = 1.0;
+  model.vp.for_each_interior([&](int x, int y, int z) {
+    const real_t vp =
+        layered_velocity(z, g.extents.nz, vp_top, vp_bottom, layers);
+    const real_t vs = vp / static_cast<real_t>(std::sqrt(3.0));
+    model.vp(x, y, z) = vp;
+    model.vs(x, y, z) = vs;
+    model.rho(x, y, z) = static_cast<real_t>(rho0);
+    model.mu(x, y, z) = static_cast<real_t>(rho0) * vs * vs;
+    model.lam(x, y, z) =
+        static_cast<real_t>(rho0) * (vp * vp - real_t{2} * vs * vs);
+    model.b(x, y, z) = static_cast<real_t>(1.0 / rho0);
+  });
+  return model;
+}
+
+}  // namespace pointwise
+
+/// Every padded byte of `got`, halo included, equals `want`'s.
+::testing::AssertionResult same_bytes(const tg::Grid3<real_t>& got,
+                                      const tg::Grid3<real_t>& want) {
+  if (got.extents() != want.extents() || got.halo() != want.halo()) {
+    return ::testing::AssertionFailure() << "shapes differ";
+  }
+  for (std::size_t i = 0; i < got.padded_size(); ++i) {
+    if (std::memcmp(got.raw() + i, want.raw() + i, sizeof(real_t)) != 0) {
+      return ::testing::AssertionFailure()
+             << "padded element " << i << " is " << got.raw()[i]
+             << ", the pointwise loop wrote " << want.raw()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Sets $TEMPEST_THREADS, the builders' thread knob, for one scope.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(int threads) {
+    if (const char* v = std::getenv("TEMPEST_THREADS")) saved_ = v;
+    ::setenv("TEMPEST_THREADS", std::to_string(threads).c_str(), 1);
+  }
+  ~ThreadsEnv() {
+    if (saved_) {
+      ::setenv("TEMPEST_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TEMPEST_THREADS");
+    }
+  }
+  ThreadsEnv(const ThreadsEnv&) = delete;
+  ThreadsEnv& operator=(const ThreadsEnv&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+}  // namespace
+
+TEST(Model, BuildersMatchPointwiseFormulasAtAnyThreadCount) {
+  // Padded planes of 254 KiB: a grid of several chunks whose sponge is
+  // wider than one chunk, and whose x, y and z extents all differ.
+  const ph::Geometry g{{36, 250, 252}, 10.0, 4, 12};
+  const tg::Grid3<real_t> shape(g.extents, g.radius());
+  ASSERT_GE(shape.chunks(), 4);
+  ASSERT_GT(g.nbl, shape.chunk(1).length());
+
+  {
+    const auto homogeneous = pointwise::acoustic_homogeneous(g, 2.0);
+    const auto layered = pointwise::acoustic_layered(g, 1.5, 3.5, 5);
+    for (const int threads : {1, 2, 8}) {
+      const ThreadsEnv env(threads);
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const auto h = ph::make_acoustic_homogeneous(g, 2.0);
+      EXPECT_TRUE(same_bytes(h.vp, homogeneous.vp));
+      EXPECT_TRUE(same_bytes(h.m, homogeneous.m));
+      EXPECT_TRUE(same_bytes(h.damp, homogeneous.damp));
+      const auto l = ph::make_acoustic_layered(g, 1.5, 3.5, 5);
+      EXPECT_TRUE(same_bytes(l.vp, layered.vp));
+      EXPECT_TRUE(same_bytes(l.m, layered.m));
+      EXPECT_TRUE(same_bytes(l.damp, layered.damp));
+    }
+  }
+  for (const int threads : {1, 2, 8}) {
+    const ThreadsEnv env(threads);
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_TRUE(same_bytes(ph::make_damping(g, 3.0),
+                           pointwise::damping(g, 3.0)));
+    for (const int exponent : {1, 2, 3}) {
+      EXPECT_TRUE(same_bytes(ph::make_sponge_profile(g, 2.5, 0.01, exponent),
+                             pointwise::sponge_profile(g, 2.5, 0.01,
+                                                       exponent)))
+          << "exponent " << exponent;
+    }
+  }
+  {
+    const auto want = pointwise::tti_layered(g, 1.5, 4.0, 6);
+    for (const int threads : {1, 2, 8}) {
+      const ThreadsEnv env(threads);
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const auto got = ph::make_tti_layered(g, 1.5, 4.0, 6);
+      EXPECT_TRUE(same_bytes(got.vp, want.vp));
+      EXPECT_TRUE(same_bytes(got.m, want.m));
+      EXPECT_TRUE(same_bytes(got.damp, want.damp));
+      EXPECT_TRUE(same_bytes(got.epsilon, want.epsilon));
+      EXPECT_TRUE(same_bytes(got.delta, want.delta));
+      EXPECT_TRUE(same_bytes(got.theta, want.theta));
+      EXPECT_TRUE(same_bytes(got.phi, want.phi));
+    }
+  }
+
+  {
+    const auto want = pointwise::elastic_layered(g, 1.5, 3.5, 4);
+    for (const int threads : {1, 2, 8}) {
+      const ThreadsEnv env(threads);
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      const auto got = ph::make_elastic_layered(g, 1.5, 3.5, 4);
+      EXPECT_TRUE(same_bytes(got.vp, want.vp));
+      EXPECT_TRUE(same_bytes(got.vs, want.vs));
+      EXPECT_TRUE(same_bytes(got.rho, want.rho));
+      EXPECT_TRUE(same_bytes(got.lam, want.lam));
+      EXPECT_TRUE(same_bytes(got.mu, want.mu));
+      EXPECT_TRUE(same_bytes(got.b, want.b));
+      EXPECT_TRUE(same_bytes(got.damp, want.damp));
+    }
+  }
+
+  // An empty sponge and a sponge wider than half the grid.
+  for (const int nbl : {0, 30}) {
+    ph::Geometry s = g;
+    s.nbl = nbl;
+    EXPECT_TRUE(same_bytes(ph::make_damping(s, 1.5),
+                           pointwise::damping(s, 1.5)))
+        << "nbl " << nbl;
+  }
 }
 
 TEST(Geometry, RadiusFromOrder) {

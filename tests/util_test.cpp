@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -447,6 +449,39 @@ TEST(Pool, RegionAfterAThrowingRegionCoversEveryIndex) {
           << "node " << n << " threads=" << threads;
     }
   }
+}
+
+TEST(Pool, ForkedChildRunsRegionsSerially) {
+  // The pool is up in the parent, and its workers do not survive a fork: a
+  // child that waited for them would hang until the alarm kills it.
+  std::atomic<int> warm{0};
+  tu::parallel_for(64, 2, [&](int) { warm++; });
+  ASSERT_EQ(warm.load(), 64);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(10);
+    const std::thread::id self = std::this_thread::get_id();
+    std::array<int, 64> hits{};
+    bool on_caller = true;
+    tu::parallel_for(64, 2, [&](int i) {
+      hits[static_cast<std::size_t>(i)]++;
+      on_caller = on_caller && std::this_thread::get_id() == self;
+    });
+    tu::TaskDag(8).run(2, [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+    const bool every_index_ran =
+        std::all_of(hits.begin(), hits.begin() + 8,
+                    [](int h) { return h == 2; }) &&
+        std::all_of(hits.begin() + 8, hits.end(),
+                    [](int h) { return h == 1; });
+    ::_exit(every_index_ran && on_caller ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(status))
+      << "the child died by signal " << WTERMSIG(status);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child's regions did not each run every index on its thread";
 }
 
 namespace {
