@@ -31,7 +31,7 @@
 // without a PMU it degrades to a one-line notice.
 //
 // --openmetrics writes the run's trace counters and obs latency histograms
-// (tile/band/substep timings, JIT compile latency) — plus the whole-run PMU
+// (tile and band timings, JIT compile latency) — plus the whole-run PMU
 // deltas under --pmu — as an OpenMetrics textfile for node-exporter-style
 // scraping.
 //

@@ -9,13 +9,18 @@
 // only a PhysicsKernel: its field set, the per-block update and the sparse
 // inject/interp bind points.
 //
+// One time loop: every schedule builds one core::TilePlan and runs it
+// through one core::execute call, so the plan that runs is the plan the
+// race prover proves and cachesim replays.
+//
 // Substep axis: a kernel declares kSubstepsPerStep (S). Second-order-in-time
 // systems (acoustic, TTI, VTI) take S = 1; the first-order elastic system
 // takes S = 2 (velocity then stress half-updates). Temporally blocked
 // schedules tile the substep axis s = S*t + sub with slope = radius per
 // substep — the paper's "shifted wave-front angle" for staggered multi-grid
-// updates — and run the sparse operators after the last substep of each
-// timestep.
+// updates. Every schedule runs the sparse operators after the last substep
+// of each timestep: fused into that substep's blocks under temporal
+// blocking, in the band hook of that substep's band otherwise.
 
 #include <algorithm>
 #include <array>
@@ -37,7 +42,6 @@
 #include "tempest/core/tile_graph.hpp"
 #include "tempest/core/tile_plan.hpp"
 #include "tempest/core/wavefront.hpp"
-#include "tempest/grid/blocks.hpp"
 #include "tempest/grid/grid3.hpp"
 #include "tempest/obs/recorder.hpp"
 #include "tempest/resilience/checkpoint.hpp"
@@ -130,18 +134,6 @@ struct ExecutionOptions {
   /// boundaries — the only instants a whole timestep exists under blocking.
   resilience::HealthPolicy health{};
 
-  /// Run the analysis:: schedule-legality verifier before every temporally
-  /// blocked execution (see analysis/legality.hpp): the canonical fused
-  /// nest the executor implements, checked against the kernel's *declared*
-  /// access summary and the engine's actual skew slope. Catches a kernel
-  /// whose declared dependency radius outruns the wave-front skew before a
-  /// single wrong cell is computed. Costs microseconds per run. Also gates
-  /// the statics tile-interference prover: before a temporally blocked run
-  /// starts, every unordered task pair of every band of the run's tile plan
-  /// is proven to have disjoint write/write and write/read footprints (the
-  /// race-freedom the TSan lane observes dynamically, as a pre-run theorem).
-  bool verify_schedule = true;
-
   /// Let a spec whose dt exceeds the static von Neumann bound through the
   /// stability gates (deliberate divergence experiments). Every other
   /// statics check still runs.
@@ -197,8 +189,8 @@ concept PhysicsKernel =
       { ck.access_summary() } -> std::convertible_to<analysis::AccessSummary>;
     };
 
-/// The single generic time-loop core. Owns schedule dispatch, tile /
-/// wavefront / diamond iteration, the sparse precompute wiring, the
+/// The single generic time-loop core. Owns schedule dispatch, the one
+/// tile plan every schedule executes, the sparse-operator wiring, the
 /// canonical placement of trace spans and work counters, the HealthMonitor
 /// scan points and the run_from resume semantics — for every PhysicsKernel.
 template <PhysicsKernel Kernel>
@@ -213,6 +205,8 @@ class ScheduleExecutor {
   /// uninterrupted one bitwise under the same schedule and options. The run
   /// computes under the caller's fp_mode() with util::kFlushSubnormals
   /// added and leaves the caller's word as it found it.
+  /// Every schedule is one core::execute of make_plan()'s plan with one
+  /// block function and one band hook.
   RunStats run_from(int t_begin, Schedule sched,
                     const sparse::SparseTimeSeries& src,
                     sparse::SparseTimeSeries* rec,
@@ -237,6 +231,9 @@ class ScheduleExecutor {
     resilience::HealthMonitor monitor(opts_.health);
     const grid::Extents3& e = k_.extents();
     const int radius = k_.radius();
+    const bool has_rec = rec != nullptr && rec->npoints() > 0;
+    const bool fused =
+        sched == Schedule::Wavefront || sched == Schedule::Diamond;
 
     auto inj_scale = [this](int x, int y, int z) {
       return k_.inject_scale(x, y, z);
@@ -271,132 +268,91 @@ class ScheduleExecutor {
       if (on_step) on_step(t_done);
     };
 
-    // One block of one substep: the unit every schedule hands to the kernel,
-    // and the single place the stencil span (TileSeconds) and the stencil
-    // work counters are emitted.
-    auto substep_block = [&](int s, const grid::Box3& box) {
-      TEMPEST_TRACE_SPAN_ARG_METRIC("stencil", "compute", s, TileSeconds);
-      TEMPEST_TRACE_COUNT(CellsUpdated, box.volume());
-      TEMPEST_TRACE_COUNT(HaloCellsTouched,
-                          2 * radius *
-                              (box.x.length() * box.y.length() +
-                               box.y.length() * box.z.length() +
-                               box.x.length() * box.z.length()));
-      k_.apply(s, box);
-    };
+    const core::TilePlan plan = make_plan(sched, t_begin, nt, has_rec);
 
     RunStats stats;
     stats.point_updates = static_cast<long long>(nt - t_begin) *
                           static_cast<long long>(e.size());
 
-    const int threads = util::resolve_threads(opts_.threads);
-
-    if (sched == Schedule::Wavefront || sched == Schedule::Diamond) {
-      // --- The paper's scheme: precompute, fuse, compress, time-tile. The
-      // same precomputed structures legalise either temporal-blocking
-      // family (wave-front or diamond). ---
-      //
-      // The executor implements the stage-2 (fused + compressed) nest and
-      // skews by `radius` per substep — slope = S * radius per timestep.
-      // TileGraph re-derives the nest's dependence distance vectors and
-      // verifies them against the kernel's *declared* access shape (a
-      // kernel whose real dependency reach exceeded the skew would silently
-      // read stale halo cells; here it throws instead — unless
-      // verify_schedule was explicitly disabled).
-      const int tile_t = std::max(1, opts_.tiles.tile_t);
-      const analysis::AccessSummary summary = k_.access_summary();
-      const bool has_rec = rec != nullptr && rec->npoints() > 0;
-      TileGraph::derive(summary,
-                        sched == Schedule::Wavefront
-                            ? analysis::ScheduleDescriptor::wavefront(
-                                  S * radius, tile_t)
-                            : analysis::ScheduleDescriptor::diamond(
-                                  S * radius, tile_t),
-                        /*sources=*/true, /*receivers=*/has_rec, opts_.tiles,
-                        /*verify=*/opts_.verify_schedule);
-
-      // The one tile plan of this run, in substep units: tile_t full steps
-      // == S*tile_t substeps, skewed by `radius` grid points per substep.
-      const core::TilePlan plan = [&] {
-        if (sched == Schedule::Wavefront) {
-          core::TileSpec spec = opts_.tiles;
-          spec.tile_t = S * opts_.tiles.tile_t;
-          return core::TilePlan::wavefront(e, S * t_begin, S * nt, radius,
-                                           spec);
-        }
-        core::DiamondSpec dspec;
-        dspec.height = S * opts_.tiles.tile_t;
-        // The x period must accommodate the band's dependency cone.
-        dspec.width = std::max(opts_.tiles.tile_x, 2 * radius * dspec.height);
-        dspec.block_x = opts_.tiles.block_x;
-        dspec.block_y = opts_.tiles.block_y;
-        return core::TilePlan::diamond(e, S * t_begin, S * nt, radius, dspec);
-      }();
-      if (opts_.verify_schedule) {
-        // Statics race prover over every band of the plan executed below:
-        // no two tasks without a path in their band's DAG have overlapping
-        // write/write or write/read footprints — including the
-        // circular-buffer slot aliasing and the fused receiver gather's
-        // in-rect read.
-        analysis::statics::require_race_free(analysis::statics::prove_race_free(
-            plan, {radius, 1, summary.time_reads, has_rec}));
-      }
-      // Affected points, src_dcmp and the packed columns come straight from
-      // the interpolation supports: no grid-sized buffer (the dense
-      // SM/SID volumes of Listings 2-5 are the tested reference only).
+    // The sparse operators' state. Fused: the paper's precompute, timed —
+    // affected points, src_dcmp and the packed columns straight from the
+    // interpolation supports, no grid-sized buffer (the dense SM/SID
+    // volumes of Listings 2-5 are the tested reference only). SpaceBlocked:
+    // support caches and conflict-free color sets (sparse/operators.hpp),
+    // whose parallel scatter reproduces the serial accumulation order
+    // bitwise. Reference: none, its operators are uncached.
+    core::AffectedPoints src_pts, rec_pts;
+    core::DecomposedSource dcmp;
+    core::ReceiverStage stage;
+    sparse::SupportCache src_cache, rec_cache;
+    sparse::ColorSets src_colors;
+    if (fused) {
       util::Timer pre;
-      const core::AffectedPoints src_pts =
-          core::build_affected_points(e, src, opts_.interp);
-      const core::DecomposedSource dcmp = core::decompose_sources(src_pts, src);
-      const core::CompressedSparse& cs_src = src_pts.columns;
-
-      core::AffectedPoints rec_pts;
-      core::ReceiverStage stage;
+      src_pts = core::build_affected_points(e, src, opts_.interp);
+      dcmp = core::decompose_sources(src_pts, src);
       if (has_rec) {
         rec_pts = core::build_affected_points(e, *rec, opts_.interp);
         // Band-local staging for the deterministic parallel gather (see
         // fused.hpp): one row per in-flight timestep of a band.
-        stage = core::ReceiverStage(std::max(1, opts_.tiles.tile_t),
-                                    rec_pts.npts);
+        stage = core::ReceiverStage(opts_.tiles.tile_t, rec_pts.npts);
         stage.begin_band(t_begin);
       }
-      const core::CompressedSparse& cs_rec = rec_pts.columns;
       stats.precompute_seconds = pre.seconds();
+    } else if (sched == Schedule::SpaceBlocked) {
+      src_cache = sparse::SupportCache(src, opts_.interp, e);
+      src_colors = sparse::ColorSets(src_cache, e);
+      if (has_rec) rec_cache = sparse::SupportCache(*rec, opts_.interp, e);
+    }
+    const core::CompressedSparse& cs_rec = rec_pts.columns;
+    // Reference stays a strictly serial whole-domain sweep (the validation
+    // baseline); every other schedule runs on the resolved worker count.
+    const int threads =
+        sched == Schedule::Reference ? 1 : util::resolve_threads(opts_.threads);
 
-      // Substep block + the fused sparse operators after the timestep's
-      // last substep (for S = 1 that is every substep, s == t). Runs on
-      // task workers: injection writes only the block's own columns, the
-      // gather *stages* per-point samples (each written by exactly one
-      // tile) instead of accumulating into the shared receiver traces —
-      // the accumulation happens in fixed point order at the band barrier,
-      // which is what keeps every thread count bitwise identical.
-      auto fused_block = [&](int s, const grid::Box3& box) {
-        substep_block(s, box);
-        if ((s + 1) % S != 0) return;
-        const int t = s / S;
-        {
-          TEMPEST_TRACE_SPAN_ARG("inject", "sparse", t);
-          const FieldRefs targets = k_.inject_fields(t);
-          for (int i = 0; i < targets.count; ++i) {
-            core::fused_inject(*targets.field[i], cs_src, dcmp, t, box.x,
-                               box.y, inj_scale);
-          }
+    // One block of one substep, the single place the stencil span
+    // (TileSeconds) and work counters are emitted. Fused schedules follow a
+    // timestep's last substep (for S = 1 every one) with the block's share
+    // of the sparse operators: injection writes only the block's columns,
+    // and the gather *stages* per-point samples (each written by exactly one
+    // tile) that the band hook accumulates in fixed point order — which is
+    // what keeps every thread count bitwise identical.
+    auto block = [&](int s, const grid::Box3& box) {
+      {
+        TEMPEST_TRACE_SPAN_ARG_METRIC("stencil", "compute", s, TileSeconds);
+        TEMPEST_TRACE_COUNT(CellsUpdated, box.volume());
+        TEMPEST_TRACE_COUNT(HaloCellsTouched,
+                            2 * radius *
+                                (box.x.length() * box.y.length() +
+                                 box.y.length() * box.z.length() +
+                                 box.x.length() * box.z.length()));
+        k_.apply(s, box);
+      }
+      if (!fused || (s + 1) % S != 0) return;
+      const int t = s / S;
+      {
+        TEMPEST_TRACE_SPAN_ARG("inject", "sparse", t);
+        const FieldRefs targets = k_.inject_fields(t);
+        for (int i = 0; i < targets.count; ++i) {
+          core::fused_inject(*targets.field[i], src_pts.columns, dcmp, t,
+                             box.x, box.y, inj_scale);
         }
-        if (has_rec && !cs_rec.empty()) {
-          TEMPEST_TRACE_SPAN_ARG("interp", "sparse", t);
-          core::fused_sample(k_.gather_field(t), cs_rec, stage.row(t), box.x,
-                             box.y);
-        }
-      };
+      }
+      if (has_rec && !cs_rec.empty()) {
+        TEMPEST_TRACE_SPAN_ARG("interp", "sparse", t);
+        core::fused_sample(k_.gather_field(t), cs_rec, stage.row(t), box.x,
+                           box.y);
+      }
+    };
 
-      // Completed-band hook (serial, after the band's task graph drains):
-      // after substep band [.., se), every timestep < se/S is fully
-      // computed and the newest slice is fully written. Reduce the staged
-      // gather samples in ascending point-id order, then run the post-step
-      // hook — the only instants a whole timestep exists under blocking.
-      int reduced_upto = t_begin;
-      auto on_band = [&](int se) {
-        const int t_done = se / S;
+    // Completed-band hook (serial, after the band's task graph drains):
+    // every timestep < se/S is then fully computed. A fused band reduces its
+    // staged gather samples in ascending point-id order; a barrier band that
+    // ends a timestep runs that step's sparse operators. Then post_step.
+    int reduced_upto = t_begin;
+    auto on_band = [&](int se) {
+      if (se % S != 0) return;  // a barrier band ending mid-step
+      const int t_done = se / S;
+      if (fused) {
         if (has_rec && !cs_rec.empty()) {
           TEMPEST_TRACE_SPAN_ARG("interp.reduce", "sparse", t_done);
           for (int t = reduced_upto; t < t_done; ++t) {
@@ -407,86 +363,91 @@ class ScheduleExecutor {
         if (has_rec) stage.begin_band(t_done);
         reduced_upto = t_done;
         post_step(t_done, /*cadence_gated=*/false);
-      };
-
-      util::Timer timer;
-      core::execute(plan, threads, fused_block, on_band);
-      stats.seconds = timer.seconds();
-      return stats;
-    }
-
-    // --- Barrier schedules. SpaceBlocked is the paper's baseline: spatial
-    // blocking + per-timestep naive sparse operators through prebuilt
-    // support caches. Reference is the unblocked sweep with uncached ops. ---
-    const bool blocked = sched == Schedule::SpaceBlocked;
-    sparse::SupportCache src_cache;
-    sparse::SupportCache rec_cache;
-    sparse::ColorSets src_colors;
-    if (blocked) {
-      src_cache = sparse::SupportCache(src, opts_.interp, e);
-      // Conflict-free color sets (see sparse/operators.hpp): sites sharing
-      // a support grid point land in different layers, ordered so the
-      // parallel scatter reproduces the serial accumulation order bitwise.
-      src_colors = sparse::ColorSets(src_cache, e);
-      if (rec != nullptr && rec->npoints() > 0) {
-        rec_cache = sparse::SupportCache(*rec, opts_.interp, e);
+        return;
       }
-    }
-
-    util::Timer timer;
-    const auto blocks =
-        blocked ? grid::decompose_xy(grid::Box3::whole(e), opts_.tiles.block_x,
-                                     opts_.tiles.block_y)
-                : std::vector<grid::Box3>{grid::Box3::whole(e)};
-    // Reference stays a strictly serial whole-domain sweep (the validation
-    // baseline); SpaceBlocked parallelizes each substep's independent
-    // blocks across the resolved worker count.
-    const int block_threads = blocked ? threads : 1;
-    for (int t = t_begin; t < nt; ++t) {
-      // Under a barrier schedule the "band" is one full timestep including
-      // its sparse operators and callbacks — the unit comparable to a
-      // temporally blocked band in the exported histograms.
-      TEMPEST_TRACE_SPAN_ARG_METRIC("step", "schedule", t, BandSeconds);
-      TEMPEST_TRACE_COUNT(BlocksExecuted, S * blocks.size());
-      // Substeps are dependent (stress reads the new velocity): each is a
-      // full parallel sweep of its own.
-      for (int sub = 0; sub < S; ++sub) {
-        const int s = S * t + sub;
-        TEMPEST_TRACE_SPAN_ARG_METRIC("substep", "schedule", s,
-                                      SubstepSeconds);
-        util::parallel_for(
-            static_cast<int>(blocks.size()), block_threads,
-            [&](int b) { substep_block(s, blocks[static_cast<std::size_t>(b)]); });
-      }
+      const int t = t_done - 1;
+      const bool blocked = sched == Schedule::SpaceBlocked;
       {
         TEMPEST_TRACE_SPAN_ARG("inject", "sparse", t);
         const FieldRefs targets = k_.inject_fields(t);
         for (int i = 0; i < targets.count; ++i) {
           if (blocked) {
             sparse::inject_colored(*targets.field[i], src, t, src_cache,
-                                   src_colors, block_threads, inj_scale);
+                                   src_colors, threads, inj_scale);
           } else {
             sparse::inject(*targets.field[i], src, t, opts_.interp,
                            inj_scale);
           }
         }
       }
-      if (rec != nullptr && rec->npoints() > 0) {
+      if (has_rec) {
         TEMPEST_TRACE_SPAN_ARG("interp", "sparse", t);
         if (blocked) {
           sparse::interpolate_cached(k_.gather_field(t), *rec, t, rec_cache,
-                                     block_threads);
+                                     threads);
         } else {
           sparse::interpolate(k_.gather_field(t), *rec, t, opts_.interp);
         }
       }
-      post_step(t + 1, /*cadence_gated=*/true);
-    }
+      post_step(t_done, /*cadence_gated=*/true);
+    };
+
+    util::Timer timer;
+    core::execute(plan, threads, block, on_band);
     stats.seconds = timer.seconds();
     return stats;
   }
 
  private:
+  /// The run's one tile plan over substeps [S*t_begin, S*nt). Barrier
+  /// schedules take one band per substep, legal by construction: one
+  /// whole-domain block (Reference) or the paper's Fig. 4a blocks
+  /// (SpaceBlocked). Temporal bands are S*tile_t substeps skewed by
+  /// `radius` per substep. TileGraph::derive first verifies the stage-2
+  /// (fused + compressed) nest's dependence distances against the
+  /// kernel's *declared* access shape, so a reach beyond the skew throws
+  /// instead of reading stale halo cells; then the statics race prover
+  /// shows that no two tasks without a path in their band's DAG overlap
+  /// write/write or write/read — slot aliasing and the fused gather's
+  /// in-rect read included.
+  [[nodiscard]] core::TilePlan make_plan(Schedule sched, int t_begin, int nt,
+                                         bool has_rec) const {
+    constexpr int S = Kernel::kSubstepsPerStep;
+    const grid::Extents3& e = k_.extents();
+    const int radius = k_.radius();
+    const core::TileSpec& tiles = opts_.tiles;
+    const int s0 = S * t_begin;
+    const int s1 = S * nt;
+    if (sched == Schedule::Reference) {
+      return core::TilePlan::space_blocked(e, s0, s1,
+                                           {1, e.nx, e.ny, e.nx, e.ny});
+    }
+    if (sched == Schedule::SpaceBlocked) {
+      return core::TilePlan::space_blocked(e, s0, s1, tiles);
+    }
+    const bool wavefront = sched == Schedule::Wavefront;
+    const analysis::AccessSummary summary = k_.access_summary();
+    TileGraph::derive(
+        summary,
+        wavefront
+            ? analysis::ScheduleDescriptor::wavefront(S * radius, tiles.tile_t)
+            : analysis::ScheduleDescriptor::diamond(S * radius, tiles.tile_t),
+        /*sources=*/true, /*receivers=*/has_rec, tiles);
+    const int height = S * tiles.tile_t;
+    core::TileSpec spec = tiles;
+    spec.tile_t = height;
+    // A diamond's x period must accommodate the band's dependency cone.
+    const core::TilePlan plan =
+        wavefront ? core::TilePlan::wavefront(e, s0, s1, radius, spec)
+                  : core::TilePlan::diamond(
+                        e, s0, s1, radius,
+                        {height, std::max(tiles.tile_x, 2 * radius * height),
+                         tiles.block_x, tiles.block_y});
+    analysis::statics::require_race_free(analysis::statics::prove_race_free(
+        plan, {radius, 1, summary.time_reads, has_rec}));
+    return plan;
+  }
+
   Kernel& k_;
   const ExecutionOptions& opts_;
 };

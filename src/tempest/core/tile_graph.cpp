@@ -12,8 +12,8 @@ TileGraph TileGraph::derive(const analysis::AccessSummary& kernel,
                             const TileSpec& tiles, bool verify) {
   TEMPEST_REQUIRE(tiles.valid());
   TEMPEST_REQUIRE_MSG(sched.time_tiled(),
-                      "TileGraph maps temporally blocked bands onto tasks; "
-                      "barrier schedules parallelize per-step blocks instead");
+                      "TileGraph gates temporally blocked bands; barrier "
+                      "plans are legal by construction");
   TEMPEST_REQUIRE_MSG(kernel.write_radius == 0,
                       "task-parallel tiles require a point-local write "
                       "footprint: kernel '" + kernel.kernel + "' declares "

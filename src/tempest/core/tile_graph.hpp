@@ -53,9 +53,9 @@ class TileGraph {
   /// kernel declares write_radius > 0, and runs the schedule-legality
   /// verifier on the nest's dependence graph — an illegal schedule throws
   /// ScheduleLegalityError. `sched.kind` selects the band family
-  /// (Wavefront/Fused or Diamond). `verify = false` skips the legality
-  /// verifier (the executor's escape hatch for runs that disabled
-  /// verify_schedule) but keeps the write-radius check.
+  /// (Wavefront/Fused or Diamond). The engine always verifies; `verify =
+  /// false` skips the legality verifier but keeps the write-radius check,
+  /// and stays because perfbench's tile-graph probe passes it.
   static TileGraph derive(const analysis::AccessSummary& kernel,
                           const analysis::ScheduleDescriptor& sched,
                           bool sources, bool receivers, const TileSpec& tiles,

@@ -3,7 +3,8 @@
 // core::TilePlan — the one description of a run's tile geometry. A plan is
 // built once per run by TilePlan::wavefront, TilePlan::diamond or
 // TilePlan::space_blocked and then consumed as-is:
-//   * core::execute runs it (the engine, cachesim's replay, the tests);
+//   * core::execute runs it (the engine on every schedule, cachesim's
+//     replay, the tests);
 //   * analysis::statics::prove_race_free proves it race-free, taking the
 //     tile order from the plan's own task graphs;
 //   * ops() materializes the serial op sequence validate_schedule checks.

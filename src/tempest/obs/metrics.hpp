@@ -18,11 +18,10 @@ namespace tempest::obs {
 ///
 ///   TileSeconds            one space block handed to a kernel (all
 ///                          schedules): the "stencil" span
-///   SubstepSeconds         one whole-domain substep sweep (barrier
-///                          schedules): the "substep" span
-///   BandSeconds            one time band (temporal blocking) / one full
-///                          timestep including callbacks (barrier
-///                          schedules): the band spans and the "step" span
+///   BandSeconds            one band of core::execute with its band hook:
+///                          a time band, or one substep under a barrier
+///                          schedule (a step's last one also runs its
+///                          sparse operators and callback)
 ///   ShotSeconds            one winning shot attempt (time loop + precompute)
 ///   JitCompileSeconds      one codegen::JitModule compile+load: the
 ///                          "jit.compile" span
@@ -30,19 +29,17 @@ namespace tempest::obs {
 ///                          "checkpoint.save" span
 enum class Metric : int {
   TileSeconds = 0,
-  SubstepSeconds,
   BandSeconds,
   ShotSeconds,
   JitCompileSeconds,
   CheckpointWriteSeconds,
 };
-inline constexpr int kNumMetrics = 6;
+inline constexpr int kNumMetrics = 5;
 
 /// OpenMetrics-safe base name ("tile_seconds", ...).
 [[nodiscard]] constexpr const char* to_string(Metric m) {
   switch (m) {
     case Metric::TileSeconds: return "tile_seconds";
-    case Metric::SubstepSeconds: return "substep_seconds";
     case Metric::BandSeconds: return "band_seconds";
     case Metric::ShotSeconds: return "shot_seconds";
     case Metric::JitCompileSeconds: return "jit_compile_seconds";

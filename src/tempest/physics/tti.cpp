@@ -199,6 +199,13 @@ static_assert(
                       core::engine::Checkpointable<
                           TTIPropagator, TTIKernel::kFirstStep>>);
 
+/// A coefficient grid of the model's shape, allocated unwritten: the
+/// constructor's row pass writes every element.
+grid::Grid3<real_t> unwritten(const TTIModel& model) {
+  return grid::Grid3<real_t>::uninitialized(model.geom.extents,
+                                            model.geom.radius());
+}
+
 }  // namespace
 
 TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
@@ -211,35 +218,45 @@ TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
          util::resolve_threads(opts.threads)),
       q_(3, model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
-      cxx_(model.geom.extents, model.geom.radius(), real_t{0}),
-      cyy_(model.geom.extents, model.geom.radius(), real_t{0}),
-      czz_(model.geom.extents, model.geom.radius(), real_t{0}),
-      cxy_(model.geom.extents, model.geom.radius(), real_t{0}),
-      cxz_(model.geom.extents, model.geom.radius(), real_t{0}),
-      cyz_(model.geom.extents, model.geom.radius(), real_t{0}),
-      ah_(model.geom.extents, model.geom.radius(), real_t{1}),
-      an_(model.geom.extents, model.geom.radius(), real_t{1}) {
+      cxx_(unwritten(model)),
+      cyy_(unwritten(model)),
+      czz_(unwritten(model)),
+      cxy_(unwritten(model)),
+      cxz_(unwritten(model)),
+      cyz_(unwritten(model)),
+      ah_(unwritten(model)),
+      an_(unwritten(model)) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);
   TEMPEST_REQUIRE(opts_.tiles.valid());
   // Precompute the symmetry-axis dyad n n^T and the Thomsen factors once:
-  // n = (sin t cos f, sin t sin f, cos t) with tilt t and azimuth f.
-  cxx_.for_each_interior([&](int x, int y, int z) {
-    const double t = model_.theta(x, y, z);
-    const double f = model_.phi(x, y, z);
-    const double nx = std::sin(t) * std::cos(f);
-    const double ny = std::sin(t) * std::sin(f);
-    const double nz = std::cos(t);
-    cxx_(x, y, z) = static_cast<real_t>(nx * nx);
-    cyy_(x, y, z) = static_cast<real_t>(ny * ny);
-    czz_(x, y, z) = static_cast<real_t>(nz * nz);
-    cxy_(x, y, z) = static_cast<real_t>(nx * ny);
-    cxz_(x, y, z) = static_cast<real_t>(nx * nz);
-    cyz_(x, y, z) = static_cast<real_t>(ny * nz);
-    ah_(x, y, z) =
-        static_cast<real_t>(1.0 + 2.0 * model_.epsilon(x, y, z));
-    an_(x, y, z) =
-        static_cast<real_t>(std::sqrt(1.0 + 2.0 * model_.delta(x, y, z)));
+  // n = (sin t cos f, sin t sin f, cos t) with tilt t and azimuth f. One
+  // pass on the propagator's workers writes every padded element; the halo
+  // takes n = 0 and eps = delta = 0, so the dyad is 0 there and ah = an = 1.
+  const grid::Extents3& e = model.geom.extents;
+  const int h = model.geom.radius();
+  const int threads = util::resolve_threads(opts.threads);
+  cxx_.for_each_padded_row(threads, [&](int x, int y) {
+    for (int z = -h; z < e.nz + h; ++z) {
+      double nx = 0, ny = 0, nz = 0, eps = 0, delta = 0;
+      if (e.contains({x, y, z})) {
+        const double t = model_.theta(x, y, z);
+        const double f = model_.phi(x, y, z);
+        nx = std::sin(t) * std::cos(f);
+        ny = std::sin(t) * std::sin(f);
+        nz = std::cos(t);
+        eps = model_.epsilon(x, y, z);
+        delta = model_.delta(x, y, z);
+      }
+      cxx_(x, y, z) = static_cast<real_t>(nx * nx);
+      cyy_(x, y, z) = static_cast<real_t>(ny * ny);
+      czz_(x, y, z) = static_cast<real_t>(nz * nz);
+      cxy_(x, y, z) = static_cast<real_t>(nx * ny);
+      cxz_(x, y, z) = static_cast<real_t>(nx * nz);
+      cyz_(x, y, z) = static_cast<real_t>(ny * nz);
+      ah_(x, y, z) = static_cast<real_t>(1.0 + 2.0 * eps);
+      an_(x, y, z) = static_cast<real_t>(std::sqrt(1.0 + 2.0 * delta));
+    }
   });
 }
 

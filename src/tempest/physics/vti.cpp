@@ -156,18 +156,28 @@ VTIPropagator::VTIPropagator(const TTIModel& model, PropagatorOptions opts)
          util::resolve_threads(opts.threads)),
       q_(3, model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
-      ah_(model.geom.extents, model.geom.radius(), real_t{1}),
-      an_(model.geom.extents, model.geom.radius(), real_t{1}) {
+      ah_(grid::Grid3<real_t>::uninitialized(model.geom.extents,
+                                             model.geom.radius())),
+      an_(grid::Grid3<real_t>::uninitialized(model.geom.extents,
+                                             model.geom.radius())) {
   TEMPEST_REQUIRE(opts_.tiles.valid());
   const int threads = util::resolve_threads(opts.threads);
   TEMPEST_REQUIRE_MSG(grid::max_abs(model.theta, threads) == 0.0 &&
                           grid::max_abs(model.phi, threads) == 0.0,
                       "VTI requires an untilted model (theta == phi == 0); "
                       "use TTIPropagator for tilted media");
-  ah_.for_each_interior([&](int x, int y, int z) {
-    ah_(x, y, z) = static_cast<real_t>(1.0 + 2.0 * model_.epsilon(x, y, z));
-    an_(x, y, z) =
-        static_cast<real_t>(std::sqrt(1.0 + 2.0 * model_.delta(x, y, z)));
+  // One pass on the propagator's workers writes every padded element of
+  // the Thomsen factors; the halo takes eps = delta = 0, so ah = an = 1.
+  const grid::Extents3& e = model.geom.extents;
+  const int h = model.geom.radius();
+  ah_.for_each_padded_row(threads, [&](int x, int y) {
+    for (int z = -h; z < e.nz + h; ++z) {
+      const bool inside = e.contains({x, y, z});
+      const double eps = inside ? model_.epsilon(x, y, z) : 0.0;
+      const double delta = inside ? model_.delta(x, y, z) : 0.0;
+      ah_(x, y, z) = static_cast<real_t>(1.0 + 2.0 * eps);
+      an_(x, y, z) = static_cast<real_t>(std::sqrt(1.0 + 2.0 * delta));
+    }
   });
 }
 

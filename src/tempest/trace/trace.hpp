@@ -49,8 +49,9 @@ namespace tempest::trace {
 ///   ReceiversInterpolated weight applications (receiver, support point)
 ///                         performed by receiver interpolation
 ///   BlocksExecuted        space blocks handed to a kernel
-///   TilesExecuted         space-time tiles (wavefront) / triangles (diamond)
-///   BandsExecuted         completed time bands of a temporally blocked run
+///   TilesExecuted         tiles (wavefront), triangles (diamond), blocks
+///                         (space-blocked; reference: one per substep)
+///   BandsExecuted         completed time bands; one per substep on barriers
 ///   HaloCellsTouched      analytic cross-stencil halo footprint of executed
 ///                         blocks (2R per face pair), a locality proxy
 ///   CheckpointBytes       bytes persisted by the checkpointer

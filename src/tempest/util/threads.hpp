@@ -107,8 +107,9 @@ class TaskDag {
 
   /// Execute body(node) for every node honoring every edge. threads <= 1:
   /// serial ascending order; otherwise the pool's participants take ready
-  /// nodes off one shared list. Exceptions are rethrown after the graph
-  /// drains (remaining bodies are skipped, first exception wins).
+  /// nodes off one shared list, or, when the graph has no edge (left),
+  /// claim indices as parallel_for does. Exceptions are rethrown after the
+  /// graph drains (remaining bodies are skipped, first exception wins).
   void run(int threads, const std::function<void(int)>& body) const;
 
  private:

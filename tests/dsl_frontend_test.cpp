@@ -97,7 +97,6 @@ TEST(DslFrontend, AcousticBitIdenticalAcrossSchedulesAndThreads) {
       ph::PropagatorOptions opts;
       opts.tiles = tc::TileSpec{sc.tile_t, 8, 8, 4, 4};
       opts.threads = threads;
-      opts.verify_schedule = true;
 
       ph::AcousticPropagator hand(s.model, opts);
       auto rec_hand = s.rec;
@@ -137,7 +136,6 @@ TEST_P(DslFrontendOrder, AcousticBitIdenticalAtSpaceOrder) {
                                 u.forward());
   ph::PropagatorOptions opts;
   opts.tiles = tc::TileSpec{3, 8, 8, 4, 4};
-  opts.verify_schedule = true;
 
   ph::AcousticPropagator hand(s.model, opts);
   hand.run(ph::Schedule::Wavefront, s.src);
@@ -260,7 +258,6 @@ TEST(DslFrontend, SpongeScenarioRunsUnderEverySchedule) {
     ph::PropagatorOptions opts;
     opts.tiles = tc::TileSpec{sc.tile_t, 8, 8, 4, 4};
     opts.threads = 8;
-    opts.verify_schedule = true;
     dsl::DslPropagator prop(eq, s.model, opts, bindings, "sponge");
     auto rec = s.rec;
     prop.run(sc.sched, s.src, &rec);

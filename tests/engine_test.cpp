@@ -87,12 +87,21 @@ std::vector<tc::ScheduleOp> run(RecordingKernel<S>& kernel,
   return kernel.applied;
 }
 
-/// The plan the engine's geometry defines, built independently of it:
-/// substep units, S * tile_t substeps per band, slope = radius per substep.
+/// The plan the engine's geometry defines, built independently of it, in
+/// substep units: one band per substep in the spec's blocks (SpaceBlocked)
+/// or in one whole-domain block (Reference); S * tile_t substeps per band
+/// and slope = radius per substep (Wavefront, Diamond).
 template <int S>
 tc::TilePlan expected_plan(eng::Schedule sched) {
   const int first = S * RecordingKernel<S>::kFirstStep;
   const int height = S * kTiles.tile_t;
+  if (sched == eng::Schedule::Reference) {
+    return tc::TilePlan::space_blocked(kE, first, S * kNt,
+                                       {1, kE.nx, kE.ny, kE.nx, kE.ny});
+  }
+  if (sched == eng::Schedule::SpaceBlocked) {
+    return tc::TilePlan::space_blocked(kE, first, S * kNt, kTiles);
+  }
   if (sched == eng::Schedule::Wavefront) {
     tc::TileSpec spec = kTiles;
     spec.tile_t = height;
@@ -150,6 +159,16 @@ std::optional<long long> in_child(const std::function<long long()>& measure) {
 }
 
 }  // namespace
+
+TEST(EnginePlan, ReferenceRunsExactlyThePlanOps) {
+  expect_runs_plan<1>(eng::Schedule::Reference);
+  expect_runs_plan<2>(eng::Schedule::Reference);
+}
+
+TEST(EnginePlan, SpaceBlockedRunsExactlyThePlanOps) {
+  expect_runs_plan<1>(eng::Schedule::SpaceBlocked);
+  expect_runs_plan<2>(eng::Schedule::SpaceBlocked);
+}
 
 TEST(EnginePlan, WavefrontRunsExactlyThePlanOps) {
   expect_runs_plan<1>(eng::Schedule::Wavefront);

@@ -356,6 +356,38 @@ TEST(TaskDag, HonorsFourPredecessorsAtEveryThreadCount) {
   }
 }
 
+TEST(TaskDag, EdgelessGraphsRunEveryNodeOnceAndRethrow) {
+  // A graph with no edge, built so or left so by remove_edge, takes
+  // parallel_for's claim loop under the same contract.
+  constexpr int kNodes = 37;
+  tu::TaskDag edgeless(kNodes);
+  tu::TaskDag pruned(kNodes);
+  pruned.add_edge(3, 20);
+  pruned.remove_edge(3, 20);
+  ASSERT_TRUE(pruned.preds(20).empty());
+  for (const tu::TaskDag* dag : {&edgeless, &pruned}) {
+    const char* name = dag == &edgeless ? "edgeless" : "pruned";
+    for (const int threads : {1, 2, 8}) {
+      std::vector<std::atomic<int>> runs(kNodes);
+      dag->run(threads, [&](int node) {
+        runs[static_cast<std::size_t>(node)].fetch_add(1);
+      });
+      for (int i = 0; i < kNodes; ++i) {
+        EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+            << name << " node " << i << " threads=" << threads;
+      }
+      EXPECT_THROW(dag->run(threads,
+                            [](int node) {
+                              if (node == 11) {
+                                throw std::runtime_error("boom");
+                              }
+                            }),
+                   std::runtime_error)
+          << name << " threads=" << threads;
+    }
+  }
+}
+
 // --- The worker pool ------------------------------------------------------
 
 namespace {
