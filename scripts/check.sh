@@ -58,7 +58,8 @@
 #                reports a false positive on a known-good kernel, or when
 #                any of ir_lint's seeded-wrong fixtures (unstable dt,
 #                out-of-halo load, undershot wavefront skew, wavefront
-#                plan with a dropped staircase edge) is NOT rejected
+#                plan with a dropped staircase edge, in-place two-slot
+#                buffer with an off-centre history read) is NOT rejected
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -28,6 +28,16 @@ std::string Extent::str() const {
   return std::to_string(lo) + ".." + std::to_string(hi);
 }
 
+int slices_spanned(int write_dt, const std::vector<int>& time_reads) {
+  int lo = write_dt;
+  int hi = write_dt;
+  for (const int k : time_reads.empty() ? std::vector<int>{0} : time_reads) {
+    lo = std::min(lo, k);
+    hi = std::max(hi, k);
+  }
+  return hi - lo + 1;
+}
+
 bool Access::dist_star_in(const std::string& dim) const {
   if (dim == "x") return dx.star;
   if (dim == "y") return dy.star;

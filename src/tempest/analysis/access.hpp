@@ -82,18 +82,33 @@ struct Statement {
   [[nodiscard]] bool inside_loop(const std::string& dim) const;
 };
 
+/// Slices a circular time buffer needs so that the write of t + write_dt
+/// and every read t + k (k in time_reads) land in distinct slices: the
+/// span of those offsets (the current slice counts when nothing is read).
+[[nodiscard]] int slices_spanned(int write_dt,
+                                 const std::vector<int>& time_reads);
+
 /// What a physics kernel's stencil statement touches — declared by the
 /// kernel itself (physics/*.cpp) so the verifier reasons about the *real*
 /// dependency radius, not a guess. The IR prints the stencil as an opaque
 /// call `A_<class>(t, x, y, z)`; this summary expands it: one write of
-/// `field[t+1]` at the point, reads of `field[t+k]` (k in time_reads) over
-/// a ±radius neighbourhood.
+/// `field[t+1]` at the point, a ±radius read of `field[t + time_reads[0]]`
+/// and point reads of the deeper history slices.
 struct AccessSummary {
   std::string kernel = "acoustic";   ///< display name
   std::string field = "u";           ///< the wavefield the nest updates
   int radius = 2;                    ///< stencil radius (space_order / 2)
   int substeps = 1;                  ///< engine substeps per timestep
   std::vector<int> time_reads = {0, -1};  ///< slices read relative to t
+
+  /// Slices of the kernel's time buffer. 0 keeps one per time offset the
+  /// update spans (see depth()). A kernel that reads u[t-1] only at the
+  /// point it writes stores u[t+1] over it — a leapfrog in place — and
+  /// declares 2: the hand-written acoustic, TTI and VTI kernels. DSL
+  /// kernels keep 0: their compiled block (dsl::DslBlockFn) takes u[t+1]
+  /// and u[t-1] as separate restrict rows, and a hand-built LoweredKernel
+  /// may load u[t-1] off the point.
+  int slots = 0;
 
   /// Spatial radius of the kernel's *write* footprint around the iteration
   /// point. Every tempest kernel writes only the centre cell (0); the
@@ -102,6 +117,13 @@ struct AccessSummary {
   /// though the read-side skew is satisfied, so engine::TileGraph rejects
   /// write_radius > 0 instead of scheduling tasks.
   int write_radius = 0;
+
+  /// The time-buffer depth every layer models for this kernel: `slots`,
+  /// or slices_spanned(1, time_reads) when that is 0. Each propagator
+  /// sizes its grid::TimeBuffer from it.
+  [[nodiscard]] int depth() const {
+    return slots > 0 ? slots : slices_spanned(1, time_reads);
+  }
 };
 
 /// Walk a lowered nest and extract every statement's accesses — purely

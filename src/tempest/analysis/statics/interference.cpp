@@ -63,29 +63,16 @@ Task footprints(const std::vector<core::TileStep>& steps, const Footprint& f,
     const int y0 = s.rect.y.lo;
     const int y1 = s.rect.y.hi;
     add(task.writes, {slot(s.t + f.write_dt), x0, x1, y0, y1, s.t, false});
-    for (const int k : f.time_reads) {
-      add(task.reads, {slot(s.t + k), x0 - f.radius, x1 + f.radius,
-                       y0 - f.radius, y1 + f.radius, s.t, true});
+    for (std::size_t i = 0; i < f.time_reads.size(); ++i) {
+      const int g = i == 0 || f.slots == 0 ? f.radius : 0;
+      add(task.reads, {slot(s.t + f.time_reads[i]), x0 - g, x1 + g, y0 - g,
+                       y1 + g, s.t, true});
     }
     if (f.receivers) {
       add(task.reads, {slot(s.t + f.write_dt), x0, x1, y0, y1, s.t, true});
     }
   }
   return task;
-}
-
-/// Circular-buffer slots the footprint spans: the written and every read
-/// slice offset (the current slice when none is declared).
-int slot_count(const Footprint& f) {
-  const std::vector<int> reads =
-      f.time_reads.empty() ? std::vector<int>{0} : f.time_reads;
-  int lo = f.write_dt;
-  int hi = f.write_dt;
-  for (const int k : reads) {
-    lo = std::min(lo, k);
-    hi = std::max(hi, k);
-  }
-  return hi - lo + 1;
 }
 
 /// ancestors[b][a]: the band DAG has a path a -> b. Edges point forward
@@ -135,7 +122,8 @@ InterferenceReport prove(const core::TilePlan& plan, const Footprint& f,
                          const ScheduleDescriptor& sched) {
   InterferenceReport report;
   report.schedule = sched;
-  const int slots = slot_count(f);
+  const int slots =
+      f.slots > 0 ? f.slots : slices_spanned(f.write_dt, f.time_reads);
 
   constexpr int kMaxDiagnostics = 6;
   for (const core::TileBand& band : plan.bands) {
@@ -219,6 +207,7 @@ TileModel TileModel::from_summary(const AccessSummary& summary,
   m.write_dt = 1;
   m.time_reads = summary.time_reads;
   m.receivers = receivers;
+  m.slots = summary.slots;
   return m;
 }
 

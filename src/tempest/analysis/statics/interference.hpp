@@ -23,7 +23,11 @@
 // gathered — reads the freshly written slot over the rect (the
 // fused_sample staging). The slot arithmetic is what makes the circular
 // TimeBuffer aliasing (slice t and slice t + slots share storage) part of
-// the theorem rather than an unmodelled hazard.
+// the theorem rather than an unmodelled hazard. A kernel that leapfrogs in
+// place (AccessSummary::slots) keeps fewer slots than offsets, so its
+// write lands on the slice of its deepest read; its footprint reads that
+// history at the point only, exactly as analysis::stencil_accesses
+// expands the summary.
 //
 // The cross-check against the dynamic evidence (the TSan lane,
 // parallel_determinism_test) is an acceptance criterion of the statics
@@ -48,6 +52,13 @@ struct Footprint {
   int write_dt = 1;        ///< written slice offset from the substep index
   std::vector<int> time_reads{0, -1};  ///< read slice offsets
   bool receivers = false;  ///< model the fused gather's in-rect read
+  /// Circular-buffer depth. 0 keeps one slot per slice offset spanned
+  /// (analysis::slices_spanned) and grows every read by `radius`, a model
+  /// that holds for any kernel. A kernel's declared depth
+  /// (AccessSummary::slots) grows only time_reads[0] by `radius` and reads
+  /// the deeper slices at the point, as analysis::stencil_accesses expands
+  /// the summary.
+  int slots = 0;
 };
 
 /// One band described by a schedule descriptor, tile sizes and a domain,

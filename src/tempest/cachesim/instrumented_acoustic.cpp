@@ -1,6 +1,9 @@
 #include "tempest/cachesim/instrumented_acoustic.hpp"
 
+#include <vector>
+
 #include "tempest/core/tile_plan.hpp"
+#include "tempest/physics/acoustic.hpp"
 #include "tempest/stencil/coefficients.hpp"
 #include "tempest/util/error.hpp"
 
@@ -30,7 +33,7 @@ long long replay_acoustic_trace(const TraceConfig& cfg,
   const int r = stencil::radius_for_order(cfg.space_order);
   const auto& e = cfg.extents;
 
-  // Lay the five fields (three u slots, m, damp) out back to back with a
+  // Lay the fields (the kernel's u slots, m, damp) out back to back with a
   // page gap, exactly like separate 64-byte-aligned allocations.
   const std::int64_t sy = e.nz + 2 * r;
   const std::int64_t sx = sy * (e.ny + 2 * r);
@@ -47,15 +50,20 @@ long long replay_acoustic_trace(const TraceConfig& cfg,
     f.sy = sy;
     return f;
   };
-  const VirtualField u[3] = {make_field(0), make_field(1), make_field(2)};
-  const VirtualField m = make_field(3);
-  const VirtualField damp = make_field(4);
+  const int slots = physics::acoustic_access_summary(cfg.space_order).depth();
+  std::vector<VirtualField> u;
+  for (int s = 0; s < slots; ++s) u.push_back(make_field(s));
+  const VirtualField m = make_field(slots);
+  const VirtualField damp = make_field(slots + 1);
 
   long long updates = 0;
   auto block_trace = [&](int t, const grid::Box3& b) {
-    const VirtualField& un = u[(t + 1) % 3];
-    const VirtualField& uc = u[t % 3];
-    const VirtualField& up = u[(t + 2) % 3];  // (t-1) mod 3
+    const auto slot = [&](int k) {
+      return u[static_cast<std::size_t>(k % slots)];
+    };
+    const VirtualField un = slot(t + 1);
+    const VirtualField uc = slot(t);
+    const VirtualField up = slot(t + slots - 1);  // (t-1) mod slots
     for (int x = b.x.lo; x < b.x.hi; ++x) {
       for (int y = b.y.lo; y < b.y.hi; ++y) {
         for (int z = b.z.lo; z < b.z.hi; ++z) {
@@ -69,6 +77,8 @@ long long replay_acoustic_trace(const TraceConfig& cfg,
             hierarchy.load(uc.at(x - k, y, z));
             hierarchy.load(uc.at(x + k, y, z));
           }
+          // u[t-1], then m and damp, then u[t+1]: with two slots the
+          // store hits the line the load just brought in.
           hierarchy.load(up.at(x, y, z));
           hierarchy.load(m.at(x, y, z));
           hierarchy.load(damp.at(x, y, z));

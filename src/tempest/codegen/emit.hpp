@@ -42,9 +42,10 @@ struct KernelSpec {
 
 /// Emit the C translation unit for `spec`. Its one external function,
 /// spec.symbol(), has the ABI of physics::AcousticBlockFn: u[t+1] from
-/// u[t] and u[t-1] over the box [x0,x1) x [y0,y1) x [z0,z1). Pointers are
-/// interior origins of grids sharing the strides sx, sy. Throws
-/// PreconditionError when spec.kernel is not a C identifier.
+/// u[t] and u[t-1] over the box [x0,x1) x [y0,y1) x [z0,z1), stored over
+/// u[t-1] in place. Pointers are interior origins of grids sharing the
+/// strides sx, sy. Throws PreconditionError when spec.kernel is not a C
+/// identifier.
 [[nodiscard]] std::string emit_acoustic_c(const KernelSpec& spec);
 
 /// Emit the C translation unit for a DSL-lowered kernel. Its one external

@@ -444,7 +444,7 @@ class ScheduleExecutor {
                         {height, std::max(tiles.tile_x, 2 * radius * height),
                          tiles.block_x, tiles.block_y});
     analysis::statics::require_race_free(analysis::statics::prove_race_free(
-        plan, {radius, 1, summary.time_reads, has_rec}));
+        plan, {radius, 1, summary.time_reads, has_rec, summary.slots}));
     return plan;
   }
 
@@ -452,20 +452,32 @@ class ScheduleExecutor {
   const ExecutionOptions& opts_;
 };
 
-/// Flatten a kernel's state parts — time buffers (every slot, in slot
-/// order) and single grids — into one slice list whose constness follows
-/// the parts: the checkpoint order of that kernel's state.
+/// A kernel's state in checkpoint order: `slices` lists every slot of
+/// each time buffer (in slot order) and each single grid; `depths` gives
+/// each part's slot count, 0 for a single grid.
+template <typename Grid>
+struct StateSlices {
+  std::vector<Grid*> slices;
+  std::vector<int> depths;
+};
+
+/// Flatten a kernel's state parts — time buffers and single grids — into
+/// one slice list whose constness follows the parts.
 template <typename... Parts>
 [[nodiscard]] auto state_slices(Parts&... parts) {
   using Grid = std::conditional_t<(std::is_const_v<Parts> && ...),
                                   const grid::Grid3<real_t>,
                                   grid::Grid3<real_t>>;
-  std::vector<Grid*> out;
+  StateSlices<Grid> out;
   const auto add = [&out](auto& part) {
     if constexpr (requires { part.slots(); }) {
-      for (int s = 0; s < part.slots(); ++s) out.push_back(&part.slot(s));
+      for (int s = 0; s < part.slots(); ++s) {
+        out.slices.push_back(&part.slot(s));
+      }
+      out.depths.push_back(part.slots());
     } else {
-      out.push_back(&part);
+      out.slices.push_back(&part);
+      out.depths.push_back(0);
     }
   };
   (add(parts), ...);
@@ -496,7 +508,7 @@ class Checkpointable {
     auto& self = static_cast<Derived&>(*this);
     if (rec != nullptr) rec->zero();
     const int threads = util::resolve_threads(self.options().threads);
-    for (grid::Grid3<real_t>* slice : Derived::state(self)) {
+    for (grid::Grid3<real_t>* slice : Derived::state(self).slices) {
       slice->fill(real_t{0}, threads);
     }
     return self.run_from(kFirstStep, sched, src, rec, on_step);
@@ -515,7 +527,7 @@ class Checkpointable {
     resilience::CheckpointView v;
     v.fingerprint = fingerprint;
     v.step = step;
-    v.slots = Derived::state(static_cast<const Derived&>(*this));
+    v.slots = Derived::state(static_cast<const Derived&>(*this)).slices;
     v.rec = rec;
     return v;
   }
@@ -528,15 +540,22 @@ class Checkpointable {
     return resilience::Checkpoint(state_view(step, fingerprint, rec));
   }
 
-  /// Seed the state slices from a checkpoint. Throws
-  /// resilience::CheckpointMismatchError when the checkpoint's slice count
-  /// or grid geometry does not match.
+  /// Seed the state slices from a checkpoint. Also reads the layout
+  /// written before time buffers took their depth from the kernel: every
+  /// buffer then held three slices, slice t mod 3 holding u[t]; the slices
+  /// of ck.step and ck.step - 1 go to their homes in a two-slot buffer.
+  /// Throws resilience::CheckpointMismatchError when the checkpoint's
+  /// slice count or grid geometry does not match.
   void restore(const resilience::Checkpoint& ck) {
-    const auto slices = Derived::state(static_cast<Derived&>(*this));
-    const grid::Extents3& e = slices.front()->extents();
-    const int halo = slices.front()->halo();
-    if (ck.slots.size() != slices.size() ||
-        ck.slots.front().extents() != e || ck.slots.front().halo() != halo) {
+    const auto state = Derived::state(static_cast<Derived&>(*this));
+    const grid::Extents3& e = state.slices.front()->extents();
+    const int halo = state.slices.front()->halo();
+    std::size_t legacy = 0;
+    for (const int d : state.depths) legacy += d > 0 ? 3 : 1;
+    const bool fits =
+        ck.slots.size() == state.slices.size() || ck.slots.size() == legacy;
+    if (!fits || ck.slots.front().extents() != e ||
+        ck.slots.front().halo() != halo) {
       std::ostringstream os;
       os << "checkpoint does not fit this propagator: it holds "
          << ck.slots.size() << " slices";
@@ -545,11 +564,33 @@ class Checkpointable {
         os << " of " << ce.nx << "x" << ce.ny << "x" << ce.nz << " (halo "
            << ck.slots.front().halo() << ")";
       }
-      os << ", this run needs " << slices.size() << " of " << e.nx << "x"
-         << e.ny << "x" << e.nz << " (halo " << halo << ")";
+      os << ", this run needs " << state.slices.size() << " of " << e.nx
+         << "x" << e.ny << "x" << e.nz << " (halo " << halo << ")";
       throw resilience::CheckpointMismatchError(os.str());
     }
-    for (std::size_t i = 0; i < slices.size(); ++i) *slices[i] = ck.slots[i];
+    if (ck.slots.size() == state.slices.size()) {
+      for (std::size_t i = 0; i < ck.slots.size(); ++i) {
+        *state.slices[i] = ck.slots[i];
+      }
+      return;
+    }
+    const auto fold = [](int t, int n) {
+      return static_cast<std::size_t>(((t % n) + n) % n);
+    };
+    std::size_t from = 0;
+    std::size_t to = 0;
+    for (const int d : state.depths) {
+      if (d == 0) {
+        *state.slices[to++] = ck.slots[from++];
+        continue;
+      }
+      for (int back = 0; back < std::min(d, 3); ++back) {
+        const int t = ck.step - back;
+        *state.slices[to + fold(t, d)] = ck.slots[from + fold(t, 3)];
+      }
+      to += static_cast<std::size_t>(d);
+      from += 3;
+    }
   }
 };
 

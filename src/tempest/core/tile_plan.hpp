@@ -139,10 +139,10 @@ void execute(const TilePlan& plan, int threads, BlockFn&& fn,
       const std::vector<TileStep>& steps =
           band.tasks[static_cast<std::size_t>(node)];
       for (const TileStep& step : steps) {
-        const auto blocks =
-            grid::decompose_xy(step.rect, plan.block_x, plan.block_y);
-        TEMPEST_TRACE_COUNT(BlocksExecuted, blocks.size());
-        for (const grid::Box3& block : blocks) fn(step.t, block);
+        [[maybe_unused]] const int blocks = grid::for_each_block(
+            step.rect, plan.block_x, plan.block_y,
+            [&](const grid::Box3& block) { fn(step.t, block); });
+        TEMPEST_TRACE_COUNT(BlocksExecuted, blocks);
       }
       if (!steps.empty()) TEMPEST_TRACE_COUNT(TilesExecuted, 1);
     });

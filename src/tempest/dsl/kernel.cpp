@@ -257,8 +257,8 @@ DslPropagator::DslPropagator(LoweredKernel lowered,
               : model.critical_dt(util::resolve_threads(opts.threads))),
       lowered_(std::move(lowered)),
       bindings_(std::move(bindings)),
-      u_(3, model.geom.extents, model.geom.radius(), real_t{0},
-         util::resolve_threads(opts.threads)),
+      u_(lowered_.summary().depth(), model.geom.extents, model.geom.radius(),
+         real_t{0}, util::resolve_threads(opts.threads)),
       block_(block) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&
                   model.geom.space_order % 2 == 0);

@@ -56,10 +56,13 @@ using DslBlockFn = void(float* un, const float* uc, const float* up,
                         const float* const* prm, long sx, long sy, int x0,
                         int x1, int y0, int y1, int z0, int z1);
 
-/// PhysicsKernel over a LoweredKernel: three-slot time buffer, single
-/// injection/gather field, `dt^2 / m` injection scaling (the Devito
-/// convention every tempest kernel uses). A non-null `block` (the same
-/// tree, compiled) replaces the tape for every box.
+/// PhysicsKernel over a LoweredKernel: three-slot time buffer (DslBlockFn
+/// takes u[t+1] and u[t-1] as separate restrict rows, and a hand-built
+/// LoweredKernel may load u[t-1] off the point, so u[t+1] does not
+/// overwrite u[t-1] in place as in the hand-written second-order
+/// kernels), single injection/gather field, `dt^2 / m` injection scaling
+/// (the Devito convention every tempest kernel uses). A non-null `block`
+/// (the same tree, compiled) replaces the tape for every box.
 class DslKernel {
  public:
   static constexpr int kSubstepsPerStep = 1;

@@ -8,9 +8,12 @@
 namespace tempest::grid {
 
 /// Circular buffer of time slices, the storage scheme of explicit FD
-/// time-stepping: a time-order-2 scheme keeps 3 slices (t-1, t, t+1) and a
-/// time-order-1 scheme keeps 2, indexed modulo the slot count exactly like
-/// Devito's modulo-buffered TimeFunction.
+/// time-stepping, indexed modulo the slot count like Devito's
+/// modulo-buffered TimeFunction. The depth is the kernel's choice
+/// (analysis::AccessSummary::depth()): one slice per time offset the
+/// update spans (t+1, t, t-1: 3 for the DSL's second-order equations),
+/// or 2 for a second-order kernel that reads u[t-1] only at the point it
+/// writes and stores u[t+1] over it (acoustic, TTI, VTI).
 template <typename T>
 class TimeBuffer {
  public:

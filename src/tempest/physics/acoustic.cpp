@@ -15,21 +15,23 @@ analysis::AccessSummary acoustic_access_summary(int space_order) {
           .radius = space_order / 2,
           .substeps = 1,
           .time_reads = {0, -1},
+          .slots = 2,
           .write_radius = 0};
 }
 
 namespace {
 
 /// The hot kernel: damped acoustic update of one space block at one
-/// timestep. R > 0 is the radius at compile time, so the neighbour loop
-/// fully unrolls inside the vectorized z loop; R = 0 reads `radius` (see
-/// stencil::dispatch_radius). Pointers are interior origins; all fields
-/// share one halo and therefore one set of strides.
+/// timestep, in place: `u` holds u[t-1] and receives u[t+1], each element
+/// loaded and then stored at its own point. R > 0 is the radius at compile
+/// time, so the neighbour loop fully unrolls inside the vectorized z loop;
+/// R = 0 reads `radius` (see stencil::dispatch_radius). Pointers are
+/// interior origins; all fields share one halo and therefore one set of
+/// strides.
 template <int R>
-void update_block(real_t* __restrict un, const real_t* __restrict uc,
-                  const real_t* __restrict up, const real_t* __restrict m,
-                  const real_t* __restrict dmp, std::ptrdiff_t sx,
-                  std::ptrdiff_t sy, const grid::Box3& b,
+void update_block(real_t* __restrict u, const real_t* __restrict uc,
+                  const real_t* __restrict m, const real_t* __restrict dmp,
+                  std::ptrdiff_t sx, std::ptrdiff_t sy, const grid::Box3& b,
                   const real_t* __restrict w, int radius, real_t inv_h2,
                   real_t idt2, real_t i2dt) {
   const int r = R > 0 ? R : radius;
@@ -37,10 +39,9 @@ void update_block(real_t* __restrict un, const real_t* __restrict uc,
     for (int y = b.y.lo; y < b.y.hi; ++y) {
       const std::ptrdiff_t row = x * sx + y * sy;
       const real_t* __restrict ucr = uc + row;
-      const real_t* __restrict upr = up + row;
       const real_t* __restrict mr = m + row;
       const real_t* __restrict dr = dmp + row;
-      real_t* __restrict unr = un + row;
+      real_t* __restrict ur = u + row;
 #pragma omp simd
       for (int z = b.z.lo; z < b.z.hi; ++z) {
         real_t acc = real_t{3} * w[0] * ucr[z];
@@ -50,17 +51,19 @@ void update_block(real_t* __restrict un, const real_t* __restrict uc,
                          ucr[z + k * sy] + ucr[z - k * sx] + ucr[z + k * sx]);
         }
         const real_t lap = acc * inv_h2;
-        const real_t num = lap + mr[z] * idt2 * (real_t{2} * ucr[z] - upr[z]) +
-                           dr[z] * i2dt * upr[z];
-        unr[z] = num / (mr[z] * idt2 + dr[z] * i2dt);
+        const real_t up = ur[z];  // u[t-1]
+        const real_t num = lap + mr[z] * idt2 * (real_t{2} * ucr[z] - up) +
+                           dr[z] * i2dt * up;
+        ur[z] = num / (mr[z] * idt2 + dr[z] * i2dt);
       }
     }
   }
 }
 
-/// PhysicsKernel adapter for the engine: three-slot time buffer, single
-/// injection/gather field u, `dt^2 / m` injection scaling. A non-null
-/// `block` (a compiled update) replaces the AOT template for every box.
+/// PhysicsKernel adapter for the engine: two-slot time buffer updated in
+/// place, single injection/gather field u, `dt^2 / m` injection scaling.
+/// A non-null `block` (a compiled update) replaces the AOT template for
+/// every box.
 class AcousticKernel {
  public:
   static constexpr int kSubstepsPerStep = 1;
@@ -89,7 +92,6 @@ class AcousticKernel {
         block_ == nullptr ||
             (util::is_aligned(u.slot(0).raw()) &&
              util::is_aligned(u.slot(1).raw()) &&
-             util::is_aligned(u.slot(2).raw()) &&
              util::is_aligned(model.m.raw()) &&
              util::is_aligned(model.damp.raw())),
         "field allocations lost their 64-byte alignment");
@@ -104,18 +106,17 @@ class AcousticKernel {
   }
 
   void apply(int t, const grid::Box3& box) {
-    real_t* un = u_.at(t + 1).origin();
+    real_t* u = u_.at(t + 1).origin();  // the slice of u[t-1]
     const real_t* uc = u_.at(t).origin();
-    const real_t* up = u_.at(t - 1).origin();
     const real_t* m = model_.m.origin();
     const real_t* dmp = model_.damp.origin();
     if (block_ != nullptr) {
-      block_(un, uc, up, m, dmp, sx_, sy_, box.x.lo, box.x.hi, box.y.lo,
-             box.y.hi, box.z.lo, box.z.hi, inv_h2_, idt2_, i2dt_);
+      block_(u, uc, m, dmp, sx_, sy_, box.x.lo, box.x.hi, box.y.lo, box.y.hi,
+             box.z.lo, box.z.hi, inv_h2_, idt2_, i2dt_);
       return;
     }
     stencil::dispatch_radius(radius(), [&]<int R>() {
-      update_block<R>(un, uc, up, m, dmp, sx_, sy_, box, w_.data(), radius(),
+      update_block<R>(u, uc, m, dmp, sx_, sy_, box, w_.data(), radius(),
                       inv_h2_, idt2_, i2dt_);
     });
   }
@@ -163,7 +164,8 @@ AcousticPropagator::AcousticPropagator(const AcousticModel& model,
       dt_(opts.dt > 0.0
               ? opts.dt
               : model.critical_dt(util::resolve_threads(opts.threads))),
-      u_(3, model.geom.extents, model.geom.radius(), real_t{0},
+      u_(acoustic_access_summary(model.geom.space_order).depth(),
+         model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
       block_(block) {
   TEMPEST_REQUIRE(model.geom.space_order >= 2 &&

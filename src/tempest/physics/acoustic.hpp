@@ -15,17 +15,19 @@ namespace tempest::physics {
 
 /// Access shape the isotropic acoustic stencil declares to the schedule
 /// legality verifier: u[t+1] written from a ±radius read of u[t] and a
-/// centre read of u[t-1] (second order in time, one substep per step).
+/// centre read of u[t-1] (second order in time, one substep per step),
+/// over a two-slot buffer: u[t+1] is stored over u[t-1].
 [[nodiscard]] analysis::AccessSummary acoustic_access_summary(int space_order);
 
-/// A compiled update of one box at one timestep: u[t+1] = un from uc = u[t]
-/// and up = u[t-1] over [x0,x1) x [y0,y1) x [z0,z1). Pointers are interior
-/// origins of grids sharing the strides sx, sy. codegen::emit_acoustic_c
-/// exports one with this C ABI.
-using AcousticBlockFn = void(float* un, const float* uc, const float* up,
-                             const float* m, const float* damp, long sx,
-                             long sy, int x0, int x1, int y0, int y1, int z0,
-                             int z1, float inv_h2, float idt2, float i2dt);
+/// A compiled update of one box at one timestep, in place: `u` holds
+/// u[t-1] on entry and u[t+1] on return (each element read, then written,
+/// at its own point), `uc` holds u[t], over [x0,x1) x [y0,y1) x [z0,z1).
+/// Pointers are interior origins of grids sharing the strides sx, sy.
+/// codegen::emit_acoustic_c exports one with this C ABI.
+using AcousticBlockFn = void(float* u, const float* uc, const float* m,
+                             const float* damp, long sx, long sy, int x0,
+                             int x1, int y0, int y1, int z0, int z1,
+                             float inv_h2, float idt2, float i2dt);
 
 /// Isotropic acoustic wave propagator (paper Section III.A):
 ///   m d²u/dt² + damp du/dt − Δu = src,   d(t) = u(t, x_r)
@@ -57,7 +59,7 @@ class AcousticPropagator
   // run() / state_view() / capture() / restore(): see
   // core::engine::Checkpointable.
 
-  /// Wavefield at logical timestep t of the last run (only the last three
+  /// Wavefield at logical timestep t of the last run (only the last two
   /// timesteps are live in the circular buffer).
   [[nodiscard]] const grid::Grid3<real_t>& wavefield(int t) const {
     return u_.at(t);
@@ -76,7 +78,7 @@ class AcousticPropagator
 
  private:
   friend Checkpointable;
-  /// Checkpoint state: the three slices of u.
+  /// Checkpoint state: the two slices of u (u[step] and u[step-1]).
   template <typename Self>
   static auto state(Self& self) {
     return core::engine::state_slices(self.u_);

@@ -15,6 +15,7 @@ analysis::AccessSummary tti_access_summary(int space_order) {
           .radius = space_order / 2,
           .substeps = 1,
           .time_reads = {0, -1},
+          .slots = 2,
           .write_radius = 0};
 }
 
@@ -49,9 +50,13 @@ inline RotatedDerivs rotated_derivs(
     d2z += w2[k] * (f[i - k] + f[i + k]);
   }
   real_t dxy = real_t{0}, dxz = real_t{0}, dyz = real_t{0};
+  // Unrolled like the k loop, so the caller's z loop is the one GCC
+  // vectorizes (otherwise it vectorizes the b loop as a reduction).
+#pragma GCC unroll 8
   for (int a = 1; a <= r; ++a) {
     const std::ptrdiff_t ax = a * sx;
     const std::ptrdiff_t ay = a * sy;
+#pragma GCC unroll 8
     for (int b = 1; b <= r; ++b) {
       const real_t wab = w1[a] * w1[b];
       const std::ptrdiff_t by = b * sy;
@@ -85,12 +90,13 @@ struct TTIFields {
   const real_t* an;
 };
 
-/// TTI block update. R > 0 is the radius at compile time; R = 0 reads
-/// `radius` (see stencil::dispatch_radius).
+/// TTI block update, in place: `p` and `q` hold p[t-1] and q[t-1] and
+/// receive p[t+1] and q[t+1], each element loaded and then stored at its
+/// own point. R > 0 is the radius at compile time; R = 0 reads `radius`
+/// (see stencil::dispatch_radius).
 template <int R>
-void update_block(real_t* __restrict pn, const real_t* __restrict pc,
-                  const real_t* __restrict pp, real_t* __restrict qn,
-                  const real_t* __restrict qc, const real_t* __restrict qp,
+void update_block(real_t* __restrict p, const real_t* __restrict pc,
+                  real_t* __restrict q, const real_t* __restrict qc,
                   const TTIFields& f, std::ptrdiff_t sx, std::ptrdiff_t sy,
                   const grid::Box3& b, const real_t* __restrict w2,
                   const real_t* __restrict w1, int radius, real_t inv_h2,
@@ -110,21 +116,23 @@ void update_block(real_t* __restrict pn, const real_t* __restrict pc,
         const real_t hperp_p = (dp.lap - dp.hz) * inv_h2;
         const real_t hz_q = dq.hz * inv_h2;
         const real_t denom = f.m[i] * idt2 + f.damp[i] * i2dt;
-        pn[i] = (f.ah[i] * hperp_p + f.an[i] * hz_q +
-                 f.m[i] * idt2 * (real_t{2} * pc[i] - pp[i]) +
-                 f.damp[i] * i2dt * pp[i]) /
-                denom;
-        qn[i] = (f.an[i] * hperp_p + hz_q +
-                 f.m[i] * idt2 * (real_t{2} * qc[i] - qp[i]) +
-                 f.damp[i] * i2dt * qp[i]) /
-                denom;
+        const real_t pp = p[i];  // p[t-1]
+        const real_t qp = q[i];  // q[t-1]
+        p[i] = (f.ah[i] * hperp_p + f.an[i] * hz_q +
+                f.m[i] * idt2 * (real_t{2} * pc[i] - pp) +
+                f.damp[i] * i2dt * pp) /
+               denom;
+        q[i] = (f.an[i] * hperp_p + hz_q +
+                f.m[i] * idt2 * (real_t{2} * qc[i] - qp) +
+                f.damp[i] * i2dt * qp) /
+               denom;
       }
     }
   }
 }
 
-/// PhysicsKernel adapter: coupled p/q three-slot buffers, source injected
-/// into both, receivers measure p.
+/// PhysicsKernel adapter: coupled p/q two-slot buffers updated in place,
+/// source injected into both, receivers measure p.
 class TTIKernel {
  public:
   static constexpr int kSubstepsPerStep = 1;
@@ -157,15 +165,13 @@ class TTIKernel {
   }
 
   void apply(int t, const grid::Box3& box) {
-    real_t* pn = p_.at(t + 1).origin();
+    real_t* p = p_.at(t + 1).origin();  // the slice of p[t-1]
     const real_t* pc = p_.at(t).origin();
-    const real_t* pp = p_.at(t - 1).origin();
-    real_t* qn = q_.at(t + 1).origin();
+    real_t* q = q_.at(t + 1).origin();  // the slice of q[t-1]
     const real_t* qc = q_.at(t).origin();
-    const real_t* qp = q_.at(t - 1).origin();
     stencil::dispatch_radius(radius(), [&]<int R>() {
-      update_block<R>(pn, pc, pp, qn, qc, qp, f_, sx_, sy_, box, w2_.data(),
-                      w1_.data(), radius(), inv_h2_, idt2_, i2dt_);
+      update_block<R>(p, pc, q, qc, f_, sx_, sy_, box, w2_.data(), w1_.data(),
+                      radius(), inv_h2_, idt2_, i2dt_);
     });
   }
 
@@ -214,9 +220,10 @@ TTIPropagator::TTIPropagator(const TTIModel& model, PropagatorOptions opts)
       dt_(opts.dt > 0.0
               ? opts.dt
               : model.critical_dt(util::resolve_threads(opts.threads))),
-      p_(3, model.geom.extents, model.geom.radius(), real_t{0},
+      p_(tti_access_summary(model.geom.space_order).depth(),
+         model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
-      q_(3, model.geom.extents, model.geom.radius(), real_t{0},
+      q_(p_.slots(), model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
       cxx_(unwritten(model)),
       cyy_(unwritten(model)),

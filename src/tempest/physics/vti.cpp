@@ -15,18 +15,19 @@ analysis::AccessSummary vti_access_summary(int space_order) {
           .radius = space_order / 2,
           .substeps = 1,
           .time_reads = {0, -1},
+          .slots = 2,
           .write_radius = 0};
 }
 
 namespace {
 
 /// VTI block update: horizontal Laplacian of p, vertical second derivative
-/// of q, coupled through the Thomsen factors. R = 0 reads `radius` (see
+/// of q, coupled through the Thomsen factors. In place, like TTI's: `p`
+/// and `q` hold the t-1 slices and receive t+1. R = 0 reads `radius` (see
 /// stencil::dispatch_radius).
 template <int R>
-void update_block(real_t* __restrict pn, const real_t* __restrict pc,
-                  const real_t* __restrict pp, real_t* __restrict qn,
-                  const real_t* __restrict qc, const real_t* __restrict qp,
+void update_block(real_t* __restrict p, const real_t* __restrict pc,
+                  real_t* __restrict q, const real_t* __restrict qc,
                   const real_t* __restrict m, const real_t* __restrict damp,
                   const real_t* __restrict ah, const real_t* __restrict an,
                   std::ptrdiff_t sx, std::ptrdiff_t sy, const grid::Box3& b,
@@ -50,14 +51,14 @@ void update_block(real_t* __restrict pn, const real_t* __restrict pc,
         hp *= inv_h2;
         hz *= inv_h2;
         const real_t denom = m[i] * idt2 + damp[i] * i2dt;
-        pn[i] = (ah[i] * hp + an[i] * hz +
-                 m[i] * idt2 * (real_t{2} * pc[i] - pp[i]) +
-                 damp[i] * i2dt * pp[i]) /
-                denom;
-        qn[i] = (an[i] * hp + hz +
-                 m[i] * idt2 * (real_t{2} * qc[i] - qp[i]) +
-                 damp[i] * i2dt * qp[i]) /
-                denom;
+        const real_t pp = p[i];  // p[t-1]
+        const real_t qp = q[i];  // q[t-1]
+        p[i] = (ah[i] * hp + an[i] * hz +
+                m[i] * idt2 * (real_t{2} * pc[i] - pp) + damp[i] * i2dt * pp) /
+               denom;
+        q[i] = (an[i] * hp + hz + m[i] * idt2 * (real_t{2} * qc[i] - qp) +
+                damp[i] * i2dt * qp) /
+               denom;
       }
     }
   }
@@ -98,18 +99,15 @@ class VTIKernel {
   }
 
   void apply(int t, const grid::Box3& box) {
-    real_t* pn = p_.at(t + 1).origin();
+    real_t* p = p_.at(t + 1).origin();  // the slice of p[t-1]
     const real_t* pc = p_.at(t).origin();
-    const real_t* pp = p_.at(t - 1).origin();
-    real_t* qn = q_.at(t + 1).origin();
+    real_t* q = q_.at(t + 1).origin();  // the slice of q[t-1]
     const real_t* qc = q_.at(t).origin();
-    const real_t* qp = q_.at(t - 1).origin();
     const real_t* m = model_.m.origin();
     const real_t* damp = model_.damp.origin();
     stencil::dispatch_radius(radius(), [&]<int R>() {
-      update_block<R>(pn, pc, pp, qn, qc, qp, m, damp, ah_.origin(),
-                      an_.origin(), sx_, sy_, box, w_.data(), radius(),
-                      inv_h2_, idt2_, i2dt_);
+      update_block<R>(p, pc, q, qc, m, damp, ah_.origin(), an_.origin(), sx_,
+                      sy_, box, w_.data(), radius(), inv_h2_, idt2_, i2dt_);
     });
   }
 
@@ -152,9 +150,10 @@ VTIPropagator::VTIPropagator(const TTIModel& model, PropagatorOptions opts)
       dt_(opts.dt > 0.0
               ? opts.dt
               : model.critical_dt(util::resolve_threads(opts.threads))),
-      p_(3, model.geom.extents, model.geom.radius(), real_t{0},
+      p_(vti_access_summary(model.geom.space_order).depth(),
+         model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
-      q_(3, model.geom.extents, model.geom.radius(), real_t{0},
+      q_(p_.slots(), model.geom.extents, model.geom.radius(), real_t{0},
          util::resolve_threads(opts.threads)),
       ah_(grid::Grid3<real_t>::uninitialized(model.geom.extents,
                                              model.geom.radius())),

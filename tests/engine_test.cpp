@@ -246,6 +246,40 @@ TEST(EngineMemory, WavefrontShotAllocatesNoGridSizedPrecompute) {
       << " B per grid point";
 }
 
+TEST(EngineMemory, SecondOrderPropagatorHoldsTwoSlices) {
+  // The acoustic update stores u[t+1] over u[t-1], so the propagator's
+  // construction and a shot grow the peak by the two slices of u. A modulo
+  // buffer of time_order + 1 slices would take it to three.
+  const ph::Geometry g{{160, 160, 160}, 10.0, /*space_order=*/4, 10};
+  const std::optional<long long> grown = in_child([&] {
+    ph::PropagatorOptions opts;
+    opts.threads = 1;
+    const int nt = 4;
+    const auto shot = [&](const ph::AcousticModel& model) {
+      ph::AcousticPropagator prop(model, opts);
+      const tg::Extents3& x = model.geom.extents;
+      sp::SparseTimeSeries src(sp::single_center_source(x, 0.4), nt);
+      src.broadcast_signature(sp::ricker(nt, prop.dt(), 0.010));
+      sp::SparseTimeSeries rec(sp::receiver_line(x, 16), nt);
+      (void)prop.run(ph::Schedule::SpaceBlocked, src, &rec);
+    };
+    // Fault in the run's code and allocator state on a small model.
+    shot(ph::make_acoustic_homogeneous({{24, 24, 24}, 10.0, 4, 4}, 1.5));
+    const ph::AcousticModel model = ph::make_acoustic_homogeneous(g, 1.5);
+    const long long before = peak_bytes();
+    shot(model);
+    return peak_bytes() - before;
+  });
+  ASSERT_TRUE(grown.has_value()) << "the measuring child did not finish";
+  const double field =
+      static_cast<double>(tg::Grid3<real_t>(g.extents, g.radius())
+                              .padded_size() *
+                          sizeof(real_t));
+  EXPECT_LT(static_cast<double>(*grown), 2.5 * field)
+      << "constructing and running the propagator grew the peak RSS by "
+      << static_cast<double>(*grown) / field << " fields";
+}
+
 TEST(EngineMemory, ModelBuildPeaksAtItsOwnFields) {
   // make_acoustic_layered allocates vp, m and damp and writes each once: the
   // peak grows by three fields. A throwaway m, or a second copy of any

@@ -2,8 +2,10 @@
 // TPCK checkpoint, a TPJL journal, a TFBR black box and a TPG1 gather
 // written by an earlier build (tests/data/README.md lists how). This build
 // must decode each one, and must re-encode the checkpoint, the journal and
-// the gather byte for byte: the checkpoint both through save(capture(...))
-// and through the zero-copy state_view() path. Together these pin every
+// the gather byte for byte. The checkpoint holds the three-slice layout of
+// the acoustic buffer before it leapfrogged in place: restore() must seed
+// the two-slot buffer from it, and save(capture(...)) and the zero-copy
+// state_view() path must write the same bytes. Together these pin every
 // format — framing, field order and CRC values — against silent drift.
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -116,15 +120,55 @@ TEST(FormatCompat, CheckpointReencodesByteForByte) {
     rs::Checkpointer(out.path()).save(state);
     return io::read_file(out.path());
   };
-  // The loaded checkpoint itself, an owning copy of the restored state,
-  // and a zero-copy view of it all write the fixture's bytes.
+  // The loaded checkpoint itself writes the fixture's bytes.
   EXPECT_EQ(written(ck), want) << "owning checkpoint";
+
+  // The fixture holds the three-slice layout (slice t mod 3 holds u[t]);
+  // the two-slot propagator keeps exactly its step-5 and step-4 slices.
   rs::Checkpoint copy = prop.capture(ck.step, ck.fingerprint, &ck.rec);
+  ASSERT_EQ(copy.slots.size(), 2u);
+  for (const int t : {ck.step, ck.step - 1}) {
+    const tg::Grid3<real_t>& got = copy.slots[static_cast<std::size_t>(t % 2)];
+    const tg::Grid3<real_t>& old = ck.slots[static_cast<std::size_t>(t % 3)];
+    ASSERT_EQ(got.padded_size(), old.padded_size());
+    EXPECT_EQ(std::memcmp(got.raw(), old.raw(),
+                          got.padded_size() * sizeof(real_t)),
+              0)
+        << "slice of step " << t;
+  }
+
+  // A two-slot checkpoint the propagator writes itself: an owning copy, a
+  // zero-copy view and the loaded file all write the same bytes.
   copy.aux = ck.aux;
-  EXPECT_EQ(written(copy), want) << "save(capture(...))";
+  const std::vector<std::uint8_t> own = written(copy);
   rs::CheckpointView view = prop.state_view(ck.step, ck.fingerprint, &ck.rec);
   view.aux = ck.aux;
-  EXPECT_EQ(written(view), want) << "save(state_view(...))";
+  EXPECT_EQ(written(view), own) << "save(state_view(...))";
+  TempFile out(".tpck");
+  rs::Checkpointer(out.path()).save(copy);
+  EXPECT_EQ(written(rs::Checkpointer(out.path()).load()), own)
+      << "save(load(...))";
+}
+
+TEST(FormatCompat, CheckpointOfAnotherSliceCountIsRefused) {
+  const rs::Checkpoint fixture_ck =
+      rs::Checkpointer(fixture("acoustic_6cube_step5.tpck")).load();
+  const ph::AcousticModel model = fixture_model();
+  ph::AcousticPropagator prop(model);
+  for (const std::size_t n : {1u, 4u}) {
+    rs::Checkpoint ck = fixture_ck;
+    ck.slots.resize(n, ck.slots.front());
+    try {
+      prop.restore(ck);
+      ADD_FAILURE() << n << " slices must not restore";
+    } catch (const rs::CheckpointMismatchError& err) {
+      const std::string msg = err.what();
+      EXPECT_NE(msg.find("holds " + std::to_string(n) + " slices"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("needs 2 of"), std::string::npos) << msg;
+    }
+  }
 }
 
 TEST(FormatCompat, JournalFixtureReplaysAndReencodesByteForByte) {
@@ -331,4 +375,72 @@ TEST(CheckpointView, RejectsAStepBeforeTheFirst) {
   const ph::AcousticModel model = fixture_model();
   const ph::AcousticPropagator prop(model);
   EXPECT_THROW((void)prop.state_view(0, 1), tempest::util::PreconditionError);
+}
+
+namespace {
+
+/// A propagator's two-slot state at step kAt, re-laid out as the three
+/// slices per time buffer every second-order propagator wrote before the
+/// in-place leapfrog (slice t mod 3 holds step t; the slice of neither
+/// step is NaN), must restore to exactly that state.
+template <typename Make>
+void expect_three_slice_layout_restores(const Make& make) {
+  constexpr int kNt = 6;
+  constexpr int kAt = 4;
+  auto prop = make();
+  const tg::Extents3 e = prop.model().geom.extents;
+  sp::SparseTimeSeries src(sp::single_center_source(e, 0.4), kNt);
+  src.broadcast_signature(sp::ricker(kNt, prop.dt(), 0.05));
+  rs::Checkpoint want;
+  prop.run(ph::Schedule::SpaceBlocked, src, nullptr, [&](int t) {
+    if (t == kAt) want = prop.capture(t, 5);
+  });
+  ASSERT_EQ(want.slots.size() % 2, 0u);
+  rs::Checkpoint legacy = want;
+  legacy.slots.clear();
+  const tg::Grid3<real_t>& g0 = want.slots.front();
+  for (std::size_t b = 0; b < want.slots.size() / 2; ++b) {
+    for (int i = 0; i < 3; ++i) {
+      legacy.slots.emplace_back(g0.extents(), g0.halo(),
+                                std::numeric_limits<real_t>::quiet_NaN());
+    }
+    for (const int t : {kAt, kAt - 1}) {
+      legacy.slots[3 * b + static_cast<std::size_t>(t % 3)] =
+          want.slots[2 * b + static_cast<std::size_t>(t % 2)];
+    }
+  }
+  auto fresh = make();
+  fresh.restore(legacy);
+  const rs::Checkpoint got = fresh.capture(kAt, 5);
+  ASSERT_EQ(got.slots.size(), want.slots.size());
+  for (std::size_t i = 0; i < got.slots.size(); ++i) {
+    EXPECT_EQ(std::memcmp(got.slots[i].raw(), want.slots[i].raw(),
+                          got.slots[i].padded_size() * sizeof(real_t)),
+              0)
+        << "slice " << i;
+  }
+}
+
+}  // namespace
+
+TEST(FormatCompat, ThreeSliceLayoutRestoresIntoEveryTwoSlotBuffer) {
+  const ph::Geometry g{{10, 9, 8}, 10.0, 4, /*nbl=*/2};
+  const ph::AcousticModel acoustic = ph::make_acoustic_layered(g, 1.5, 3.0, 2);
+  const ph::TTIModel tti = ph::make_tti_layered(g);
+  ph::TTIModel vti = ph::make_tti_layered(g);
+  vti.theta.fill(0.0f);
+  vti.phi.fill(0.0f);
+  {
+    SCOPED_TRACE("acoustic");
+    expect_three_slice_layout_restores(
+        [&] { return ph::AcousticPropagator(acoustic); });
+  }
+  {
+    SCOPED_TRACE("tti");
+    expect_three_slice_layout_restores([&] { return ph::TTIPropagator(tti); });
+  }
+  {
+    SCOPED_TRACE("vti");
+    expect_three_slice_layout_restores([&] { return ph::VTIPropagator(vti); });
+  }
 }

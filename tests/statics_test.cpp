@@ -423,6 +423,51 @@ TEST(Interference, DiamondValleyMissingAPeakEdgeIsRejected) {
       << report.str();
 }
 
+namespace {
+
+/// The three plan kinds on a 96x96 lattice at radius 2, 32x32 tiles, for
+/// the acoustic kernel's declared two-slot summary: u[t] read over
+/// +-radius and u[t-1] at the point (as declared), or, with the reads
+/// swapped to {-1, 0}, u[t-1] read over +-radius (an in-place kernel that
+/// read u[t-1] off-centre).
+std::vector<statics::TileModel> two_slot_models(bool off_centre_history) {
+  const an::AccessSummary summary = ph::acoustic_access_summary(4);
+  std::vector<statics::TileModel> out;
+  for (const an::ScheduleDescriptor& sched :
+       {an::ScheduleDescriptor::wavefront(summary.radius),
+        an::ScheduleDescriptor::diamond(summary.radius),
+        an::ScheduleDescriptor::space_blocked()}) {
+    statics::TileModel tm = statics::TileModel::from_summary(
+        summary, sched, 32, 32, 96, 96, /*receivers=*/true);
+    if (off_centre_history) tm.time_reads = {-1, 0};
+    out.push_back(tm);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Interference, TwoSlotFootprintsProveEveryPlanKindRaceFree) {
+  ASSERT_EQ(ph::acoustic_access_summary(4).depth(), 2);
+  for (const statics::TileModel& tm : two_slot_models(false)) {
+    ASSERT_EQ(tm.slots, 2);
+    const statics::InterferenceReport report = statics::prove_race_free(tm);
+    EXPECT_TRUE(report.race_free()) << report.str();
+    EXPECT_GT(report.unordered_pairs, 0) << tm.schedule.str();
+  }
+}
+
+TEST(Interference, TwoSlotsWithAnOffCentreHistoryReadConflict) {
+  // u[t+1] lands on the slice of u[t-1]: a neighbour tile that read
+  // u[t-1] beyond its own rect would read cells another task overwrote.
+  for (const statics::TileModel& tm : two_slot_models(true)) {
+    const statics::InterferenceReport report = statics::prove_race_free(tm);
+    EXPECT_FALSE(report.race_free()) << tm.schedule.str();
+    EXPECT_TRUE(message_of(report.diagnostics, "tile-interference", "writes"))
+        << report.str();
+  }
+}
+
 // ------------------------------------------------------------------- facade
 
 TEST(Verify, CombinedReportRejectsUnstableDtAndAllowUnstableDemotesIt) {

@@ -14,7 +14,8 @@
 //   * --seeded mode: runs fixtures that are wrong *by construction*
 //     (a dt beyond the stability bound, a load beyond the declared halo,
 //     a wavefront band whose skew undershoots the stencil radius, a
-//     wavefront plan with one staircase edge dropped) and returns nonzero
+//     wavefront plan with one staircase edge dropped, a two-slot in-place
+//     buffer whose u[t-1] read reaches off-centre) and returns nonzero
 //     iff any of them is NOT rejected — proving the gates
 //     actually reject, with structured diagnostics naming the offending
 //     bound / offset / tile pair.
@@ -236,8 +237,26 @@ int run_seeded() {
     band.dag.remove_edge(/*tile(0,1)=*/1, /*tile(1,1)=*/band.nj + 1);
     const AccessSummary summary = tempest::physics::acoustic_access_summary(4);
     const statics::InterferenceReport iref = statics::prove_race_free(
-        plan, {summary.radius, 1, summary.time_reads, /*receivers=*/true});
+        plan, {summary.radius, 1, summary.time_reads, /*receivers=*/true,
+               summary.slots});
     expect("dropped-staircase-edge", iref.diagnostics, "tile-interference");
+  }
+
+  // 5. The acoustic kernel's two-slot buffer (u[t+1] stored over u[t-1])
+  //    with its u[t-1] read reaching +-radius instead of the point (the
+  //    summary's first read is the +-radius one, so the reads become
+  //    {-1, 0}): on a wavefront band a neighbour tile's write lands on
+  //    cells another tile still reads, and the prover must name that pair.
+  {
+    const AccessSummary summary = tempest::physics::acoustic_access_summary(4);
+    statics::TileModel tm = statics::TileModel::from_summary(
+        summary, ScheduleDescriptor::wavefront(summary.radius),
+        /*tile_x=*/32, /*tile_y=*/32, /*nx=*/96, /*ny=*/96,
+        /*receivers=*/true);
+    tm.time_reads = {-1, 0};
+    const statics::InterferenceReport iref = statics::prove_race_free(tm);
+    expect("in-place-off-centre-history", iref.diagnostics,
+           "tile-interference");
   }
 
   if (missed > 0) {
