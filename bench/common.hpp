@@ -74,16 +74,6 @@ struct BaseConfig {
   [[nodiscard]] grid::Extents3 extents() const { return {size, size, size}; }
 };
 
-/// Paper Section IV.B timestep counts at 512 ms propagation, scaled down in
-/// proportion when the quick default shortens the run.
-inline int steps_for_kernel(const std::string& kernel, bool full,
-                            long requested) {
-  if (requested > 0) return static_cast<int>(requested);
-  if (kernel == "acoustic") return full ? 228 : 24;
-  if (kernel == "elastic") return full ? 436 : 16;
-  return full ? 587 : 12;  // tti / vti
-}
-
 /// Tuned tile/block defaults per (kernel, space order) — this machine's
 /// analogue of the paper's Table I: narrow tiles where temporal reuse is
 /// rich (low-order, low-byte kernels), wider tiles as halos grow. Run
@@ -97,6 +87,22 @@ inline core::TileSpec default_tiles(const std::string& kernel, int so) {
     return core::TileSpec{16, 64, 64, 8, 8};
   }
   return core::TileSpec{8, 64, 64, 8, 8};
+}
+
+/// Paper Section IV.B timestep counts at 512 ms propagation (--full), or
+/// the quick default: the paper's count scaled down in proportion, but at
+/// least two full bands of the kernel's default tile height. Second-order
+/// kernels step [1, nt) and elastic [0, nt), so two bands of tile_t take
+/// 2 * tile_t + 1 and 2 * tile_t steps; a shorter run times mostly a part
+/// band, which reuses less than a full one.
+inline int steps_for_kernel(const std::string& kernel, int so, bool full,
+                            long requested) {
+  if (requested > 0) return static_cast<int>(requested);
+  const bool elastic = kernel == "elastic";
+  if (full) return kernel == "acoustic" ? 228 : elastic ? 436 : 587;
+  const int scaled = kernel == "acoustic" ? 24 : elastic ? 16 : 12;
+  const int first_step = elastic ? 0 : 1;
+  return std::max(scaled, 2 * default_tiles(kernel, so).tile_t + first_step);
 }
 
 /// Single Ricker-driven source at the paper's standard position.

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   Session session("fig10_sources", cli);
   const trace::Session trace_session(cfg.trace_path, cfg.metrics_path);
   const int so = 4;
-  const int nt = steps_for_kernel("acoustic", cfg.full,
-                                  cli.get_int("steps", 0));
+  const int nt =
+      steps_for_kernel("acoustic", so, cfg.full, cli.get_int("steps", 0));
   const auto counts = cli.get_int_list("counts", {1, 4, 16, 64, 256, 1024});
   const auto t = cli.get_int_list("tiles", {8, 64, 64});
   core::TileSpec tiles{static_cast<int>(t[0]),

@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
                      "verdict"});
 
   for (long so : so_list) {
-    const int nt = steps_for_kernel("acoustic", cfg.full,
-                                    cli.get_int("steps", 0));
+    const int nt = steps_for_kernel("acoustic", static_cast<int>(so),
+                                    cfg.full, cli.get_int("steps", 0));
     physics::Geometry geom{cfg.extents(), 10.0, static_cast<int>(so),
                            cfg.nbl};
     const auto model = physics::make_acoustic_layered(geom);

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
   std::string kernel;
   while (std::getline(kernels_ss, kernel, ',')) {
     for (long so : so_list) {
-      const int nt = steps_for_kernel(kernel, cfg.full,
+      const int nt = steps_for_kernel(kernel, static_cast<int>(so), cfg.full,
                                       cli.get_int("steps", 0));
       physics::Geometry geom{cfg.extents(), kernel == "tti" ? 20.0 : 10.0,
                              static_cast<int>(so), cfg.nbl};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <sstream>
 
 namespace tempest::analysis::statics {
@@ -46,7 +47,7 @@ struct Task {
            std::numeric_limits<int>::max(), std::numeric_limits<int>::min()};
 };
 
-Task footprints(const std::vector<core::TileStep>& steps, const Footprint& f,
+Task footprints(std::span<const core::TileStep> steps, const Footprint& f,
                 int slots) {
   const auto slot = [slots](int t) { return ((t % slots) + slots) % slots; };
   Task task;
@@ -128,9 +129,9 @@ InterferenceReport prove(const core::TilePlan& plan, const Footprint& f,
   constexpr int kMaxDiagnostics = 6;
   for (const core::TileBand& band : plan.bands) {
     std::vector<Task> tasks;
-    tasks.reserve(band.tasks.size());
-    for (const auto& steps : band.tasks) {
-      tasks.push_back(footprints(steps, f, slots));
+    tasks.reserve(static_cast<std::size_t>(band.size()));
+    for (int node = 0; node < band.size(); ++node) {
+      tasks.push_back(footprints(band.steps_of(node), f, slots));
     }
     report.tasks += static_cast<int>(tasks.size());
     const std::vector<std::vector<bool>> anc = ancestors(band.dag);

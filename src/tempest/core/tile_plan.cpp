@@ -8,28 +8,35 @@ namespace tempest::core {
 
 namespace {
 
-/// Start a band of ni x nj tasks over substeps [t0, te); edges are added by
-/// the caller.
+/// Start a band of ni x nj tasks over substeps [t0, te). The caller adds
+/// the edges, and each node's steps in ascending node order: add_step for
+/// each of the node's substeps, then end_task.
 TileBand& add_band(TilePlan& plan, int t0, int te, int ni, int nj) {
   TileBand& band = plan.bands.emplace_back();
   band.t0 = t0;
   band.te = te;
   band.nj = nj;
-  band.tasks.resize(static_cast<std::size_t>(ni) *
-                    static_cast<std::size_t>(nj));
+  band.steps.reserve(static_cast<std::size_t>(ni) *
+                     static_cast<std::size_t>(nj) *
+                     static_cast<std::size_t>(te - t0));
+  band.offsets.reserve(static_cast<std::size_t>(ni * nj) + 1);
   band.dag = util::TaskDag(ni * nj);
   return band;
 }
 
-/// Append task `node`'s rect at substep t, clipped to the domain (full z);
-/// empty rects are dropped.
-void add_step(const grid::Extents3& e, TileBand& band, int node, int t,
-              grid::Range x, grid::Range y) {
+/// Append the open task's rect at substep t, clipped to the domain (full
+/// z); empty rects are dropped.
+void add_step(const grid::Extents3& e, TileBand& band, int t, grid::Range x,
+              grid::Range y) {
   const grid::Range xr = grid::intersect(x, {0, e.nx});
   const grid::Range yr = grid::intersect(y, {0, e.ny});
   if (xr.empty() || yr.empty()) return;
-  band.tasks[static_cast<std::size_t>(node)].push_back(
-      {t, grid::Box3{xr, yr, {0, e.nz}}});
+  band.steps.push_back({t, grid::Box3{xr, yr, {0, e.nz}}});
+}
+
+/// Close the open task: its steps are the ones added since the last close.
+void end_task(TileBand& band) {
+  band.offsets.push_back(static_cast<int>(band.steps.size()));
 }
 
 }  // namespace
@@ -58,10 +65,10 @@ TilePlan TilePlan::wavefront(const grid::Extents3& e, int t_begin, int t_end,
         const int xs = xs_begin + i * spec.tile_x;
         const int ys = ys_begin + j * spec.tile_y;
         for (int t = tt; t < te; ++t) {
-          add_step(e, band, node, t,
-                   {xs - slope * t, xs + spec.tile_x - slope * t},
+          add_step(e, band, t, {xs - slope * t, xs + spec.tile_x - slope * t},
                    {ys - slope * t, ys + spec.tile_y - slope * t});
         }
+        end_task(band);
       }
     }
   }
@@ -79,19 +86,27 @@ TilePlan TilePlan::diamond(const grid::Extents3& e, int t_begin, int t_end,
   for (int t0 = t_begin; t0 < t_end; t0 += spec.height) {
     const int te = std::min(t0 + spec.height, t_end);
     TileBand& band = add_band(plan, t0, te, 2, periods);
+    // Peaks are nodes [0, periods) and valleys [periods, 2 * periods), so
+    // every peak's steps go in before any valley's. Peak k's right edge is
+    // the centre of valley k.
+    for (int k = 0; k < periods; ++k) {
+      const int edge = k * w;
+      for (int t = t0; t < te; ++t) {
+        const int d = slope * (t - t0);
+        add_step(e, band, t, {edge - w + d, edge - d}, {0, e.ny});
+      }
+      end_task(band);
+    }
     for (int k = 0; k < periods; ++k) {
       const int valley = periods + k;
       band.dag.add_edge(k, valley);
       if (k + 1 < periods) band.dag.add_edge(k + 1, valley);
-      const int edge = k * w;  // right edge of peak k, centre of valley k
+      const int edge = k * w;
       for (int t = t0; t < te; ++t) {
         const int d = slope * (t - t0);
-        add_step(e, band, k, t, {edge - w + d, edge - d}, {0, e.ny});
+        add_step(e, band, t, {edge - d, edge + d}, {0, e.ny});
       }
-      for (int t = t0; t < te; ++t) {
-        const int d = slope * (t - t0);
-        add_step(e, band, valley, t, {edge - d, edge + d}, {0, e.ny});
-      }
+      end_task(band);
     }
   }
   return plan;
@@ -107,9 +122,9 @@ TilePlan TilePlan::space_blocked(const grid::Extents3& e, int t_begin,
     TileBand& band = add_band(plan, t, t + 1, ni, nj);
     for (int i = 0; i < ni; ++i) {
       for (int j = 0; j < nj; ++j) {
-        add_step(e, band, i * nj + j, t,
-                 {i * spec.block_x, (i + 1) * spec.block_x},
+        add_step(e, band, t, {i * spec.block_x, (i + 1) * spec.block_x},
                  {j * spec.block_y, (j + 1) * spec.block_y});
+        end_task(band);
       }
     }
   }

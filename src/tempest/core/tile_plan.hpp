@@ -27,6 +27,7 @@
 //
 // This header includes nothing from analysis/: the race prover includes it.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,10 +78,24 @@ struct TileBand {
   /// (i, j) of the skewed lattice; space-blocked: block (i, j); diamond:
   /// i = 0 peaks, i = 1 valleys, j the x-period.
   int nj = 0;
-  /// Per node, t ascending. A task whose skewed tile lies outside the domain
-  /// for the whole band has no steps but keeps its node in the DAG.
-  std::vector<std::vector<TileStep>> tasks;
+  /// Every node's steps in one array, node after node and t ascending
+  /// within a node: node k's are [offsets[k], offsets[k + 1]). A task whose
+  /// skewed tile lies outside the domain for the whole band has no steps
+  /// but keeps its node in the DAG.
+  std::vector<TileStep> steps;
+  std::vector<int> offsets{0};  ///< size() + 1 entries
   util::TaskDag dag;
+
+  /// Nodes in the band's task graph.
+  [[nodiscard]] int size() const { return dag.size(); }
+
+  /// Node `node`'s steps, t ascending.
+  [[nodiscard]] std::span<const TileStep> steps_of(int node) const {
+    const auto k = static_cast<std::size_t>(node);
+    return std::span<const TileStep>(steps).subspan(
+        static_cast<std::size_t>(offsets[k]),
+        static_cast<std::size_t>(offsets[k + 1] - offsets[k]));
+  }
 };
 
 struct TilePlan {
@@ -136,8 +151,7 @@ void execute(const TilePlan& plan, int threads, BlockFn&& fn,
   for (const TileBand& band : plan.bands) {
     TEMPEST_TRACE_SPAN_ARG_METRIC(span, "schedule", band.te, BandSeconds);
     band.dag.run(threads, [&](int node) {
-      const std::vector<TileStep>& steps =
-          band.tasks[static_cast<std::size_t>(node)];
+      const std::span<const TileStep> steps = band.steps_of(node);
       for (const TileStep& step : steps) {
         [[maybe_unused]] const int blocks = grid::for_each_block(
             step.rect, plan.block_x, plan.block_y,

@@ -10,10 +10,15 @@
 
 #include <pthread.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #if defined(__SSE__)
 #include <xmmintrin.h>
 #endif
 
+#include "tempest/util/align.hpp"
 #include "tempest/util/env.hpp"
 #include "tempest/util/error.hpp"
 
@@ -57,6 +62,20 @@ std::atomic<bool> g_forked{false};
 [[maybe_unused]] const int g_atfork_registered = ::pthread_atfork(
     nullptr, nullptr, [] { g_forked.store(true, std::memory_order_relaxed); });
 
+#if defined(__GLIBC__)
+/// glibc's mmap threshold is dynamic by default: once it frees a mapped
+/// block of up to 32 MiB it serves blocks that size from its heap, keeps
+/// freed ones resident there, and often places the next grid beside a hole
+/// rather than in it. The peak RSS of a run that frees and rebuilds its
+/// grids, shot after shot, then counts whole grids more or fewer with the
+/// heap's layout, down to the length of a path string. A fixed threshold
+/// gives every block of 1 MiB or more its own mapping, returned to the
+/// system when it is freed. It is set here because every program that
+/// builds a grid links this file: grids are first-touched on the pool.
+[[maybe_unused]] const int g_mmap_threshold_set =
+    ::mallopt(M_MMAP_THRESHOLD, 1 << 20);
+#endif
+
 /// The process's worker threads (see the header for the contract).
 class Pool {
  public:
@@ -65,9 +84,9 @@ class Pool {
     return *pool;
   }
 
-  /// Runs job() on the calling thread and on `helpers` workers; returns once
-  /// every one of them has returned.
-  void run(int helpers, const std::function<void()>& job) {
+  /// Runs job(0) on the calling thread and job(w + 1) on workers
+  /// w = 0 .. helpers - 1; returns once every one of them has returned.
+  void run(int helpers, const std::function<void(int)>& job) {
     const std::lock_guard<std::mutex> one_region_at_a_time(region_);
     {
       const std::lock_guard<std::mutex> lk(mu_);
@@ -80,23 +99,23 @@ class Pool {
       ++generation_;
     }
     wake_.notify_all();
-    job();
+    job(0);
     std::unique_lock<std::mutex> lk(mu_);
     done_.wait(lk, [&] { return busy_ == 0; });
   }
 
  private:
   /// Worker `index`: waits for each region that asks for more than `index`
-  /// helpers, runs its job, and reports back.
+  /// helpers, runs its job as participant index + 1, and reports back.
   void park(int index) {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
       wake_.wait(lk, [&] { return generation_ != seen && index < helpers_; });
       seen = generation_;
-      const std::function<void()>& job = *job_;
+      const std::function<void(int)>& job = *job_;
       lk.unlock();
-      job();
+      job(index + 1);
       lk.lock();
       if (--busy_ == 0) done_.notify_one();
     }
@@ -107,7 +126,7 @@ class Pool {
   std::condition_variable wake_;  ///< workers park here between regions
   std::condition_variable done_;  ///< the region's caller waits here
   std::vector<std::thread> workers_;  ///< never joined: the pool never dies
-  const std::function<void()>* job_ = nullptr;
+  const std::function<void(int)>* job_ = nullptr;
   std::uint64_t generation_ = 0;  ///< regions started so far
   int helpers_ = 0;               ///< workers the current region runs on
   int busy_ = 0;                  ///< of those, the ones not done yet
@@ -120,17 +139,17 @@ int participants(int threads, int n) {
   return std::min(threads, n);
 }
 
-/// One parallel region: every participant runs the same loop under the
-/// caller's fp_mode(), and the first exception a body throws is rethrown
-/// on the caller once all have returned.
+/// One parallel region: participant k of the team runs loop(k) under the
+/// caller's fp_mode() (the caller is participant 0), and the first exception
+/// a body throws is rethrown on the caller once all have returned.
 class Region {
  public:
-  void run(int team, const std::function<void()>& loop) {
+  void run(int team, const std::function<void(int)>& loop) {
     const unsigned mode = fp_mode();
-    Pool::get().run(team - 1, [&]() noexcept {
+    Pool::get().run(team - 1, [&](int participant) noexcept {
       const FpModeScope fp(mode);
       t_in_region = true;
-      loop();
+      loop(participant);
       t_in_region = false;
     });
     if (failed()) std::rethrow_exception(error_);
@@ -151,6 +170,14 @@ class Region {
  private:
   std::atomic<bool> failed_{false};
   std::exception_ptr error_;  ///< written once, by the first thrower
+};
+
+/// The unclaimed rest [next, end) of one participant's slice of a
+/// parallel_for, alone on its cache line: claims on different slices never
+/// contend for one line.
+struct alignas(kAlignment) Slice {
+  std::atomic<int> next{0};
+  int end = 0;
 };
 
 }  // namespace
@@ -175,44 +202,68 @@ void parallel_for(int n, int threads, const std::function<void(int)>& fn) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::atomic<int> next{0};
+  // Participant k owns [k*n/team, (k+1)*n/team) and claims from its front;
+  // once that is empty it claims from the other slices in turn, k + 1 first.
+  const auto bound = [&](int k) {
+    return static_cast<int>(static_cast<std::int64_t>(k) * n / team);
+  };
+  // The calling thread keeps its slices from region to region, so a region
+  // allocates nothing (a region started inside a body runs serially and
+  // never gets here). The workers reach them through `slices`: naming the
+  // thread_local itself in the loop would give each worker its own.
+  thread_local std::vector<Slice> kept;
+  if (kept.size() < static_cast<std::size_t>(team)) {
+    kept = std::vector<Slice>(static_cast<std::size_t>(team));
+  }
+  std::vector<Slice>& slices = kept;
+  for (int k = 0; k < team; ++k) {
+    Slice& slice = slices[static_cast<std::size_t>(k)];
+    slice.next.store(bound(k), std::memory_order_relaxed);
+    slice.end = bound(k + 1);
+  }
   Region region;
-  region.run(team, [&] {
-    for (int i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      region.call(fn, i);
+  region.run(team, [&](int self) {
+    for (int s = 0; s < team; ++s) {
+      Slice& slice = slices[static_cast<std::size_t>((self + s) % team)];
+      for (int i; (i = slice.next.fetch_add(1, std::memory_order_relaxed)) <
+                  slice.end;) {
+        region.call(fn, i);
+      }
     }
   });
 }
 
-TaskDag::TaskDag(int n) : n_(n) {
-  TEMPEST_REQUIRE(n >= 0);
-  preds_.resize(static_cast<std::size_t>(n));
-  succs_.resize(static_cast<std::size_t>(n));
-}
+TaskDag::TaskDag(int n) : n_(n) { TEMPEST_REQUIRE(n >= 0); }
 
 void TaskDag::add_edge(int pred, int succ) {
   TEMPEST_REQUIRE(pred >= 0 && succ < n_);
   TEMPEST_REQUIRE_MSG(pred < succ,
                       "task edges must point forward (pred < succ) so "
                       "ascending node order stays topological");
+  if (preds_.empty()) {
+    preds_.resize(static_cast<std::size_t>(n_));
+    succs_.resize(static_cast<std::size_t>(n_));
+  }
   preds_[static_cast<std::size_t>(succ)].push_back(pred);
   succs_[static_cast<std::size_t>(pred)].push_back(succ);
 }
 
 void TaskDag::remove_edge(int pred, int succ) {
   TEMPEST_REQUIRE(pred >= 0 && pred < n_ && succ >= 0 && succ < n_);
+  if (preds_.empty()) return;
   std::erase(preds_[static_cast<std::size_t>(succ)], pred);
   std::erase(succs_[static_cast<std::size_t>(pred)], succ);
 }
 
 const std::vector<int>& TaskDag::preds(int node) const {
-  return preds_[static_cast<std::size_t>(node)];
+  static const std::vector<int> none;
+  return preds_.empty() ? none : preds_[static_cast<std::size_t>(node)];
 }
 
 void TaskDag::run(int threads, const std::function<void(int)>& body) const {
-  // A graph without edges needs no ready list: parallel_for's atomic index
-  // claim costs a region about half what the list's mutex and condition
-  // variable do.
+  // A graph without edges needs no ready list: parallel_for's slice claims
+  // cost a region about half what the list's mutex and condition variable
+  // do, and keep each participant on a run of neighbouring nodes.
   if (std::ranges::all_of(succs_, [](const auto& s) { return s.empty(); })) {
     parallel_for(n_, threads, body);
     return;
@@ -237,7 +288,7 @@ void TaskDag::run(int threads, const std::function<void(int)>& body) const {
   std::mutex m;
   std::condition_variable cv;
   Region region;
-  region.run(team, [&] {
+  region.run(team, [&](int) {
     std::unique_lock<std::mutex> lk(m);
     for (;;) {
       cv.wait(lk, [&] { return !ready.empty() || remaining == 0; });

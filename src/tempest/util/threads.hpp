@@ -25,6 +25,19 @@
 //     pthread_atfork child handler marks the process and every later
 //     region there takes the serial path.
 //
+// Slices: parallel_for gives participant k of a T-participant region (the
+// caller is participant 0, pool worker w is participant w + 1) the
+// contiguous slice [k*n/T, (k+1)*n/T). Each participant claims from the
+// front of its own slice through that slice's atomic cursor, which sits
+// alone on its cache line; once its slice is empty it claims from the
+// other slices' cursors in turn (k + 1 first), so every index runs exactly
+// once and a slow participant's rest is drained by the others. Callers
+// number neighbouring work with neighbouring indices — a space-blocked
+// substep's blocks, row by row — so each thread sweeps one run of
+// neighbours, the same x-slab on every substep, where one shared cursor
+// would deal the threads alternate, adjacent blocks whose halo rows then
+// sit in both cores' caches. Which thread ran an index changes no result.
+//
 // Floating-point mode: every participant computes under the caller's
 // fp_mode() word for the whole region and gets its own word back
 // afterwards, so a body computes under the same rounding and subnormal
@@ -79,9 +92,9 @@ enum class TaskBackend {
 
 /// Run fn(i) for every i in [0, n). threads <= 1 runs the serial loop in
 /// ascending order; otherwise the iterations execute concurrently on the
-/// pool, each participant taking the next unclaimed index, and fn must be
-/// race-free across iterations. Exceptions from fn are rethrown (first one
-/// wins; no new iteration starts after it).
+/// pool, each participant working through its own slice first (see
+/// "Slices" above), and fn must be race-free across iterations. Exceptions
+/// from fn are rethrown (first one wins; no new iteration starts after it).
 void parallel_for(int n, int threads, const std::function<void(int)>& fn);
 
 /// A static task DAG. Nodes are dense ints [0, size); edges always point
@@ -108,12 +121,14 @@ class TaskDag {
   /// Execute body(node) for every node honoring every edge. threads <= 1:
   /// serial ascending order; otherwise the pool's participants take ready
   /// nodes off one shared list, or, when the graph has no edge (left),
-  /// claim indices as parallel_for does. Exceptions are rethrown after the
-  /// graph drains (remaining bodies are skipped, first exception wins).
+  /// run it as parallel_for(size(), ...) does. Exceptions are rethrown after
+  /// the graph drains (remaining bodies are skipped, first exception wins).
   void run(int threads, const std::function<void(int)>& body) const;
 
  private:
   int n_ = 0;
+  /// Per node; both empty until the first add_edge, so an edgeless graph
+  /// holds no per-node storage.
   std::vector<std::vector<int>> preds_;
   std::vector<std::vector<int>> succs_;
 };

@@ -387,7 +387,7 @@ TEST(Interference, ProvesEveryBandOfTheExecutedWavefrontPlan) {
   ASSERT_EQ(plan.bands.size(), 8u);
   int tasks = 0;
   for (const tempest::core::TileBand& band : plan.bands) {
-    tasks += static_cast<int>(band.tasks.size());
+    tasks += band.size();
   }
   const statics::InterferenceReport report =
       statics::prove_race_free(plan, acoustic_footprint());

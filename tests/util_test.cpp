@@ -6,6 +6,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
@@ -241,14 +242,83 @@ TEST(Threads, SelectBackendMatchesRuntime) {
 }
 
 TEST(Threads, ParallelForCoversEveryIndexExactlyOnce) {
-  for (const int threads : {1, 2, 8}) {
-    std::vector<std::atomic<int>> hits(97);
-    tu::parallel_for(97, threads,
-                     [&](int i) { hits[static_cast<std::size_t>(i)]++; });
-    for (int i = 0; i < 97; ++i) {
-      EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-          << "i=" << i << " threads=" << threads;
+  for (const int n : {1, 2, 3, 97}) {
+    for (const int threads : {1, 2, 3, 8}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      tu::parallel_for(n, threads,
+                       [&](int i) { hits[static_cast<std::size_t>(i)]++; });
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+            << "i=" << i << " n=" << n << " threads=" << threads;
+      }
     }
+  }
+}
+
+// Participant k of T starts at the front of its slice [k*n/T, (k+1)*n/T).
+// Each participant's first body holds until all T have entered one, so no
+// participant can reach another's slice before every one has claimed from
+// its own: the first indices are exactly the slice starts.
+TEST(Threads, ParallelForStartsEachParticipantOnItsOwnSlice) {
+  constexpr int kN = 97;
+  for (const int threads : {2, 3}) {
+    std::mutex m;
+    std::condition_variable cv;
+    std::set<std::thread::id> entered;
+    std::set<int> firsts;
+    bool timed_out = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    tu::parallel_for(kN, threads, [&](int i) {
+      std::unique_lock<std::mutex> lk(m);
+      if (!entered.insert(std::this_thread::get_id()).second) return;
+      firsts.insert(i);
+      cv.notify_all();
+      const auto all_in = [&] {
+        return entered.size() == static_cast<std::size_t>(threads);
+      };
+      if (!cv.wait_until(lk, deadline, all_in)) timed_out = true;
+    });
+    ASSERT_FALSE(timed_out) << "threads=" << threads
+                            << ": not every participant entered a body";
+    std::set<int> starts;
+    for (int k = 0; k < threads; ++k) starts.insert(k * kN / threads);
+    EXPECT_EQ(firsts, starts) << "threads=" << threads;
+  }
+}
+
+// The caller (participant 0) holds its first body until every other index
+// has run, and the others start only once it is in: they must drain the
+// rest of its slice, and every index still runs exactly once.
+TEST(Threads, ParallelForDrainsASlowParticipantsSlice) {
+  constexpr int kN = 97;
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  const auto wait_for = [&](const auto& ready) {
+    while (!ready() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::vector<std::atomic<int>> runs(kN);
+  std::atomic<int> done{0};
+  std::atomic<int> caller_first{-1};
+  std::atomic<int> caller_bodies{0};
+  tu::parallel_for(kN, 3, [&](int i) {
+    if (std::this_thread::get_id() != caller) {
+      wait_for([&] { return caller_first.load() >= 0; });
+    } else if (caller_bodies.fetch_add(1) == 0) {
+      caller_first.store(i);
+      wait_for([&] { return done.load() == kN - 1; });
+    }
+    runs[static_cast<std::size_t>(i)].fetch_add(1);
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), kN);
+  EXPECT_EQ(caller_first.load(), 0);
+  EXPECT_EQ(caller_bodies.load(), 1);
+  for (int i = 0; i < kN; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "i=" << i;
   }
 }
 
@@ -358,32 +428,36 @@ TEST(TaskDag, HonorsFourPredecessorsAtEveryThreadCount) {
 
 TEST(TaskDag, EdgelessGraphsRunEveryNodeOnceAndRethrow) {
   // A graph with no edge, built so or left so by remove_edge, takes
-  // parallel_for's claim loop under the same contract.
-  constexpr int kNodes = 37;
-  tu::TaskDag edgeless(kNodes);
-  tu::TaskDag pruned(kNodes);
-  pruned.add_edge(3, 20);
-  pruned.remove_edge(3, 20);
-  ASSERT_TRUE(pruned.preds(20).empty());
-  for (const tu::TaskDag* dag : {&edgeless, &pruned}) {
-    const char* name = dag == &edgeless ? "edgeless" : "pruned";
-    for (const int threads : {1, 2, 8}) {
-      std::vector<std::atomic<int>> runs(kNodes);
-      dag->run(threads, [&](int node) {
-        runs[static_cast<std::size_t>(node)].fetch_add(1);
-      });
-      for (int i = 0; i < kNodes; ++i) {
-        EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
-            << name << " node " << i << " threads=" << threads;
+  // parallel_for's slice claims under the same contract.
+  for (const int n : {1, 2, 3, 97}) {
+    tu::TaskDag edgeless(n);
+    tu::TaskDag pruned(n);
+    if (n > 1) {
+      pruned.add_edge(0, n - 1);
+      pruned.remove_edge(0, n - 1);
+      ASSERT_TRUE(pruned.preds(n - 1).empty());
+    }
+    for (const tu::TaskDag* dag : {&edgeless, &pruned}) {
+      const char* name = dag == &edgeless ? "edgeless" : "pruned";
+      for (const int threads : {1, 2, 3, 8}) {
+        std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+        dag->run(threads, [&](int node) {
+          runs[static_cast<std::size_t>(node)].fetch_add(1);
+        });
+        for (int i = 0; i < n; ++i) {
+          EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+              << name << " node " << i << " n=" << n
+              << " threads=" << threads;
+        }
+        EXPECT_THROW(dag->run(threads,
+                              [n](int node) {
+                                if (node == n / 2) {
+                                  throw std::runtime_error("boom");
+                                }
+                              }),
+                     std::runtime_error)
+            << name << " n=" << n << " threads=" << threads;
       }
-      EXPECT_THROW(dag->run(threads,
-                            [](int node) {
-                              if (node == 11) {
-                                throw std::runtime_error("boom");
-                              }
-                            }),
-                   std::runtime_error)
-          << name << " threads=" << threads;
     }
   }
 }
