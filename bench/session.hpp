@@ -37,6 +37,7 @@
 #include <unistd.h>
 #endif
 
+#include "tempest/grid/grid3.hpp"
 #include "tempest/obs/metrics.hpp"
 #include "tempest/obs/openmetrics.hpp"
 #include "tempest/perf/calibrate.hpp"
@@ -209,6 +210,9 @@ class Session {
 #if defined(__unix__) || defined(__APPLE__)
     w.field("page_size", static_cast<long long>(sysconf(_SC_PAGESIZE)));
 #endif
+    // Grids of 2 MiB or more ask for transparent huge pages; whether they
+    // get them is this mode's call, so it rides beside every number.
+    w.field("thp_mode", tempest::grid::huge_page_mode());
 #if defined(__VERSION__)
     w.field("compiler", __VERSION__);
 #endif

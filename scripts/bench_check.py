@@ -8,7 +8,8 @@ OpenMetrics text expositions:
   * "tempest-bench-v1" — written by bench::Session (bench/session.hpp).
     PMU-less runs are *valid* as long as they say so (pmu.available/
     hardware flags + a captured reason) and still carry timings and
-    modelled numbers.
+    modelled numbers. env.thp_mode (the host's transparent-huge-page
+    mode, or "unavailable") must be a non-empty string.
   * "tempest-survey-v2" — written by the crash-tolerant survey runtime
     (jobs::write_survey_json): per-shot outcomes, retry/degradation
     counts, and throughput/latency aggregates, checked for internal
@@ -413,6 +414,11 @@ def check_file(path):
     if not isinstance(env, dict) or not isinstance(
             env.get("fingerprint"), str):
         fail(errors, "env.fingerprint: missing")
+    # The transparent-huge-page mode decides whether large grids sit on
+    # huge pages, so no timing is read without it.
+    if not isinstance(env, dict) or not isinstance(
+            env.get("thp_mode"), str) or not env["thp_mode"]:
+        fail(errors, "env.thp_mode: expected a non-empty string")
 
     pmu = doc.get("pmu")
     if not isinstance(pmu, dict):

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "tempest/grid/extents.hpp"
-#include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/threads.hpp"
 
@@ -20,20 +21,52 @@ namespace tempest::grid {
 /// chunk runs on the caller and wakes no worker.
 inline constexpr std::size_t kChunkBytes = std::size_t{2} << 20;
 
-/// util::AlignedAllocator whose value-less construct() default-initialises,
-/// so a vector of a trivial T allocates without writing: Grid3 touches its
-/// storage first in a parallel pass, on the threads that will stream it.
-/// Constructions with arguments (copies) take allocator_traits' default.
+/// A huge page: storage of this many bytes or more starts staggered and is
+/// advised onto transparent huge pages (allocate_storage).
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// `bytes` of grid storage, not written, 64-byte aligned. A block of
+/// kHugePageBytes or more starts at a per-allocation offset from a huge-page
+/// boundary, and the whole huge pages inside it are advised MADV_HUGEPAGE
+/// (grid3.cpp). Throws std::bad_alloc.
+[[nodiscard]] void* allocate_storage(std::size_t bytes);
+/// Frees a block allocate_storage(bytes) returned.
+void free_storage(void* p, std::size_t bytes) noexcept;
+
+/// The host's transparent-huge-page mode, which decides what the advice
+/// does: the bracketed word of /sys/kernel/mm/transparent_hugepage/enabled
+/// ("always", "madvise" or "never"), or "unavailable" when it cannot be read.
+[[nodiscard]] std::string huge_page_mode();
+
+/// The allocator of every Grid3: allocate_storage, and a value-less
+/// construct() that default-initialises, so a vector of a trivial T
+/// allocates without writing: Grid3 touches its storage first in a parallel
+/// pass, on the threads that will stream it. Constructions with arguments
+/// (copies) take allocator_traits' default.
 template <typename T>
-struct UninitAllocator : util::AlignedAllocator<T> {
+struct UninitAllocator {
+  using value_type = T;
+
+  UninitAllocator() noexcept = default;
   template <typename U>
-  struct rebind {
-    using other = UninitAllocator<U>;
-  };
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
+      throw std::bad_array_new_length();
+    return static_cast<T*>(allocate_storage(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    free_storage(p, n * sizeof(T));
+  }
 
   template <typename U>
   void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
     ::new (static_cast<void*>(p)) U;
+  }
+
+  friend bool operator==(const UninitAllocator&, const UninitAllocator&) {
+    return true;
   }
 };
 

@@ -84,7 +84,7 @@ class AcousticKernel {
         sy_(u.at(0).stride_y()) {
     TEMPEST_REQUIRE(model.m.stride_x() == sx_ && model.m.stride_y() == sy_);
     // The generated block's vectorization contract: every array it reads
-    // comes from the 64-byte-aligned util::AlignedAllocator pool. Grids
+    // is 64-byte aligned Grid3 storage (grid::allocate_storage). Grids
     // guarantee this by construction; assert it where the pointers cross
     // the C ABI so a layout change fails loudly instead of silently
     // de-optimizing the SIMD loop.

@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "tempest/grid/blocks.hpp"
 #include "tempest/grid/extents.hpp"
 #include "tempest/grid/grid3.hpp"
 #include "tempest/grid/time_buffer.hpp"
+#include "tempest/util/align.hpp"
 #include "tempest/util/error.hpp"
 #include "tempest/util/rng.hpp"
 
@@ -29,6 +35,27 @@ double serial_max_abs(const tg::Grid3<T>& g) {
     if (d > m) m = d;
   });
   return m;
+}
+
+std::uintptr_t address(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+/// The value of `field` ("THPeligible", "AnonHugePages", ...) in the
+/// /proc/self/smaps entry of the mapping that holds `addr`; -1 if absent.
+long smaps_field(std::uintptr_t addr, const std::string& field) {
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    unsigned long lo = 0;
+    unsigned long hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind(field + ":", 0) == 0) {
+      return std::stol(line.substr(field.size() + 1));
+    }
+  }
+  return -1;
 }
 
 }  // namespace
@@ -219,6 +246,60 @@ TEST(Grid3, MaxAbsMatchesTheSerialScan) {
   EXPECT_EQ(tg::max_abs(d, 8), 0.75);
   EXPECT_EQ(tg::max_abs(d, 8), serial_max_abs(d));
 }
+
+TEST(Grid3, LargeGridsStartStaggered) {
+  // Same-sized heap blocks start at one offset modulo 128 KiB, the set
+  // period of a 2 MiB 16-way L2: on huge pages the same point of every
+  // field would fall in one L2 set.
+  constexpr std::uintptr_t kL2SetPeriod = std::uintptr_t{128} << 10;
+  const tg::Extents3 shape{60, 124, 124};  // padded 64 x 128 x 128: 4 MiB
+  std::vector<tg::Grid3<float>> grids;
+  std::set<std::uintptr_t> offsets;
+  for (int i = 0; i < 8; ++i) {
+    grids.push_back(tg::Grid3<float>::uninitialized(shape, 2));
+    const tg::Grid3<float>& g = grids.back();
+    ASSERT_GE(g.padded_size() * sizeof(float), tg::kHugePageBytes);
+    EXPECT_TRUE(tempest::util::is_aligned(g.raw())) << "grid " << i;
+    offsets.insert(address(g.raw()) % kL2SetPeriod);
+  }
+  EXPECT_EQ(offsets.size(), 8u);
+  // A grid under 2 MiB keeps the 64-byte alignment that AcousticKernel's
+  // JIT ABI check asserts.
+  const tg::Grid3<float> small({8, 8, 8}, 2);
+  EXPECT_TRUE(tempest::util::is_aligned(small.raw()));
+}
+
+TEST(Grid3, LargeGridIsHugePageEligible) {
+  const std::string mode = tg::huge_page_mode();
+  if (mode == "unavailable" || mode == "never") {
+    GTEST_SKIP() << "transparent huge page mode: " << mode;
+  }
+  const tg::Grid3<float> g({256, 128, 128}, 0, 1.0f);  // 16 MiB, filled
+  const std::uintptr_t first_page =
+      (address(g.raw()) + tg::kHugePageBytes - 1) / tg::kHugePageBytes *
+      tg::kHugePageBytes;
+  ASSERT_LE(first_page + tg::kHugePageBytes,
+            address(g.raw() + g.padded_size()));
+  EXPECT_EQ(smaps_field(first_page, "THPeligible"), 1) << "mode " << mode;
+  std::printf("THP mode %s; AnonHugePages of the grid's huge-page mapping: "
+              "%ld kB\n",
+              mode.c_str(), smaps_field(first_page, "AnonHugePages"));
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(Grid3DeathTest, AsanReportsOverrunsOfALargeGrid) {
+  // Consecutive large grids start at consecutive staggers, so one of two
+  // has slack before its first element.
+  tg::Grid3<float> a({128, 64, 64}, 0);  // 2 MiB
+  tg::Grid3<float> b({128, 64, 64}, 0);
+  tg::Grid3<float>& g = address(a.raw()) % tg::kHugePageBytes != 0 ? a : b;
+  ASSERT_NE(address(g.raw()) % tg::kHugePageBytes, 0u);
+  volatile float* const p = g.raw();
+  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(g.padded_size());
+  EXPECT_DEATH(p[n] = 1.0f, "heap-buffer-overflow");
+  EXPECT_DEATH(p[-1] = 1.0f, "use-after-poison");
+}
+#endif
 
 TEST(TimeBuffer, ModuloSemantics) {
   tg::TimeBuffer<float> buf(3, {2, 2, 2}, 0, 0.0f);
